@@ -49,7 +49,7 @@ def main() -> None:
 
     # 2. Two worker threads serve the whole search.
     engine = SearchEngine(make_nas("cg", "T"), options)
-    address = engine.evaluator.address
+    address = engine.evaluator.executor.address
     threads = [
         threading.Thread(target=run_worker, args=(address,), daemon=True)
         for _ in range(2)
@@ -60,7 +60,7 @@ def main() -> None:
     for thread in threads:
         thread.join(timeout=30)
     print(f"cluster:   {clustered.configs_tested} configurations tested "
-          f"across {engine.evaluator.workers_seen} workers")
+          f"across {engine.evaluator.executor.workers_seen} workers")
     same = dump_config(clustered.final_config) == dump_config(
         reference.final_config
     )
@@ -72,7 +72,7 @@ def main() -> None:
     sentinel = tempfile.mktemp(prefix="repro-crash-")
     open(sentinel, "w").close()
     engine = SearchEngine(make_nas("cg", "T"), options)
-    address = engine.evaluator.address
+    address = engine.evaluator.executor.address
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
     doomed = subprocess.Popen(
@@ -86,7 +86,7 @@ def main() -> None:
         import time
 
         deadline = time.monotonic() + 30
-        while (engine.evaluator.workers_seen < 1
+        while (engine.evaluator.executor.workers_seen < 1
                and time.monotonic() < deadline):
             time.sleep(0.05)
         run_worker(address)
@@ -97,7 +97,7 @@ def main() -> None:
     doomed.wait(timeout=30)
     survivor.join(timeout=30)
     print(f"crashed worker exit code {doomed.returncode}; "
-          f"{engine.evaluator.requeues} lease(s) requeued")
+          f"{engine.evaluator.executor.requeues} lease(s) requeued")
     same = dump_config(crashed.final_config) == dump_config(
         reference.final_config
     )

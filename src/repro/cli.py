@@ -366,8 +366,8 @@ def cmd_search(args) -> int:
                 _clear_progress(telemetry)
                 print(
                     f"serving {workload.name} on "
-                    f"{engine.evaluator.address} — connect workers with: "
-                    f"repro worker {engine.evaluator.address}",
+                    f"{engine.evaluator.executor.address} — connect workers "
+                    f"with: repro worker {engine.evaluator.executor.address}",
                     file=sys.stderr, flush=True,
                 )
             result = engine.run()

@@ -20,17 +20,11 @@ from repro.cluster.coordinator import (
     ClusterEvaluator,
     JobCancelled,
 )
-from repro.cluster.protocol import (
-    PROTOCOL_VERSION,
-    SUPPORTED_VERSIONS,
-    ProtocolError,
-    parse_address,
-)
+from repro.cluster.protocol import PROTOCOL_VERSION, ProtocolError, parse_address
 from repro.cluster.worker import EXIT_SENTINEL_VAR, WorkerError, run_worker
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "SUPPORTED_VERSIONS",
     "ClusterError",
     "ClusterEvaluator",
     "EXIT_SENTINEL_VAR",

@@ -1,60 +1,61 @@
 """The cluster coordinator: lease-based dispatch over TCP workers.
 
-:class:`ClusterEvaluator` is the third sibling of the evaluator family
-(serial :class:`~repro.search.evaluator.Evaluator`, fork-pool
-:class:`~repro.search.parallel.ParallelEvaluator`): the search engine
-hands it batches of configurations, and it shards them across however
-many ``repro worker`` processes are currently connected.  The engine —
-and therefore the whole search trajectory — cannot tell the difference:
-batch deduplication, store replay, and counter semantics are the shared
-:mod:`repro.search.batching` logic, outcomes come back in submission
-order, and every evaluation a worker runs goes through the shared
-:mod:`repro.search.execution` kernel, so the final configuration is
-byte-identical to a serial search (differential-tested).
+:class:`BaseLeaseEvaluator` is the lease-channel executor of the
+:class:`~repro.search.evaluator.Evaluator` front: the front hands it the
+jobs that survived dedup, and it shards them across however many
+``repro worker`` processes are currently connected.  The engine — and
+therefore the whole search trajectory — cannot tell the difference:
+dedup, store replay and counters stay in the front, outcomes come back
+in submission order, and every evaluation a worker runs goes through
+the shared :func:`~repro.search.evaluator.execute_config` kernel, so
+the final configuration is byte-identical to a serial search
+(differential-tested).
 
-Multi-campaign dispatch (protocol v3)
--------------------------------------
-The coordinator no longer assumes a single search: work is organised
-into *channels*, one per campaign (:class:`_Channel`), each with its own
-pending queue, backoff list, and in-flight batch.  A standalone
-``ClusterEvaluator`` registers exactly one channel; the
-:mod:`repro.service` job server registers one per submitted job and
-shares a single coordinator — and therefore one worker pool — across
-all of them.  Leases are multiplexed fairly with deficit round-robin:
-each ready channel accumulates ``quantum`` credit per scheduler pass
-and spends one credit per granted lease, so a large campaign cannot
-starve a small one, and per-tenant in-flight quotas (``max_inflight``)
-cap how much of the pool any one tenant can hold at once.
+Channels
+--------
+Work is organised into *channels*, one per campaign (:class:`_Channel`),
+each with its own pending queue, backoff list, retry policy and
+in-flight batch, and each task frame names the workload of its channel.
+A standalone ``--cluster`` search is a :class:`ClusterEvaluator`: one
+channel on a coordinator it owns.  The :mod:`repro.service` job server
+opens one channel per submitted job on a coordinator it owns, so one
+worker pool serves all of them.  Leases are multiplexed fairly with
+deficit round-robin: each ready channel accumulates ``quantum`` credit
+per scheduler pass and spends one credit per granted lease, so a large
+campaign cannot starve a small one, and per-tenant in-flight quotas
+(``max_inflight``) cap how much of the pool any one tenant can hold at
+once.
 
 Threading model
 ---------------
-The asyncio TCP server runs on one dedicated background thread; all
-coordinator state (workers, channels, leases, queues) lives on that
-loop and is never touched from an engine thread.  ``evaluate_batch``
-submits a batch with ``run_coroutine_threadsafe`` and blocks, draining
-its channel's event queue into the telemetry hub while it waits — so
-traces keep a single writer (that engine's thread) and ``--progress``
-still renders worker occupancy live.  Under the service each job's
-engine thread does the same against its own channel, so per-job traces
-stay single-writer too.
+The asyncio TCP server runs on one dedicated background thread
+(:meth:`_Coordinator.serve`); all coordinator state (workers, channels,
+leases, queues) lives on that loop and is never touched from an engine
+thread.  ``evaluate_batch`` submits a batch with
+``run_coroutine_threadsafe`` and blocks, draining its channel's event
+queue into the telemetry hub while it waits — so every trace keeps a
+single writer (that engine's thread) and ``--progress`` still renders
+worker occupancy live.
 
 Fault tolerance
 ---------------
 Liveness is heartbeat-based: any worker message refreshes its deadline,
 and a worker silent for ``lease_timeout`` seconds — or whose connection
 reaches EOF, the usual fate of a SIGKILLed process — is declared lost.
-Its leases are requeued under the shared
+Its leases are requeued under the channel's
 :class:`~repro.search.retry.RetryPolicy` (exponential per-task backoff);
 a task that keeps losing its worker through every retry is classified
-``worker_crash`` exactly like a fork-pool crash.  Results are
-first-wins: if a presumed-dead worker resurfaces and reports a requeued
-task, the duplicate is ignored — evaluations are deterministic, so
-either copy is the same outcome — and re-connected workers never
-re-execute configs the store already decided, because decided configs
-are filtered out parent-side before tasks are ever created.  Cancelling
-a job aborts only its channel: its queued tasks are dropped, its leases
-are released from the quota ledger, and every other channel keeps
-running untouched.
+``worker_crash`` exactly like a fork-pool crash.  A worker that leaves
+with ``bye`` while holding a lease (it could not build the task's
+workload) returns it: the task is requeued at once and not charged.
+Results are first-wins: if a presumed-dead worker resurfaces and
+reports a requeued task, the duplicate is ignored — evaluations are
+deterministic, so either copy is the same outcome — and re-connected
+workers never re-execute configs the store already decided, because the
+front filters decided configs out before tasks are ever created.
+Cancelling a job aborts only its channel: its queued tasks are dropped,
+its leases are released from the quota ledger, and every other channel
+keeps running untouched.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ import asyncio
 import concurrent.futures
 import contextlib
 import threading
-import time
 from collections import deque
 
 from repro.cluster.protocol import (
@@ -81,13 +81,11 @@ from repro.cluster.protocol import (
     ROLE_CLIENT,
     STATUS,
     SUBMIT,
-    SUPPORTED_VERSIONS,
     REJECTED,
     TASK,
     WAIT,
     WELCOME,
     ProtocolError,
-    negotiate_version,
     outcome_from_wire,
     pack_frame,
     parse_address,
@@ -95,9 +93,6 @@ from repro.cluster.protocol import (
     send_frame_async,
     unsupported_frame,
 )
-from repro.config.model import Config
-from repro.search.batching import plan_batch, record_batch
-from repro.search.execution import DELTA_COUNTERS
 from repro.search.results import EvalOutcome
 from repro.search.retry import RetryPolicy
 from repro.telemetry import NULL_TELEMETRY
@@ -105,9 +100,6 @@ from repro.telemetry import NULL_TELEMETRY
 #: how long an idle worker is told to wait before polling for work again
 #: (doubles as the heartbeat that keeps it alive while the queue is dry).
 POLL_DELAY = 0.02
-
-#: channel id used by a standalone (single-search) ClusterEvaluator.
-DEFAULT_CHANNEL = ""
 
 
 class ClusterError(RuntimeError):
@@ -130,42 +122,30 @@ class _Task:
                  "not_before", "done", "inflight")
 
     def __init__(self, task_id: int, index: int, flags: dict, digest: str,
-                 job: str = DEFAULT_CHANNEL):
+                 job: str):
         self.task_id = task_id
         self.index = index          # position in the owning batch
         self.flags = flags          # wire form: node id -> policy char
         self.digest = digest
-        self.job = job              # owning channel id ("" = standalone)
+        self.job = job              # owning channel id
         self.attempts = 0           # crashes so far (not normal failures)
         self.not_before = 0.0       # backoff gate for requeued tasks
         self.done = False
         self.inflight = False       # currently leased (quota accounting)
 
-    def payload(self) -> dict:
-        return {
-            "type": TASK,
-            "task": self.task_id,
-            "flags": self.flags,
-            "digest": self.digest,
-        }
-
 
 class _Batch:
     """One engine batch in flight on the loop."""
 
-    __slots__ = ("outcomes", "remaining", "deltas", "done")
+    __slots__ = ("outcomes", "remaining", "done")
 
     def __init__(self, size: int, loop) -> None:
         self.outcomes: list = [None] * size
         self.remaining = size
-        self.deltas = [0] * len(DELTA_COUNTERS)
         self.done = loop.create_future()
 
-    def finish_one(self, index: int, outcome: EvalOutcome, deltas=None) -> None:
+    def finish_one(self, index: int, outcome: EvalOutcome) -> None:
         self.outcomes[index] = outcome
-        if deltas:
-            for i, delta in enumerate(deltas[: len(self.deltas)]):
-                self.deltas[i] += int(delta)
         self.remaining -= 1
         if self.remaining == 0 and not self.done.done():
             self.done.set_result(None)
@@ -178,18 +158,17 @@ class _Batch:
 class _Channel:
     """Loop-side state for one campaign sharing the worker pool."""
 
-    __slots__ = ("job_id", "tenant", "quantum", "deficit", "info", "events",
-                 "pending", "delayed", "batch", "leased")
+    __slots__ = ("job_id", "tenant", "quantum", "deficit", "retry", "info",
+                 "events", "pending", "delayed", "batch", "leased")
 
     def __init__(self, job_id: str, tenant: str, quantum: float,
-                 info: dict | None, events: deque) -> None:
+                 retry: RetryPolicy, info: dict, events: deque) -> None:
         self.job_id = job_id
         self.tenant = tenant
         self.quantum = quantum      # DRR credit earned per scheduler pass
         self.deficit = 0.0          # unspent credit (reset while idle)
-        #: per-task workload fields merged into task payloads (service
-        #: mode; None = the welcome already pinned the workload).
-        self.info = info
+        self.retry = retry          # for tasks whose worker is lost
+        self.info = info            # workload fields merged into tasks
         self.events = events        # (kind, fields) — drained engine-side
         self.pending: deque[_Task] = deque()
         self.delayed: list[_Task] = []
@@ -221,39 +200,32 @@ class _Channel:
 class _WorkerConn:
     """Loop-side connection state for one network worker."""
 
-    __slots__ = ("wid", "name", "writer", "version", "leases", "last_seen",
-                 "reaped")
+    __slots__ = ("wid", "name", "writer", "leases", "last_seen", "reaped")
 
-    def __init__(self, wid: str, name: str, writer, version: int,
-                 now: float) -> None:
+    def __init__(self, wid: str, name: str, writer, now: float) -> None:
         self.wid = wid
         self.name = name
         self.writer = writer
-        self.version = version      # negotiated protocol version
         self.leases: dict[int, _Task] = {}
         self.last_seen = now
         self.reaped = False
 
 
 class _Coordinator:
-    """Everything that runs on the event-loop thread."""
+    """The coordinator: its event-loop thread, and everything that runs
+    on it.  Only :meth:`serve`, :meth:`call` and :meth:`close` are meant
+    for other threads."""
 
     def __init__(
         self,
-        welcome: dict,
-        retry: RetryPolicy,
         lease_timeout: float,
         events: deque,
-        versions=SUPPORTED_VERSIONS,
         client_api=None,
         max_inflight: int | None = None,
         lease_log: bool = False,
     ) -> None:
-        self.welcome = welcome
-        self.retry = retry
         self.lease_timeout = lease_timeout
         self.events = events        # global (kind, fields) queue
-        self.versions = tuple(versions)
         #: service hook answering client job frames (None = worker-only)
         self.client_api = client_api
         #: per-tenant cap on simultaneously leased tasks (None = off;
@@ -271,6 +243,9 @@ class _Coordinator:
         self.closing = False
         self.server = None
         self.sweeper = None
+        self.loop: asyncio.AbstractEventLoop | None = None
+        self._thread: threading.Thread | None = None
+        self.address = ""
         self._worker_seq = 0
         self._task_seq = 0
         # stats (read engine-side after drain; plain ints, GIL-safe)
@@ -278,6 +253,44 @@ class _Coordinator:
         self.leases_granted = 0
         self.requeues = 0
         self.crashed_tasks = 0
+
+    # -- thread-side lifecycle -------------------------------------------------
+
+    def serve(self, bind: str, thread_name: str) -> None:
+        """Start the event loop on its own thread and listen on *bind*
+        (``HOST:PORT``; port 0 picks one, see :attr:`address`)."""
+        self.loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(
+            target=self.loop.run_forever, name=thread_name, daemon=True
+        )
+        self._thread.start()
+        try:
+            host, port = self.call(self._start(*parse_address(bind)), 10)
+        except BaseException:
+            self._stop_loop()
+            raise
+        self.address = f"{host}:{port}"
+
+    def call(self, coro, timeout: float = 5.0):
+        """Run *coro* on the loop and wait for its result."""
+        return asyncio.run_coroutine_threadsafe(coro, self.loop).result(timeout)
+
+    def close(self) -> None:
+        """Dismiss every worker, stop listening, and stop the loop."""
+        try:
+            self.call(self._shutdown())
+        except (concurrent.futures.TimeoutError, RuntimeError):
+            pass
+        finally:
+            self._stop_loop()
+
+    def _stop_loop(self) -> None:
+        self.loop.call_soon_threadsafe(self.loop.stop)
+        self._thread.join(timeout=5)
+        if not self.loop.is_running():
+            self.loop.close()
+
+    # -- loop-side lifecycle ---------------------------------------------------
 
     def event(self, kind: str, **fields) -> None:
         self.events.append((kind, fields))
@@ -294,15 +307,13 @@ class _Coordinator:
         else:
             self.events.append((kind, fields))
 
-    # -- lifecycle (loop thread) --------------------------------------------
-
-    async def start(self, host: str, port: int) -> tuple[str, int]:
+    async def _start(self, host: str, port: int) -> tuple[str, int]:
         self.server = await asyncio.start_server(self._handle, host, port)
         self.sweeper = asyncio.ensure_future(self._sweep())
         bound = self.server.sockets[0].getsockname()
         return bound[0], bound[1]
 
-    async def shutdown(self) -> None:
+    async def _shutdown(self) -> None:
         self.closing = True
         if self.sweeper is not None:
             self.sweeper.cancel()
@@ -318,31 +329,17 @@ class _Coordinator:
             self.server.close()
             await self.server.wait_closed()
 
-    # -- channel registry (loop thread; sync core is also used before the
-    #    loop starts, when the owning evaluator wires its own channel) ----
+    # -- channel registry (loop thread) --------------------------------------
 
-    def register_channel(
-        self,
-        job_id: str,
-        tenant: str = "",
-        quantum: float = 1.0,
-        info: dict | None = None,
-        events: deque | None = None,
-    ) -> _Channel:
+    async def open_channel(self, job_id: str, tenant: str, quantum: float,
+                           retry: RetryPolicy, info: dict,
+                           events: deque) -> None:
         if job_id in self.channels:
             raise ClusterError(f"channel {job_id!r} already registered")
-        channel = _Channel(
-            job_id, tenant, max(0.05, float(quantum)),
-            info, events if events is not None else self.events,
+        self.channels[job_id] = _Channel(
+            job_id, tenant, max(0.05, float(quantum)), retry, info, events
         )
-        self.channels[job_id] = channel
         self._ring.append(job_id)
-        return channel
-
-    async def open_channel(self, job_id: str, tenant: str = "",
-                           quantum: float = 1.0, info: dict | None = None,
-                           events: deque | None = None) -> None:
-        self.register_channel(job_id, tenant, quantum, info, events)
 
     async def close_channel(self, job_id: str) -> None:
         self._abort_channel(job_id, "channel closed")
@@ -375,7 +372,7 @@ class _Coordinator:
 
     # -- batch dispatch (loop thread) ---------------------------------------
 
-    async def run_batch(self, job_id: str, payload: list) -> tuple[list, list]:
+    async def run_batch(self, job_id: str, payload: list) -> list:
         """Queue *payload* (``(flags, digest)`` pairs) as leasable tasks
         on *job_id*'s channel and wait until every one is decided."""
         channel = self.channels.get(job_id)
@@ -402,7 +399,7 @@ class _Coordinator:
                 self._release(task)
                 task.done = True
                 self.tasks.pop(task.task_id, None)
-        return batch.outcomes, batch.deltas
+        return batch.outcomes
 
     def _quota_blocked(self, channel: _Channel) -> bool:
         if self.max_inflight is None or not channel.tenant:
@@ -471,14 +468,10 @@ class _Coordinator:
         hello = await recv_frame_async(reader)
         if hello is None or hello.get("type") != HELLO:
             return None, None
-        version = negotiate_version(hello, self.versions)
-        if version is None:
-            # Structured refusal (v3 satellite): the peer learns exactly
-            # which versions would have been accepted, then we close
-            # cleanly instead of silently dropping the connection.
-            await send_frame_async(
-                writer, unsupported_frame(hello, self.versions)
-            )
+        if hello.get("version") != PROTOCOL_VERSION:
+            # Structured refusal, then a clean close instead of silently
+            # dropping the connection.
+            await send_frame_async(writer, unsupported_frame(hello))
             return None, None
         if hello.get("role") == ROLE_CLIENT:
             if self.client_api is None:
@@ -488,22 +481,23 @@ class _Coordinator:
                                "submissions (start it with --service)",
                 })
                 return None, None
-            await send_frame_async(
-                writer,
-                {"type": WELCOME, "version": version, "service": True},
-            )
+            await send_frame_async(writer, {
+                "type": WELCOME, "version": PROTOCOL_VERSION, "service": True,
+            })
             return ROLE_CLIENT, None
         self._worker_seq += 1
         wid = f"w{self._worker_seq}"
         name = f"{hello.get('host', '?')}:{hello.get('pid', '?')}"
         now = asyncio.get_running_loop().time()
-        worker = _WorkerConn(wid, name, writer, version, now)
+        worker = _WorkerConn(wid, name, writer, now)
         self.workers[wid] = worker
         self.workers_seen += 1
         self.event("cluster.worker_join", worker=wid, name=name)
-        reply = dict(self.welcome)
-        reply["version"] = version
-        await send_frame_async(writer, reply)
+        await send_frame_async(writer, {
+            "type": WELCOME,
+            "version": PROTOCOL_VERSION,
+            "lease_timeout": self.lease_timeout,
+        })
         return None, worker
 
     async def _serve_client(self, reader, writer) -> None:
@@ -554,12 +548,14 @@ class _Coordinator:
                     )
                 else:
                     self._grant(worker, task)
-                    payload = task.payload()
-                    channel = self.channels.get(task.job)
-                    if channel is not None and channel.info is not None:
-                        payload["job"] = task.job
-                        payload.update(channel.info)
-                    await send_frame_async(writer, payload)
+                    await send_frame_async(writer, {
+                        "type": TASK,
+                        "task": task.task_id,
+                        "job": task.job,
+                        "flags": task.flags,
+                        "digest": task.digest,
+                        **self.channels[task.job].info,
+                    })
             elif kind == RESULT:
                 self._complete(worker, message)
                 await send_frame_async(writer, {"type": OK})
@@ -576,15 +572,14 @@ class _Coordinator:
                     worker=worker.wid, busy=len(worker.leases),
                 )
             elif kind == EVENTS:
-                # One-way telemetry forwarding (protocol v2): merge the
-                # worker's per-task events into the owning channel's
-                # queue, tagged with the worker id.  The worker's own
-                # clock is preserved as `worker_ts`; the engine-side
-                # drain stamps the merged trace's single monotonic `ts`
-                # on emission.
+                # One-way telemetry forwarding: merge the worker's
+                # per-task events into the owning channel's queue,
+                # tagged with the worker id.  The worker's own clock is
+                # preserved as `worker_ts`; the engine-side drain stamps
+                # the merged trace's single monotonic `ts` on emission.
                 task_id = message.get("task")
                 task = self.tasks.get(task_id)
-                job_id = task.job if task is not None else DEFAULT_CHANNEL
+                job_id = task.job if task is not None else None
                 for forwarded in message.get("events", ()):
                     if not isinstance(forwarded, dict) or "kind" not in forwarded:
                         continue
@@ -597,7 +592,8 @@ class _Coordinator:
             elif kind == BYE:
                 worker.reaped = True
                 self.workers.pop(worker.wid, None)
-                self._requeue_leases(worker, "bye")
+                # A leaving worker returns its leases: not a crash.
+                self._requeue_leases(worker, "bye", charge=False)
                 return
             else:
                 raise ProtocolError(f"unexpected message {kind!r}")
@@ -607,10 +603,9 @@ class _Coordinator:
     def _grant(self, worker: _WorkerConn, task: _Task) -> None:
         worker.leases[task.task_id] = task
         task.inflight = True
-        channel = self.channels.get(task.job)
-        tenant = channel.tenant if channel is not None else ""
-        if channel is not None:
-            channel.leased += 1
+        channel = self.channels[task.job]
+        channel.leased += 1
+        tenant = channel.tenant
         if tenant:
             self.tenant_inflight[tenant] = (
                 self.tenant_inflight.get(tenant, 0) + 1
@@ -648,49 +643,52 @@ class _Coordinator:
             return  # late duplicate from a presumed-dead worker: first wins
         self._release(task)
         task.done = True
-        channel = self.channels.get(task.job)
-        if channel is not None and channel.batch is not None:
-            channel.batch.finish_one(
-                task.index,
-                outcome_from_wire(message["outcome"]),
-                message.get("deltas"),
-            )
+        batch = self.channels[task.job].batch
+        if batch is not None:
+            batch.finish_one(task.index, outcome_from_wire(message["outcome"]))
 
-    def _task_lost(self, task_id, reason: str) -> None:
+    def _task_lost(self, task_id, reason: str, charge: bool = True) -> None:
+        """Requeue a task its worker lost; a *charge*-d loss counts
+        against the channel's retry budget."""
         task = self.tasks.get(task_id)
         if task is None or task.done:
             return
         self._release(task)
-        task.attempts += 1
-        channel = self.channels.get(task.job)
-        if self.retry.exhausted(task.attempts):
-            # Kept killing (or losing) its executor: classify, descend.
-            self.crashed_tasks += 1
-            self.job_event(task.job, "eval.worker_crash", attempts=task.attempts)
-            task.done = True
-            if channel is not None and channel.batch is not None:
-                channel.batch.finish_one(
-                    task.index,
-                    self.retry.crash_outcome(
-                        task.attempts, what="cluster worker died"
-                    ),
+        channel = self.channels[task.job]
+        if charge:
+            task.attempts += 1
+            if channel.retry.exhausted(task.attempts):
+                # Kept killing (or losing) its executor: classify, descend.
+                self.crashed_tasks += 1
+                self.job_event(
+                    task.job, "eval.worker_crash", attempts=task.attempts
                 )
-            return
-        self.requeues += 1
-        now = asyncio.get_running_loop().time()
-        task.not_before = now + self.retry.delay(task.attempts)
-        if channel is not None:
+                task.done = True
+                if channel.batch is not None:
+                    channel.batch.finish_one(
+                        task.index,
+                        channel.retry.crash_outcome(
+                            task.attempts, what="cluster worker died"
+                        ),
+                    )
+                return
+            now = asyncio.get_running_loop().time()
+            task.not_before = now + channel.retry.delay(task.attempts)
             channel.delayed.append(task)
+        else:
+            channel.pending.appendleft(task)
+        self.requeues += 1
         self.job_event(
             task.job, "cluster.requeue",
             task=task.task_id, attempts=task.attempts, reason=reason,
         )
 
-    def _requeue_leases(self, worker: _WorkerConn, reason: str) -> None:
+    def _requeue_leases(self, worker: _WorkerConn, reason: str,
+                        charge: bool = True) -> None:
         leases = list(worker.leases.values())
         worker.leases.clear()
         for task in leases:
-            self._task_lost(task.task_id, reason)
+            self._task_lost(task.task_id, reason, charge)
 
     def _reap(self, worker: _WorkerConn, reason: str) -> None:
         """A worker is gone (EOF, protocol error, expired heartbeat)."""
@@ -719,71 +717,56 @@ class _Coordinator:
 
 
 class BaseLeaseEvaluator:
-    """Engine-thread side of lease dispatch, shared by the standalone
-    :class:`ClusterEvaluator` and the service's per-job
-    :class:`~repro.service.evaluator.ServiceEvaluator`.
+    """Lease-channel executor: runs each batch's jobs as leases on one
+    channel (*job_id*) of a coordinator.
 
-    Subclasses own the wiring (who creates the loop/coordinator, which
-    channel the batches ride) and call :meth:`_init_lease_state` before
-    first use; everything here — caches, counters, batch planning,
-    telemetry draining — is identical across both, which is what keeps
-    a service job byte-identical to a standalone search.
+    A service job borrows the service's coordinator; a standalone
+    search's :class:`ClusterEvaluator` owns one.  The channel's events
+    (leases, requeues, forwarded worker telemetry) are drained into
+    *telemetry* from the engine thread, the trace's single writer.  A
+    set *cancel_event* raises :class:`JobCancelled` at the next batch;
+    the owner aborts a batch already in flight through the coordinator.
     """
 
-    #: channel this evaluator submits batches on.
-    job_id = DEFAULT_CHANNEL
-
-    def _init_lease_state(
+    def __init__(
         self,
+        coord: _Coordinator,
+        job_id: str,
         workload,
-        tree,
-        optimize_checks: bool,
-        telemetry,
-        incremental: bool,
-        store,
-        store_workload: str,
-        retry: RetryPolicy | None,
-        lattice=None,
+        telemetry=None,
+        incremental: bool = True,
+        optimize_checks: bool = False,
+        retry: RetryPolicy | None = None,
+        tenant: str = "",
+        quantum: float = 1.0,
+        cancel_event=None,
+        events: deque | None = None,
     ) -> None:
-        self.workload = workload
-        self.tree = tree
-        self.optimize_checks = optimize_checks
-        self.incremental = incremental
+        from repro.store import workload_id
+
+        self.job_id = job_id
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self.cache: dict = {}
-        self.semantic_cache: dict = {}
-        self.evaluations = 0
-        self.cache_hits = 0
-        self.store = store
-        self.store_workload = store_workload
-        self.store_hits = 0
-        #: lattice spec salting the store's policy digests (see Evaluator)
-        self.lattice = lattice
-        #: configurations actually run on some worker (excludes replays)
-        self.executions = 0
-        #: policy digests counted toward ``evaluations`` (see Evaluator)
-        self.decided: set = set()
-        self.retry = retry if retry is not None else RetryPolicy()
-        self._drain_interval = 0.05
+        self._coord = coord
+        self._cancel = cancel_event
+        self._events = events if events is not None else deque()
         self._closed = False
-        # set by the subclass: the loop the coordinator runs on, the
-        # coordinator itself, and the deque its channel events land in.
-        self._loop: asyncio.AbstractEventLoop
-        self._coord: _Coordinator
-        self._events: deque
-
-    def _store_id(self) -> str:
-        if not self.store_workload:
-            from repro.store import workload_id
-
-            self.store_workload = workload_id(self.workload)
-        return self.store_workload
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise ClusterError("evaluator is closed")
-
-    # -- telemetry bridge ----------------------------------------------------
+        name = getattr(workload, "name", workload.program.name)
+        klass = getattr(workload, "klass", "")
+        if klass and name.endswith("." + klass):
+            name = name[: -(len(klass) + 1)]
+        # Task fields: workers build (and cache) the workload each task
+        # names, so one pool serves every channel concurrently.
+        info = {
+            "workload": name,
+            "klass": klass,
+            "workload_id": workload_id(workload),
+            "incremental": incremental,
+            "optimize_checks": optimize_checks,
+        }
+        coord.call(coord.open_channel(
+            job_id, tenant, quantum, retry or RetryPolicy(), info,
+            self._events,
+        ), 10)
 
     def _drain_events(self) -> None:
         """Emit queued coordinator events from the engine thread (the
@@ -802,51 +785,40 @@ class BaseLeaseEvaluator:
                 telemetry.count("cluster.leases")
             telemetry.emit(kind, **fields)
 
-    # -- Evaluator protocol ---------------------------------------------------
+    def evaluate_batch(self, jobs: list) -> list[EvalOutcome]:
+        """Lease *jobs* to the connected workers (waiting for the first
+        one to join if need be); outcomes in job order."""
+        if self._closed:
+            raise ClusterError("evaluator is closed")
+        if self._cancel is not None and self._cancel.is_set():
+            raise JobCancelled(f"{self.job_id}: job cancelled")
+        if not jobs:
+            self._drain_events()
+            return []
+        payload = [
+            ({nid: policy.value for nid, policy in job.config.flags.items()},
+             job.digest)
+            for job in jobs
+        ]
+        future = asyncio.run_coroutine_threadsafe(
+            self._coord.run_batch(self.job_id, payload), self._coord.loop
+        )
+        try:
+            while True:
+                try:
+                    return future.result(0.05)
+                except concurrent.futures.TimeoutError:
+                    self._drain_events()  # keep progress/traces live
+        finally:
+            self._drain_events()
 
-    def evaluate(self, config: Config) -> EvalOutcome:
-        return self.evaluate_batch([config])[0]
-
-    def evaluate_batch(self, configs: list[Config]) -> list[EvalOutcome]:
-        self._check_open()
-        # Parent-side dedup (shared with ParallelEvaluator): what remains
-        # in plan.jobs is exactly what a serial evaluator would execute —
-        # re-connected or duplicate workers can never re-run a decided
-        # config because decided configs never become tasks.
-        plan = plan_batch(self, configs)
-        outcomes: list = []
-        batch_wall = 0.0
-        if plan.jobs:
-            payload = [
-                (
-                    {nid: policy.value for nid, policy in job.config.flags.items()},
-                    job.digest,
-                )
-                for job in plan.jobs
-            ]
-            start = time.perf_counter()
-            future = asyncio.run_coroutine_threadsafe(
-                self._coord.run_batch(self.job_id, payload), self._loop
-            )
-            try:
-                while True:
-                    try:
-                        outcomes, deltas = future.result(self._drain_interval)
-                        break
-                    except concurrent.futures.TimeoutError:
-                        self._drain_events()  # keep progress/traces live
-            finally:
-                self._drain_events()
-            batch_wall = time.perf_counter() - start
-            # Cache counters arrive through the forwarded worker event
-            # stream (metric.count, protocol v2); the RESULT deltas stay
-            # on the wire as a cross-check but are not folded in twice.
-            del deltas
+    def close(self) -> None:
+        if self._closed:
+            return
+        self._closed = True
+        with contextlib.suppress(Exception):  # coordinator already closed
+            self._coord.call(self._coord.close_channel(self.job_id))
         self._drain_events()
-        return record_batch(self, plan, outcomes, batch_wall)
-
-    def close(self) -> None:  # pragma: no cover - subclass responsibility
-        raise NotImplementedError
 
     def __enter__(self):
         return self
@@ -856,7 +828,8 @@ class BaseLeaseEvaluator:
 
 
 class ClusterEvaluator(BaseLeaseEvaluator):
-    """Evaluator that dispatches batches to network workers.
+    """Lease-channel executor on a coordinator of its own: a standalone
+    ``--cluster`` search.
 
     Parameters mirror :class:`~repro.search.parallel.ParallelEvaluator`
     where they overlap; the extras:
@@ -876,66 +849,31 @@ class ClusterEvaluator(BaseLeaseEvaluator):
 
     Workers may connect at any time, including mid-search; a batch with
     no connected workers simply waits for the first one to join.  The
-    coordinator it embeds speaks protocol v2 and v3, so older workers
-    keep working for this single-job case.
+    coordinator's own events (joins, losses, heartbeats) share the
+    channel's queue, so they land in the search's trace.
     """
 
     def __init__(
         self,
         workload,
-        tree,
         bind: str = "127.0.0.1:0",
         optimize_checks: bool = False,
         telemetry=None,
         incremental: bool = True,
-        store=None,
-        store_workload: str = "",
         retry: RetryPolicy | None = None,
         lease_timeout: float = 30.0,
-        lattice=None,
     ) -> None:
-        from repro.store import workload_id
-
-        self._init_lease_state(
-            workload, tree, optimize_checks, telemetry, incremental,
-            store, store_workload, retry, lattice=lattice,
-        )
-        self.lease_timeout = lease_timeout
-
-        name = getattr(workload, "name", tree.program_name)
-        klass = getattr(workload, "klass", "")
-        if klass and name.endswith("." + klass):
-            name = name[: -(len(klass) + 1)]
-        welcome = {
-            "type": WELCOME,
-            "version": PROTOCOL_VERSION,
-            "workload": name,
-            "klass": klass,
-            "workload_id": workload_id(workload),
-            "incremental": incremental,
-            "optimize_checks": optimize_checks,
-            "lease_timeout": lease_timeout,
-        }
-
-        self._events = deque()
-        self._coord = _Coordinator(
-            welcome, self.retry, lease_timeout, self._events
-        )
-        # The one channel of a standalone search shares the global event
-        # queue, so draining stays exactly as it was pre-service.
-        self._coord.register_channel(DEFAULT_CHANNEL, events=self._events)
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, name="repro-cluster", daemon=True
-        )
-        self._thread.start()
-        host, port = parse_address(bind)
+        events: deque = deque()
+        coord = _Coordinator(lease_timeout, events)
+        coord.serve(bind, "repro-cluster")
         try:
-            self.host, self.port = asyncio.run_coroutine_threadsafe(
-                self._coord.start(host, port), self._loop
-            ).result(timeout=10)
+            super().__init__(
+                coord, "", workload, telemetry=telemetry,
+                incremental=incremental, optimize_checks=optimize_checks,
+                retry=retry, events=events,
+            )
         except BaseException:
-            self._stop_loop()
+            coord.close()
             raise
 
     # -- coordinator stats ---------------------------------------------------
@@ -943,7 +881,7 @@ class ClusterEvaluator(BaseLeaseEvaluator):
     @property
     def address(self) -> str:
         """The bound ``host:port`` workers should connect to."""
-        return f"{self.host}:{self.port}"
+        return self._coord.address
 
     @property
     def workers_connected(self) -> int:
@@ -968,19 +906,6 @@ class ClusterEvaluator(BaseLeaseEvaluator):
     def close(self) -> None:
         if self._closed:
             return
-        self._closed = True
-        try:
-            asyncio.run_coroutine_threadsafe(
-                self._coord.shutdown(), self._loop
-            ).result(timeout=5)
-        except (concurrent.futures.TimeoutError, RuntimeError):
-            pass
-        finally:
-            self._stop_loop()
-            self._drain_events()
-
-    def _stop_loop(self) -> None:
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=5)
-        if not self._loop.is_running():
-            self._loop.close()
+        super().close()
+        self._coord.close()
+        self._drain_events()

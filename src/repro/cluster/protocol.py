@@ -5,35 +5,29 @@ UTF-8 JSON encoding a single object with a ``type`` key.  The format is
 deliberately boring: debuggable with ``nc`` + ``xxd``, versioned with a
 single integer, and byte-order-explicit so heterogeneous hosts agree.
 
-Message flow (worker-initiated request/response, except heartbeats)::
+Message flow (worker-initiated request/response, except one-way frames)::
 
     worker                         coordinator
     ------                         -----------
-    hello {version, versions,
-           role, host, pid}     ->
-                                <- welcome {version, workload, klass,
-                                            workload_id, incremental,
-                                            optimize_checks,
-                                            lease_timeout}
+    hello {version, role,
+           host, pid}           ->
+                                <- welcome {version, lease_timeout}
                                    | unsupported {supported, message}
-                                     (structured refusal + clean close;
-                                      `versions` lists everything the
-                                      worker speaks so both sides can
-                                      settle on the highest shared
-                                      version — a v2 worker still
-                                      serves a single-job coordinator)
+                                     (any version but PROTOCOL_VERSION:
+                                      structured refusal + clean close)
     lease {}                    ->
-                                <- task {task, flags, digest}
+                                <- task {task, job, flags, digest,
+                                         workload, klass, workload_id,
+                                         incremental, optimize_checks}
                                    | wait {delay}   (no work right now)
-                                   | bye {}         (search over)
+                                   | bye {}         (coordinator closing)
     events {task, events}       ->    (one-way: never answered, sent
                                        right before result/error — the
                                        worker's telemetry events for
                                        that task, merged by the
                                        coordinator into the unified
                                        trace tagged with the worker id)
-    result {task, outcome,
-            deltas}             ->
+    result {task, outcome}      ->
                                 <- ok {}
     error {task, message}       ->
                                 <- ok {}
@@ -41,14 +35,19 @@ Message flow (worker-initiated request/response, except heartbeats)::
                                        the worker's heartbeat thread to
                                        keep its leases alive during long
                                        evaluations)
-    bye {}                      ->    (clean disconnect)
+    bye {}                      ->    (clean disconnect; a lease still
+                                       held is requeued uncharged)
 
-Client flow (protocol v3, ``hello`` with ``role: "client"`` — spoken by
+Every task names its workload, so one worker serves every campaign on
+the coordinator: it builds each workload it is sent once, and refuses
+(with ``bye``) a task whose ``workload_id`` it cannot reproduce.
+
+Client flow (``hello`` with ``role: "client"`` — spoken by
 :mod:`repro.service` against a ``repro serve --service`` coordinator)::
 
     client                         service
     ------                         -------
-    hello {version, versions,
+    hello {version,
            role: "client"}      ->
                                 <- welcome {version, service: true}
                                    | unsupported {supported, message}
@@ -89,20 +88,10 @@ import json
 import socket
 import struct
 
-#: bump on any incompatible message-shape change; hello/welcome carry it
-#: and mismatches are refused at handshake time.
-#: v2: one-way ``events`` frames forward worker telemetry to the
-#: coordinator for merged-trace aggregation.
-#: v3: version negotiation (hello ``versions`` list, ``unsupported``
-#: refusals), connection roles (worker/client), client job frames
-#: (submit/status/result/cancel/list), and per-task workload fields so
-#: one worker serves many concurrent campaigns.
+#: the protocol version; hello/welcome carry it, and a hello naming any
+#: other version is refused at handshake time.  Every peer ships from
+#: this package, so there is exactly one.
 PROTOCOL_VERSION = 3
-
-#: every version this endpoint can speak; the handshake settles on the
-#: highest version both sides list (a peer that predates ``versions``
-#: implicitly offers only its single ``version``).
-SUPPORTED_VERSIONS = (2, 3)
 
 #: frames above this are a protocol violation (a config flag map for a
 #: huge program is ~100 KiB; 16 MiB is three orders of magnitude slack).
@@ -122,9 +111,9 @@ HEARTBEAT = "heartbeat"
 EVENTS = "events"
 OK = "ok"
 BYE = "bye"
-# handshake refusal (v3): structured "I don't speak your version"
+# handshake refusal: structured "I don't speak your version"
 UNSUPPORTED = "unsupported"
-# client job frames (v3, role: "client")
+# client job frames (role: "client")
 SUBMIT = "submit"
 SUBMITTED = "submitted"
 STATUS = "status"
@@ -134,7 +123,7 @@ JOB = "job"
 JOBS = "jobs"
 REJECTED = "rejected"
 
-# connection roles carried in hello (v3); absent = worker (v2 peers)
+# connection roles carried in hello; absent = worker
 ROLE_WORKER = "worker"
 ROLE_CLIENT = "client"
 
@@ -239,34 +228,14 @@ def parse_address(address: str) -> tuple[str, int]:
     return host, int(port)
 
 
-def offered_versions(hello: dict) -> list[int]:
-    """Every protocol version a ``hello`` frame offers.
-
-    v3 peers send an explicit ``versions`` list; older peers only carry
-    the single ``version`` integer, which counts as a one-element offer
-    so negotiation covers them uniformly.
-    """
-    offered = hello.get("versions")
-    if not isinstance(offered, (list, tuple)):
-        offered = [hello.get("version")]
-    return sorted({int(v) for v in offered if isinstance(v, int)})
-
-
-def negotiate_version(hello: dict, supported=SUPPORTED_VERSIONS) -> int | None:
-    """Pick the highest version both sides speak, or None if disjoint."""
-    shared = set(offered_versions(hello)) & set(supported)
-    return max(shared) if shared else None
-
-
-def unsupported_frame(hello: dict, supported=SUPPORTED_VERSIONS) -> dict:
-    """The structured refusal sent when negotiation finds no overlap."""
-    offered = offered_versions(hello)
+def unsupported_frame(hello: dict) -> dict:
+    """The structured refusal of a hello naming another version."""
     return {
         "type": UNSUPPORTED,
-        "supported": sorted(supported),
+        "supported": [PROTOCOL_VERSION],
         "message": (
-            f"peer offers protocol version(s) {offered or '?'}, "
-            f"this coordinator speaks {sorted(supported)}"
+            f"peer speaks protocol version {hello.get('version')!r}, "
+            f"this coordinator speaks {PROTOCOL_VERSION}"
         ),
     }
 

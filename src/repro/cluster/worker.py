@@ -1,25 +1,18 @@
 """The network worker: a stateless evaluation client.
 
-``repro worker HOST:PORT`` connects to a coordinator, learns which
-workload the search is over from the ``welcome`` message, rebuilds that
-workload *locally* (programs are compiled deterministically, so the
-coordinator only ships a name — and the content-addressed
-``workload_id`` in the handshake catches any version skew between the
-two hosts), then loops: lease a task, execute it through the shared
-:mod:`repro.search.execution` kernel, report the outcome.  All search
-state lives on the coordinator; a worker can be killed, restarted, or
-added mid-search without changing the result.
-
-Against a multi-campaign job service (protocol v3) the ``welcome``
-carries no workload at all — each ``task`` frame names its own
-``workload``/``klass``/``workload_id`` — so one worker serves every
-concurrent campaign.  Workloads (and their incremental VM state) are
-built lazily and cached per ``workload_id``, with the same skew check
-per task that the v2 handshake does once.  The handshake negotiates the
-protocol version: the worker offers everything it speaks and the
-coordinator picks the highest shared version, answering a structured
-``unsupported`` frame (instead of a silent disconnect) when there is no
-overlap.
+``repro worker HOST:PORT`` connects to a coordinator, then loops: lease
+a task, execute it through the shared
+:func:`~repro.search.evaluator.execute_config` kernel, report the
+outcome.  Each ``task`` frame names its own ``workload``/``klass``/
+``workload_id``, so one worker serves every campaign on the coordinator.
+Workloads (and their incremental VM state) are rebuilt *locally* on
+first use and cached per ``workload_id`` — programs are compiled
+deterministically, so the coordinator only ships a name, and the
+content-addressed ``workload_id`` catches any version skew between the
+two hosts: a worker that cannot reproduce it leaves with ``bye``, which
+returns the lease uncharged.  All search state lives on the coordinator;
+a worker can be killed, restarted, or added mid-search without changing
+the result.
 
 A heartbeat thread sends one-way ``heartbeat`` frames at a quarter of
 the coordinator's lease timeout so a long-running evaluation does not
@@ -52,7 +45,6 @@ from repro.cluster.protocol import (
     PROTOCOL_VERSION,
     RESULT,
     ROLE_WORKER,
-    SUPPORTED_VERSIONS,
     TASK,
     UNSUPPORTED,
     WAIT,
@@ -65,8 +57,7 @@ from repro.cluster.protocol import (
 )
 from repro.config.generator import build_tree
 from repro.config.model import Config, Policy
-from repro.search.evaluator import IncrementalState
-from repro.search.execution import execute_config
+from repro.search.evaluator import IncrementalState, execute_config
 from repro.telemetry import ListSink, Telemetry
 from repro.workloads import make_workload
 
@@ -109,7 +100,6 @@ def _handshake(sock: socket.socket) -> dict:
     send_frame(sock, {
         "type": HELLO,
         "version": PROTOCOL_VERSION,
-        "versions": list(SUPPORTED_VERSIONS),
         "role": ROLE_WORKER,
         "host": socket.gethostname(),
         "pid": os.getpid(),
@@ -129,43 +119,23 @@ def _handshake(sock: socket.socket) -> dict:
     return welcome
 
 
-class _WorkloadCache:
-    """Per-``workload_id`` build of (workload, tree, incremental state).
+def _build(name: str, klass: str, expected_id: str, incremental: bool,
+           telemetry) -> tuple:
+    """(workload, tree, incremental state) for the workload a task names,
+    validated against the coordinator's content-addressed id so version
+    skew between hosts surfaces as a refusal rather than wrong results."""
+    from repro.store import workload_id
 
-    A v2 coordinator pins one workload in the welcome; a v3 job service
-    ships the workload per task instead.  Either way the build is
-    validated against the coordinator's content-addressed id, so version
-    skew between hosts surfaces as a refusal rather than wrong results.
-    """
-
-    def __init__(self, telemetry) -> None:
-        self.telemetry = telemetry
-        self._built: dict[str, tuple] = {}
-
-    def get(self, name: str, klass: str, expected_id: str,
-            incremental: bool) -> tuple:
-        entry = self._built.get(expected_id)
-        if entry is not None:
-            return entry
-        from repro.store import workload_id
-
-        workload = make_workload(name, klass or "W")
-        local_id = workload_id(workload)
-        if local_id != expected_id:
-            raise WorkerError(
-                f"workload {name!r} class {klass!r} builds to id "
-                f"{local_id[:12]} here but the coordinator expects "
-                f"{expected_id[:12]} — version skew between hosts"
-            )
-        tree = build_tree(workload.program)
-        state = (
-            IncrementalState(workload, telemetry=self.telemetry)
-            if incremental
-            else None
+    workload = make_workload(name, klass or "W")
+    local_id = workload_id(workload)
+    if local_id != expected_id:
+        raise WorkerError(
+            f"workload {name!r} class {klass!r} builds to id "
+            f"{local_id[:12]} here but the coordinator expects "
+            f"{expected_id[:12]} — version skew between hosts"
         )
-        entry = (workload, tree, state)
-        self._built[expected_id] = entry
-        return entry
+    state = IncrementalState(workload, telemetry) if incremental else None
+    return workload, build_tree(workload.program), state
 
 
 def _forward_events(sock, send_lock, task, events_sink) -> None:
@@ -213,33 +183,20 @@ def run_worker(
     connect_backoff: float = 0.1,
 ) -> dict:
     """Serve one coordinator until it says ``bye`` (or *max_tasks* runs
-    out); returns ``{"tasks": n, "workload": name}`` run statistics."""
+    out); returns ``{"tasks": n, "workload": names}`` run statistics."""
     sock = connect(address, connect_retries, connect_backoff)
     send_lock = threading.Lock()
     heartbeat = None
     tasks_done = 0
-    welcome = {}
+    builds: dict = {}   # workload_id -> (workload, tree, state)
     try:
         welcome = _handshake(sock)
-        # Local telemetry buffer: per-task events are flushed to the
+        # Local telemetry buffer: per-task events (the evaluation's
+        # eval.remote and its cache counters) are flushed to the
         # coordinator as one-way `events` frames so the search's trace
-        # covers worker-side activity too (protocol v2).  Cache counters
-        # ride this stream as metric.count events, superseding the
-        # deltas fold-in the coordinator used to do from RESULT frames.
+        # covers worker-side activity too.
         events_sink = ListSink()
         wtel = Telemetry(sinks=[events_sink])
-        builds = _WorkloadCache(wtel)
-        # Welcome-pinned workload (v2 single-search coordinators); a job
-        # service sends an empty workload and names one per task.
-        pinned = None
-        if welcome.get("workload"):
-            pinned = builds.get(
-                welcome["workload"],
-                welcome.get("klass", ""),
-                welcome["workload_id"],
-                bool(welcome.get("incremental")),
-            )
-        default_checks = bool(welcome.get("optimize_checks"))
         interval = max(0.005, float(welcome.get("lease_timeout", 30.0)) / 4)
         heartbeat = _Heartbeat(sock, send_lock, interval)
         heartbeat.start()
@@ -256,32 +213,22 @@ def run_worker(
             if kind != TASK:
                 raise ProtocolError(f"expected task/wait/bye, got {kind!r}")
             _maybe_crash()
-            if "workload_id" in reply:
-                # v3 multi-campaign task: the frame names its workload.
-                workload, tree, state = builds.get(
-                    reply["workload"],
-                    reply.get("klass", ""),
-                    reply["workload_id"],
-                    bool(reply.get("incremental")),
+            key = reply["workload_id"]
+            if key not in builds:
+                builds[key] = _build(
+                    reply["workload"], reply.get("klass", ""), key,
+                    bool(reply.get("incremental")), wtel,
                 )
-                optimize_checks = bool(
-                    reply.get("optimize_checks", default_checks)
-                )
-            elif pinned is not None:
-                workload, tree, state = pinned
-                optimize_checks = default_checks
-            else:
-                raise WorkerError(
-                    "task names no workload and the welcome pinned none"
-                )
+            workload, tree, state = builds[key]
             flags = {
                 nid: Policy(policy) for nid, policy in reply["flags"].items()
             }
             config = Config(tree, flags)
             started = time.perf_counter()
             try:
-                outcome, deltas = execute_config(
-                    workload, config, state, optimize_checks, telemetry=wtel
+                outcome = execute_config(
+                    workload, config, state,
+                    bool(reply.get("optimize_checks")), telemetry=wtel,
                 )
             except Exception as exc:  # an evaluation bug, not a protocol one
                 _forward_events(sock, send_lock, reply["task"], events_sink)
@@ -307,7 +254,6 @@ def run_worker(
                         "type": RESULT,
                         "task": reply["task"],
                         "outcome": outcome_to_wire(outcome),
-                        "deltas": list(deltas),
                     })
                 tasks_done += 1
             ack = recv_frame(sock)
@@ -324,4 +270,5 @@ def run_worker(
         except OSError:
             pass
         sock.close()
-    return {"tasks": tasks_done, "workload": welcome.get("workload", "")}
+    names = sorted({workload.name for workload, _, _ in builds.values()})
+    return {"tasks": tasks_done, "workload": ", ".join(names)}

@@ -29,7 +29,7 @@ from repro.config.model import (
     Policy,
     ProgramTree,
 )
-from repro.search.evaluator import Evaluator
+from repro.search.evaluator import Evaluator, InlineExecutor
 from repro.search.results import REASON_PRUNED, EvalRecord, SearchResult
 from repro.telemetry import NULL_TELEMETRY
 
@@ -212,6 +212,14 @@ class SearchEngine:
         evaluator: decided outcomes are replayed instead of re-executed
         (resume + warm start), new outcomes are persisted as they
         arrive.
+    executor:
+        Optional executor for the engine's
+        :class:`~repro.search.evaluator.Evaluator` front (see
+        :mod:`repro.search.evaluator`).  When omitted the engine builds
+        one from its options — a cluster coordinator for ``cluster``, a
+        fork pool for ``workers > 1`` where fork is available, inline
+        otherwise — and closes it when :meth:`run` exits; a supplied
+        executor stays open for its owner to reuse.
     """
 
     def __init__(
@@ -219,7 +227,7 @@ class SearchEngine:
         workload,
         options: SearchOptions | None = None,
         base_config: Config | None = None,
-        evaluator: Evaluator | None = None,
+        executor=None,
         telemetry=None,
         report=None,
         campaign=None,
@@ -234,61 +242,13 @@ class SearchEngine:
         self._campaign = campaign
         if store is None and campaign is not None:
             store = campaign.store
-        self._store = store
-        store_kwargs = {}
-        if store is not None:
-            from repro.store import workload_id
-
-            store_kwargs = {
-                "store": store, "store_workload": workload_id(workload),
-            }
-        # The engine closes evaluators it created itself (worker pools,
-        # pending trace flushes) when run() exits; externally supplied
-        # evaluators stay open for their owner to reuse.
-        self._owns_evaluator = evaluator is None
-        if evaluator is not None:
-            self.evaluator = evaluator
-            if getattr(evaluator, "lattice", None) is None:
-                # Store digests must be salted with the lattice the
-                # policies refer to (cross-lattice dedup is never sound).
-                try:
-                    evaluator.lattice = self.options.lattice
-                except AttributeError:
-                    pass
-        elif self.options.cluster:
-            from repro.search.retry import RetryPolicy
-            from repro.cluster import ClusterEvaluator
-
-            self.evaluator = ClusterEvaluator(
-                workload, self.tree, bind=self.options.cluster,
-                telemetry=self.telemetry,
-                incremental=self.options.incremental,
-                retry=RetryPolicy(
-                    self.options.retry_limit, self.options.retry_backoff
-                ),
-                lease_timeout=self.options.lease_timeout,
-                lattice=self.options.lattice,
-                **store_kwargs,
-            )
-        elif self.options.workers > 1:
-            from repro.search.parallel import ParallelEvaluator
-
-            self.evaluator = ParallelEvaluator(
-                workload, self.tree, self.options.workers,
-                telemetry=self.telemetry,
-                incremental=self.options.incremental,
-                retry_limit=self.options.retry_limit,
-                retry_backoff=self.options.retry_backoff,
-                lattice=self.options.lattice,
-                **store_kwargs,
-            )
-        else:
-            self.evaluator = Evaluator(
-                workload, telemetry=self.telemetry,
-                incremental=self.options.incremental,
-                lattice=self.options.lattice,
-                **store_kwargs,
-            )
+        self._owns_executor = executor is None
+        self.evaluator = Evaluator(
+            workload, telemetry=self.telemetry,
+            incremental=self.options.incremental, store=store,
+            lattice=self.options.lattice,
+            executor=self._build_executor() if executor is None else executor,
+        )
         self.base_config = base_config or Config.all_double(self.tree)
         self._seq = 0
         self._heap: list = []
@@ -300,6 +260,32 @@ class SearchEngine:
         self._pruned = 0
         self._batches = 0
         self._resumed = False
+
+    def _build_executor(self):
+        opts = self.options
+        if opts.cluster:
+            from repro.cluster import ClusterEvaluator
+            from repro.search.retry import RetryPolicy
+
+            return ClusterEvaluator(
+                self.workload, bind=opts.cluster, telemetry=self.telemetry,
+                incremental=opts.incremental,
+                retry=RetryPolicy(opts.retry_limit, opts.retry_backoff),
+                lease_timeout=opts.lease_timeout,
+            )
+        from repro.search.parallel import ParallelEvaluator, fork_available
+
+        if opts.workers > 1 and fork_available():
+            return ParallelEvaluator(
+                self.workload, self.tree, opts.workers,
+                telemetry=self.telemetry, incremental=opts.incremental,
+                retry_limit=opts.retry_limit,
+                retry_backoff=opts.retry_backoff,
+            )
+        return InlineExecutor(
+            self.workload, incremental=opts.incremental,
+            telemetry=self.telemetry,
+        )
 
     @property
     def analysis_report(self):
@@ -543,7 +529,7 @@ class SearchEngine:
 
     def run(self) -> SearchResult:
         with contextlib.ExitStack() as stack:
-            if self._owns_evaluator:
+            if self._owns_executor:
                 stack.enter_context(self.evaluator)
             try:
                 result = self._run()
@@ -678,7 +664,7 @@ class SearchEngine:
             "batch": self._batches,
             "seq": self._seq,
             "evaluations": self.evaluator.evaluations,
-            "decided": sorted(getattr(self.evaluator, "decided", ())),
+            "decided": sorted(self.evaluator.decided),
             "pruned": self._pruned,
             "queue": queue,
             "passing": [
@@ -895,13 +881,13 @@ class SearchEngine:
             analysis_used=self._guide is not None,
             analysis_pruned=self._pruned,
             resumed=self._resumed,
-            store_replays=getattr(self.evaluator, "store_hits", 0),
+            store_replays=self.evaluator.store_hits,
         )
 
         if self.options.refine and passing and not final_verified:
             self._refine(result, passing, history, profile)
             result.configs_tested = self.evaluator.evaluations
-            result.store_replays = getattr(self.evaluator, "store_hits", 0)
+            result.store_replays = self.evaluator.store_hits
             result.wall_seconds = time.perf_counter() - start
 
         if self._guide is not None:

@@ -5,16 +5,40 @@ step-budget blowout from a wrecked loop bound, ...) counts as a failed
 verification; this is the paper's deliberate "anything missed causes a
 crash" property at work.
 
-Every *actual* evaluation (cache miss) is reported to the attached
-telemetry as one ``eval.config`` event carrying pass/fail, cycles, the
-trap message, and wall time — so a trace's ``eval.config`` count always
-equals the search's ``configs_tested`` minus its ``store.hit`` replays
-(exactly ``configs_tested`` when no result store is attached).
+One front, three executors
+--------------------------
+:class:`Evaluator` is the front every search talks to, and the only
+owner of evaluation state: the flag and semantic caches, the result
+store lookup and write, the ``decided`` digest set, the counters, and
+the ``eval.config`` / ``vm.trap`` / ``store.hit`` telemetry.  It dedups
+each batch and hands the configurations that survive to its executor,
+whose ``evaluate_batch(jobs)`` runs exactly those jobs and returns their
+outcomes in order:
+
+* :class:`InlineExecutor` runs them in this process, one after another
+  (the serial path, and the fallback where fork is unavailable);
+* :class:`~repro.search.parallel.ParallelEvaluator` runs them on a fork
+  pool;
+* :class:`~repro.cluster.coordinator.BaseLeaseEvaluator` leases them to
+  network workers over one channel of a cluster coordinator.
+
+Every executor runs a job through :func:`execute_config`, so an outcome
+does not depend on where it was computed, and because dedup happens
+only here, ``configs_tested`` and every counter are identical across
+executors (differential-tested).
+
+Every *actual* evaluation is reported to the attached telemetry as one
+``eval.config`` event carrying pass/fail, cycles, the trap message, and
+wall time — so a trace's ``eval.config`` count always equals the
+search's ``configs_tested`` minus its ``store.hit`` replays (exactly
+``configs_tested`` when no result store is attached).  An outcome whose
+reason is ``trap`` or ``timeout`` adds exactly one ``vm.trap`` event; a
+``worker_crash`` adds none.
 
 Incremental evaluation
 ----------------------
-With ``incremental`` on (the default) the evaluator threads two caches
-through every test so the marginal cost of a configuration is
+With ``incremental`` on (the default) every executor threads two caches
+through its evaluations so the marginal cost of a configuration is
 proportional to its *delta* from previously seen ones:
 
 * an :class:`~repro.instrument.cache.InstrumentCache` reuses per-block
@@ -27,9 +51,9 @@ proportional to its *delta* from previously seen ones:
 
 Both caches are semantics-invisible: the instrumented bytes and the
 run's outputs/cycles/steps are bit-identical to the cold path (enforced
-by differential tests).  A second, semantic config cache recognizes
-configurations whose *flag maps* differ but whose resolved per-
-instruction policies coincide — those short-circuit as cache hits
+by differential tests).  A second, semantic config cache in the front
+recognizes configurations whose *flag maps* differ but whose resolved
+per-instruction policies coincide — those short-circuit as cache hits
 without an ``eval.config`` event, exactly like flag-identical repeats.
 """
 
@@ -37,6 +61,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.config.model import Config
 from repro.instrument.cache import InstrumentCache
@@ -69,9 +94,9 @@ def machine_eligible(workload) -> bool:
 class IncrementalState:
     """The per-process caches of incremental evaluation.
 
-    One instance serves one (workload, evaluator) pairing — serial
-    evaluators own one directly; each parallel worker builds its own
-    after the fork so closures bind to that process's state.
+    One instance serves one workload in one process — the inline
+    executor owns one directly; each fork-pool or network worker builds
+    its own so closures bind to that process's state.
     """
 
     __slots__ = ("icache", "machine")
@@ -96,6 +121,75 @@ def semantic_key(policies: dict) -> tuple:
     return tuple(sorted(policies.items()))
 
 
+def execute_config(
+    workload,
+    config: Config,
+    state,
+    optimize_checks: bool = False,
+    telemetry=None,
+    policies: dict | None = None,
+) -> EvalOutcome:
+    """Instrument + run + verify one configuration.
+
+    *state* is the executor's :class:`IncrementalState` (None restores
+    the cold path); *policies* is the config's resolved policy map when
+    the caller already has it.  With *telemetry* attached,
+    instrumentation statistics and cache counters land in the
+    executor's local stream (cluster workers forward that stream to the
+    coordinator).
+    """
+    instrumented = instrument(
+        workload.program, config,
+        optimize_checks=optimize_checks, telemetry=telemetry,
+        cache=state.icache if state is not None else None,
+        policies=policies,
+    )
+    try:
+        if state is not None:
+            result = state.run(workload, instrumented)
+        else:
+            result = workload.run(instrumented.program)
+    except VmTrap as exc:
+        return EvalOutcome(False, 0, str(exc), trap_reason(exc))
+    passed = bool(workload.verify(result))
+    return EvalOutcome(passed, result.cycles, "", "" if passed else REASON_VERIFY)
+
+
+class PlannedJob(NamedTuple):
+    """One configuration that survived deduplication and must execute."""
+
+    skey: tuple | None      # semantic identity (None when non-incremental)
+    digest: str             # store policy digest ("" without a store)
+    policies: dict | None   # resolved policy map, if dedup needed it
+    config: Config
+
+
+class InlineExecutor:
+    """Runs each job in this process, one after another."""
+
+    def __init__(self, workload, optimize_checks: bool = False,
+                 incremental: bool = True, telemetry=None) -> None:
+        self.workload = workload
+        self.optimize_checks = optimize_checks
+        self.incremental = incremental
+        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        self._state: IncrementalState | None = None
+
+    def evaluate_batch(self, jobs: list) -> list[EvalOutcome]:
+        if jobs and self.incremental and self._state is None:
+            self._state = IncrementalState(self.workload, self.telemetry)
+        return [
+            execute_config(
+                self.workload, job.config, self._state,
+                self.optimize_checks, self.telemetry, job.policies,
+            )
+            for job in jobs
+        ]
+
+    def close(self) -> None:
+        """Nothing to release."""
+
+
 @dataclass(slots=True)
 class Evaluator:
     """Evaluates configurations against a workload.
@@ -107,16 +201,18 @@ class Evaluator:
         ``run(program) -> ExecResult`` and ``verify(result) -> bool``.
     optimize_checks:
         Forwarded to the instrumentation engine (redundant-check
-        elimination ablation).
+        elimination ablation) by the default inline executor.
     telemetry:
         Optional :class:`repro.telemetry.Telemetry`; receives one
-        ``eval.config`` event per cache miss plus the instrumentation
+        ``eval.config`` event per execution plus the instrumentation
         engine's ``instr.stats`` counters and the incremental-cache
-        metrics (``instr.block_cache_*``, ``vm.compile_cache_*``).
+        metrics (``instr.block_cache_*``, ``vm.compile_cache_*``,
+        ``vm.fuse_cache_*``).
     incremental:
-        Thread the instrumentation/compile caches through evaluations
-        (see module docstring).  ``False`` restores the cold path for
-        every test — results are identical either way.
+        Semantic dedup here, and the instrumentation/compile caches in
+        the default inline executor (see module docstring).  ``False``
+        restores the cold path for every test — results are identical
+        either way.
     store:
         Optional :class:`repro.store.ResultStore`.  Decided outcomes are
         looked up by ``(store_workload, policy digest)`` before any
@@ -133,33 +229,41 @@ class Evaluator:
         evaluated configurations refer to; salts the store's policy
         digests so outcomes never dedup across lattices.  ``None`` and
         the binary ``"f64,f32"`` lattice produce the legacy digests.
+    executor:
+        What runs the configurations that survive dedup (see module
+        docstring); an :class:`InlineExecutor` when omitted.
     """
 
     workload: object
     optimize_checks: bool = False
-    cache: dict = field(default_factory=dict)
-    evaluations: int = 0
-    cache_hits: int = 0
     telemetry: object = None
     incremental: bool = True
-    semantic_cache: dict = field(default_factory=dict)
     store: object = None
     store_workload: str = ""
-    store_hits: int = 0
     lattice: object = None
-    #: configurations actually run (excludes every kind of replay)
-    executions: int = 0
+    executor: object = None
+    cache: dict = field(default_factory=dict, init=False)
+    semantic_cache: dict = field(default_factory=dict, init=False)
     #: policy digests this campaign has counted toward ``evaluations``.
     #: Journaled and restored on resume so a store replay of a config
     #: that was merely an in-memory cache hit before the interruption
     #: does not inflate configs_tested — resumed counts match an
     #: uninterrupted run exactly.  Empty (and unused) without a store.
-    decided: set = field(default_factory=set)
-    _state: IncrementalState | None = field(default=None, init=False, repr=False)
+    decided: set = field(default_factory=set, init=False)
+    evaluations: int = field(default=0, init=False)
+    cache_hits: int = field(default=0, init=False)
+    store_hits: int = field(default=0, init=False)
+    #: configurations actually run (excludes every kind of replay)
+    executions: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if self.telemetry is None:
             self.telemetry = NULL_TELEMETRY
+        if self.executor is None:
+            self.executor = InlineExecutor(
+                self.workload, self.optimize_checks, self.incremental,
+                self.telemetry,
+            )
 
     def _store_id(self) -> str:
         if not self.store_workload:
@@ -168,122 +272,110 @@ class Evaluator:
             self.store_workload = workload_id(self.workload)
         return self.store_workload
 
-    def _store_lookup(self, policies) -> tuple[str, EvalOutcome | None]:
-        """(policy digest, replayed outcome or None) for a store-backed
-        evaluator; ("", None) when no store is attached."""
-        if self.store is None:
-            return "", None
-        from repro.store import policy_digest
-
-        digest = policy_digest(policies, self.lattice)
-        return digest, self.store.get(self._store_id(), digest)
-
-    def _persist(self, digest: str, outcome: EvalOutcome, wall_s: float) -> None:
-        if self.store is not None and digest:
-            self.store.put(self._store_id(), digest, outcome, wall_s=wall_s)
-
     def evaluate(self, config: Config) -> EvalOutcome:
         """Returns EvalOutcome(passed, cycles, trap_message, reason)."""
-        key = frozenset(config.flags.items())
-        if key in self.cache:
-            self.cache_hits += 1
-            self.telemetry.count("eval.cache_hits")
-            return self.cache[key]
+        return self.evaluate_batch([config])[0]
 
-        policies = None
-        skey = None
-        if self.incremental:
-            policies = config.instruction_policies()
-            skey = semantic_key(policies)
-            hit = self.semantic_cache.get(skey)
-            if hit is not None:
-                # Same executable as an earlier config under different
-                # flags: a cache hit, not a new evaluation.
-                self.cache[key] = hit
-                self.cache_hits += 1
-                self.telemetry.count("eval.cache_hits")
-                return hit
+    def evaluate_batch(self, configs: list[Config]) -> list[EvalOutcome]:
+        """Outcomes of *configs*, in order.
 
-        digest = ""
-        if self.store is not None:
-            if policies is None:
+        Flag-identical repeats, semantic twins (of a cached config or of
+        an earlier one in the batch) and store replays are answered
+        here; everything else runs on the executor, once.
+        """
+        keys = [frozenset(config.flags.items()) for config in configs]
+        jobs: list[PlannedJob] = []
+        planned: dict = {}   # flag key -> position of the job answering it
+        by_skey: dict = {}   # semantic key -> job position
+        replays = 0
+        for key, config in zip(keys, configs):
+            if key in self.cache or key in planned:
+                continue
+            skey = policies = None
+            if self.incremental:
                 policies = config.instruction_policies()
-            digest, stored = self._store_lookup(policies)
-            if stored is not None:
-                # Decided in a previous run: replay without executing.
-                # Counts toward evaluations only the first time this
-                # campaign sees the config (see ``decided``).
-                if digest not in self.decided:
-                    self.decided.add(digest)
-                    self.evaluations += 1
-                self.store_hits += 1
-                self._store(key, skey, stored)
-                if self.telemetry.enabled:
-                    self.telemetry.count("store.hits")
-                    self.telemetry.emit("store.hit", key=digest[:12])
-                return stored
+                skey = semantic_key(policies)
+                hit = self.semantic_cache.get(skey)
+                if hit is not None:
+                    # Same executable as an earlier config under
+                    # different flags: a cache hit, not a new evaluation.
+                    self.cache[key] = hit
+                    continue
+                if skey in by_skey:
+                    planned[key] = by_skey[skey]
+                    continue
+            digest = ""
+            if self.store is not None:
+                from repro.store import policy_digest
 
-        if self.incremental and self._state is None:
-            self._state = IncrementalState(self.workload, self.telemetry)
+                if policies is None:
+                    policies = config.instruction_policies()
+                digest = policy_digest(policies, self.lattice)
+                stored = self.store.get(self._store_id(), digest)
+                if stored is not None:
+                    self._replay(key, skey, digest, stored)
+                    replays += 1
+                    continue
+            if skey is not None:
+                by_skey[skey] = len(jobs)
+            planned[key] = len(jobs)
+            jobs.append(PlannedJob(skey, digest, policies, config))
 
-        self.evaluations += 1
-        self.executions += 1
-        if digest:
-            self.decided.add(digest)
-        telemetry = self.telemetry
-        state = self._state
         start = time.perf_counter()
-        instrumented = instrument(
-            self.workload.program, config,
-            optimize_checks=self.optimize_checks, telemetry=telemetry,
-            cache=state.icache if state is not None else None,
-            policies=policies,
-        )
-        try:
-            if state is not None:
-                result = state.run(self.workload, instrumented)
-            else:
-                result = self.workload.run(instrumented.program)
-        except VmTrap as exc:
-            wall = time.perf_counter() - start
-            outcome = EvalOutcome(False, 0, str(exc), trap_reason(exc))
-            self._store(key, skey, outcome)
-            self._persist(digest, outcome, wall)
-            if telemetry.enabled:
-                telemetry.emit("vm.trap", message=str(exc), addr=exc.addr)
-                telemetry.emit(
-                    "eval.config", passed=False, cycles=0, trap=str(exc),
-                    reason=outcome.reason,
-                    wall_s=round(wall, 6),
-                )
-            return outcome
-        passed = bool(self.workload.verify(result))
-        wall = time.perf_counter() - start
-        outcome = EvalOutcome(
-            passed, result.cycles, "", "" if passed else REASON_VERIFY
-        )
-        self._store(key, skey, outcome)
-        self._persist(digest, outcome, wall)
-        if telemetry.enabled:
-            telemetry.emit(
-                "eval.config", passed=passed, cycles=result.cycles, trap="",
-                reason=outcome.reason,
-                wall_s=round(wall, 6),
-            )
-        return outcome
+        outcomes = self.executor.evaluate_batch(jobs)
+        if jobs:
+            self._record(jobs, outcomes, time.perf_counter() - start)
+        for key, pos in planned.items():
+            self.cache[key] = outcomes[pos]
+        hits = len(keys) - len(jobs) - replays
+        if hits:
+            self.cache_hits += hits
+            self.telemetry.count("eval.cache_hits", hits)
+        return [self.cache[key] for key in keys]
 
-    def _store(self, key, skey, outcome) -> None:
-        self.cache[key] = outcome
+    def _replay(self, key, skey, digest: str, stored: EvalOutcome) -> None:
+        """Answer a config decided in a previous run from the store.  It
+        counts toward evaluations only the first time this campaign
+        sees it (see ``decided``)."""
+        self.cache[key] = stored
         if skey is not None:
-            self.semantic_cache[skey] = outcome
+            self.semantic_cache[skey] = stored
+        if digest not in self.decided:
+            self.decided.add(digest)
+            self.evaluations += 1
+        self.store_hits += 1
+        if self.telemetry.enabled:
+            self.telemetry.count("store.hits")
+            self.telemetry.emit("store.hit", key=digest[:12])
 
-    def evaluate_batch(self, configs: list) -> list:
-        """Serial batch evaluation (see repro.search.parallel for the
-        multi-process version with the same interface)."""
-        return [self.evaluate(config) for config in configs]
+    def _record(self, jobs: list, outcomes: list, wall: float) -> None:
+        """Account for executed *jobs*: caches, counters, store, telemetry."""
+        telemetry = self.telemetry
+        # Jobs may run concurrently, so each is charged the batch wall
+        # amortized over its members.
+        per_job = wall / len(jobs)
+        for job, outcome in zip(jobs, outcomes):
+            if job.skey is not None:
+                self.semantic_cache[job.skey] = outcome
+            self.evaluations += 1
+            self.executions += 1
+            if job.digest:
+                self.decided.add(job.digest)
+                self.store.put(
+                    self._store_id(), job.digest, outcome, wall_s=per_job
+                )
+            if telemetry.enabled:
+                passed, cycles, trap, reason = outcome
+                if reason in (REASON_TRAP, REASON_TIMEOUT):
+                    telemetry.emit("vm.trap", message=trap)
+                telemetry.emit(
+                    "eval.config", passed=passed, cycles=cycles, trap=trap,
+                    reason=reason, wall_s=round(per_job, 6),
+                )
 
     def close(self) -> None:
-        """Nothing to release; mirrors ParallelEvaluator's interface."""
+        """Release the executor (worker pool, coordinator channel)."""
+        self.executor.close()
 
     def __enter__(self) -> "Evaluator":
         return self

@@ -1,26 +1,25 @@
-"""Parallel configuration evaluation.
+"""Parallel configuration evaluation: the fork-pool executor.
 
 The paper notes the search "is highly parallelizable, and the system can
 launch many independent tests if cores are available".  This module
 provides that: a process pool (fork start method — the workload objects,
 including their compiled programs and cached baselines, are inherited
-by the children without pickling) evaluating batches of configurations.
+by the children without pickling) running the jobs the
+:class:`~repro.search.evaluator.Evaluator` front hands it.
 
 Only the *evaluations* are parallel; the search loop itself stays
 deterministic — batches are drained in submission order, so histories
-and results are identical to a serial run with the same options.
+and results are identical to a serial run with the same options.  Dedup,
+the store and all accounting stay in the parent's front, so
+``eval.cache_hits`` / ``eval.config`` counts are identical to a serial
+run over the same sequence.
 
-Incremental evaluation mirrors the serial :class:`Evaluator`: every
-worker process owns an :class:`~repro.search.evaluator.IncrementalState`
+Incremental evaluation mirrors the inline executor: every worker process
+owns an :class:`~repro.search.evaluator.IncrementalState`
 (instrumentation-template cache + persistent VM) that persists across
 the jobs it executes, and ships its cache-counter deltas back with each
 outcome so the parent can aggregate them into the shared telemetry —
-workers never carry telemetry sinks of their own.  Batch deduplication
-(flag-identical and semantically identical configs) happens parent-side
-before submission — :mod:`repro.search.batching`, shared with the
-network :class:`~repro.cluster.ClusterEvaluator` — so
-``eval.cache_hits`` / ``eval.config`` counts are identical to a serial
-run over the same sequence.
+workers never carry telemetry sinks of their own.
 
 Crash-fault tolerance
 ---------------------
@@ -28,16 +27,15 @@ A worker process that dies mid-evaluation (OOM kill, segfault in a
 native extension, fault injection) breaks the whole
 ``ProcessPoolExecutor``: every unfinished future raises
 ``BrokenProcessPool``.  Instead of letting that abort a multi-hour
-campaign, the evaluator reaps the broken pool, respawns a fresh one,
+campaign, the executor reaps the broken pool, respawns a fresh one,
 and resubmits the unfinished configurations under the shared
 :class:`~repro.search.retry.RetryPolicy` (exponential backoff).  A
 configuration that keeps killing its worker through ``retry_limit``
 respawns is classified as a failed evaluation with reason
 ``worker_crash`` — the search records it and descends, exactly like a
 trap.  Outcomes that completed before the crash are never re-run, and
-a result store (``store=``) additionally persists each outcome the
-moment it arrives, so even a parent-process SIGKILL loses at most the
-in-flight configurations.
+the front's result store persists each outcome as its batch returns,
+so even a parent-process SIGKILL loses at most the in-flight batch.
 """
 
 from __future__ import annotations
@@ -49,13 +47,7 @@ from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.config.model import Config
-from repro.search.batching import plan_batch, record_batch
-from repro.search.evaluator import IncrementalState
-from repro.search.execution import (
-    DELTA_COUNTERS,
-    ZERO_DELTAS,
-    execute_config,
-)
+from repro.search.evaluator import IncrementalState, execute_config
 from repro.search.results import EvalOutcome
 from repro.search.retry import RetryPolicy
 from repro.telemetry import NULL_TELEMETRY
@@ -72,6 +64,34 @@ _STATE: dict = {}
 #: that crashes exactly once across respawns.
 FAULT_HOOK = None
 
+#: cache-counter names shipped from workers to the parent, in order —
+#: the aggregation contract of :func:`_worker_eval`'s deltas tuple.
+DELTA_COUNTERS = (
+    "instr.block_cache_hits",
+    "instr.block_cache_misses",
+    "vm.compile_cache_hits",
+    "vm.compile_cache_misses",
+    "vm.fuse_cache_hits",
+    "vm.fuse_cache_misses",
+)
+
+
+def _counters(state) -> tuple[int, ...]:
+    """Absolute cache counters of an IncrementalState (or None)."""
+    if state is None:
+        return (0,) * len(DELTA_COUNTERS)
+    machine = state.machine
+    if machine is None:
+        return (state.icache.hits, state.icache.misses, 0, 0, 0, 0)
+    return (
+        state.icache.hits,
+        state.icache.misses,
+        machine.compile_cache_hits,
+        machine.compile_cache_misses,
+        machine.fuse_cache_hits,
+        machine.fuse_cache_misses,
+    )
+
 
 def _worker_init(workload, tree, optimize_checks, incremental) -> None:
     _STATE["workload"] = workload
@@ -84,9 +104,8 @@ def _worker_init(workload, tree, optimize_checks, incremental) -> None:
 def _worker_eval(flags: dict):
     """Evaluate one config; returns (outcome, cache-counter deltas).
 
-    The deltas (see :data:`~repro.search.execution.DELTA_COUNTERS`) let
-    the parent aggregate the worker-side incremental-cache activity into
-    its telemetry.
+    The deltas (see :data:`DELTA_COUNTERS`) let the parent aggregate the
+    worker-side incremental-cache activity into its telemetry.
     """
     if FAULT_HOOK is not None:
         FAULT_HOOK(flags)
@@ -95,9 +114,9 @@ def _worker_eval(flags: dict):
     state = _STATE["state"]
     if _STATE["incremental"] and state is None:
         state = _STATE["state"] = IncrementalState(workload)
-    return execute_config(
-        workload, config, state, _STATE["optimize_checks"]
-    )
+    before = _counters(state)
+    outcome = execute_config(workload, config, state, _STATE["optimize_checks"])
+    return outcome, tuple(a - b for a, b in zip(_counters(state), before))
 
 
 def fork_available() -> bool:
@@ -106,7 +125,7 @@ def fork_available() -> bool:
 
 def _shutdown_pool(pool) -> None:
     """Module-level so ``weakref.finalize`` holds no reference to the
-    evaluator (a bound method would keep it alive forever).
+    executor (a bound method would keep it alive forever).
 
     ``cancel_futures`` matters on the interrupt path: a
     ``KeyboardInterrupt`` mid-batch leaves submitted-but-unstarted jobs
@@ -119,13 +138,12 @@ def _shutdown_pool(pool) -> None:
 
 
 class ParallelEvaluator:
-    """Drop-in sibling of :class:`~repro.search.evaluator.Evaluator` with
-    an additional ``evaluate_batch``; falls back to serial evaluation when
-    fork is not available on the platform.
+    """Fork-pool executor for the :class:`~repro.search.evaluator.Evaluator`
+    front (needs the fork start method; see :func:`fork_available`).
 
-    Also a context manager: ``with ParallelEvaluator(...) as ev:`` closes
-    the worker pool on exit even when a search raises mid-batch (a
-    ``weakref.finalize`` backstop reaps the pool if the evaluator is
+    Also a context manager: ``with ParallelEvaluator(...) as pool:``
+    closes the worker pool on exit even when a search raises mid-batch
+    (a ``weakref.finalize`` backstop reaps the pool if the executor is
     dropped without ``close()``).  Telemetry events are emitted from the
     parent process only — worker children never carry sinks, so trace
     files have a single writer.
@@ -139,11 +157,8 @@ class ParallelEvaluator:
         optimize_checks: bool = False,
         telemetry=None,
         incremental: bool = True,
-        store=None,
-        store_workload: str = "",
         retry_limit: int = 3,
         retry_backoff: float = 0.05,
-        lattice=None,
     ):
         if workers < 2:
             raise ValueError("ParallelEvaluator needs workers >= 2")
@@ -153,52 +168,18 @@ class ParallelEvaluator:
         self.optimize_checks = optimize_checks
         self.incremental = incremental
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self.cache: dict = {}
-        self.semantic_cache: dict = {}
-        self.evaluations = 0
-        self.cache_hits = 0
-        self.store = store
-        self.store_workload = store_workload
-        self.store_hits = 0
-        #: lattice spec salting the store's policy digests (see Evaluator)
-        self.lattice = lattice
-        #: configurations actually run (excludes every kind of replay)
-        self.executions = 0
-        #: policy digests counted toward ``evaluations`` — journaled and
-        #: restored on resume so replay counting matches an
-        #: uninterrupted run; see the serial Evaluator's field.
-        self.decided: set = set()
         #: bounded-retry policy for crashed workers (shared with the
         #: cluster coordinator — see :mod:`repro.search.retry`).
         self.retry = RetryPolicy(retry_limit, retry_backoff)
         self.pool_respawns = 0
         self.crashed_configs = 0
-        self._state = None  # parent-side IncrementalState (serial fallback)
-        self._pool = None
-        self._finalizer = None
-        if fork_available():
-            # Make sure lazily cached state (baseline, profile) exists
-            # before forking so children share it.
-            workload.baseline()
-            if hasattr(workload, "profile"):
-                workload.profile()
-            self._pool = self._spawn_pool()
-            self._finalizer = weakref.finalize(self, _shutdown_pool, self._pool)
-
-    @property
-    def retry_limit(self) -> int:
-        return self.retry.limit
-
-    @property
-    def retry_backoff(self) -> float:
-        return self.retry.backoff
-
-    def _store_id(self) -> str:
-        if not self.store_workload:
-            from repro.store import workload_id
-
-            self.store_workload = workload_id(self.workload)
-        return self.store_workload
+        # Make sure lazily cached state (baseline, profile) exists
+        # before forking so children share it.
+        workload.baseline()
+        if hasattr(workload, "profile"):
+            workload.profile()
+        self._pool = self._spawn_pool()
+        self._finalizer = weakref.finalize(self, _shutdown_pool, self._pool)
 
     def _spawn_pool(self) -> ProcessPoolExecutor:
         context = multiprocessing.get_context("fork")
@@ -213,42 +194,17 @@ class ParallelEvaluator:
 
     def _respawn_pool(self) -> None:
         """Replace a broken pool with a fresh one (same fork'd state)."""
-        if self._finalizer is not None:
-            self._finalizer.detach()
-        if self._pool is not None:
-            # The pool is broken: surviving workers exit after their
-            # current item, dead ones are reaped.  Nothing is pending
-            # that we still want (unfinished configs are resubmitted).
-            self._pool.shutdown(wait=True, cancel_futures=True)
+        self._finalizer.detach()
+        # The pool is broken: surviving workers exit after their current
+        # item, dead ones are reaped.  Nothing is pending that we still
+        # want (unfinished configs are resubmitted).
+        self._pool.shutdown(wait=True, cancel_futures=True)
         self.pool_respawns += 1
         self._pool = self._spawn_pool()
         self._finalizer = weakref.finalize(self, _shutdown_pool, self._pool)
 
-    # -- Evaluator protocol ---------------------------------------------------
-
-    def evaluate(self, config: Config) -> EvalOutcome:
-        return self.evaluate_batch([config])[0]
-
-    def evaluate_batch(self, configs: list[Config]) -> list[EvalOutcome]:
-        # Parent-side dedup (shared with the cluster coordinator): what
-        # remains in plan.jobs is exactly the set a serial evaluator
-        # would have executed.
-        plan = plan_batch(self, configs)
-        outcomes: list = []
-        batch_wall = 0.0
-        if plan.jobs:
-            start = time.perf_counter()
-            if self._pool is not None:
-                outcomes = self._run_jobs(
-                    [dict(job.config.flags) for job in plan.jobs]
-                )
-            else:  # serial fallback (no fork on this platform)
-                outcomes = [self._serial_eval(job.config) for job in plan.jobs]
-            batch_wall = time.perf_counter() - start
-        return record_batch(self, plan, outcomes, batch_wall)
-
-    def _run_jobs(self, flag_maps: list[dict]) -> list[EvalOutcome]:
-        """Execute *flag_maps* on the pool, surviving worker crashes.
+    def evaluate_batch(self, jobs: list) -> list[EvalOutcome]:
+        """Run *jobs* on the pool, surviving worker crashes.
 
         A dead worker breaks the whole pool: every unfinished future
         raises ``BrokenProcessPool`` (or comes back cancelled).  Results
@@ -258,6 +214,7 @@ class ParallelEvaluator:
         with reason ``worker_crash``.
         """
         telemetry = self.telemetry
+        flag_maps = [dict(job.config.flags) for job in jobs]
         outcomes: list = [None] * len(flag_maps)
         totals = [0] * len(DELTA_COUNTERS)
         attempts = [0] * len(flag_maps)
@@ -311,18 +268,6 @@ class ParallelEvaluator:
             if total:
                 telemetry.count(name, total)
         return outcomes
-
-    def _serial_eval(self, config: Config) -> EvalOutcome:
-        if self.incremental and self._state is None:
-            self._state = IncrementalState(self.workload, self.telemetry)
-        outcome, deltas = execute_config(
-            self.workload, config, self._state, self.optimize_checks
-        )
-        if deltas != ZERO_DELTAS:
-            for name, total in zip(DELTA_COUNTERS, deltas):
-                if total:
-                    self.telemetry.count(name, total)
-        return outcome
 
     def close(self) -> None:
         if self._pool is not None:

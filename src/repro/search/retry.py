@@ -1,9 +1,9 @@
 """Bounded-retry policy for evaluations lost to dying workers.
 
-Both distributed evaluation backends — the fork-based
-:class:`~repro.search.parallel.ParallelEvaluator` and the network
-coordinator behind :class:`~repro.cluster.ClusterEvaluator` — face the
-same failure: the process evaluating a configuration dies before
+Both out-of-process executors — the fork pool
+(:class:`~repro.search.parallel.ParallelEvaluator`) and the lease
+channel (:class:`~repro.cluster.coordinator.BaseLeaseEvaluator`) — face
+the same failure: the process evaluating a configuration dies before
 reporting an outcome (OOM kill, segfault in a native extension, a
 SIGKILLed cluster worker, fault injection).  The shared policy is
 
@@ -15,7 +15,7 @@ SIGKILLed cluster worker, fault injection).  The shared policy is
   :data:`~repro.search.results.REASON_WORKER_CRASH`, the search records
   it and descends exactly like a trap, and the campaign continues.
 
-The two backends differ only in *when* they sleep (the pool evaluator
+The two executors differ only in *when* they sleep (the pool evaluator
 sleeps the parent between resubmission rounds; the coordinator delays
 the individual task's next lease), which is why the policy carries no
 clock of its own.

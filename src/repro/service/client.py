@@ -29,7 +29,6 @@ from repro.cluster.protocol import (
     STATUS,
     SUBMIT,
     SUBMITTED,
-    SUPPORTED_VERSIONS,
     UNSUPPORTED,
     WELCOME,
     parse_address,
@@ -77,7 +76,6 @@ class ServiceClient:
         send_frame(self.sock, {
             "type": HELLO,
             "version": PROTOCOL_VERSION,
-            "versions": list(SUPPORTED_VERSIONS),
             "role": ROLE_CLIENT,
             "host": socket.gethostname(),
             "pid": os.getpid(),

@@ -82,9 +82,7 @@ class Job:
 
     def _live_counter(self, name: str) -> int:
         engine = self.engine
-        if engine is not None and getattr(engine, "evaluator", None) is not None:
-            return int(getattr(engine.evaluator, name, 0))
-        return 0
+        return getattr(engine.evaluator, name) if engine is not None else 0
 
     def status(self) -> dict:
         """JSON-safe snapshot for ``status``/``list`` replies."""

@@ -3,12 +3,12 @@
 :class:`PrecisionService` owns exactly one :mod:`repro.cluster`
 coordinator (and its asyncio loop thread, TCP endpoint, and worker
 pool) and runs every accepted job's :class:`~repro.search.bfs.SearchEngine`
-on a dedicated thread against a per-job channel of that coordinator —
-the "coordinator owns many engines" inversion of the standalone
-``--cluster`` search.  One TCP port serves both populations: workers
-handshake with ``role: "worker"`` (protocol v3 only here — tasks carry
-their workload per frame), clients with ``role: "client"`` and the
-``submit``/``status``/``result``/``cancel``/``list`` job frames.
+on a dedicated thread against a per-job channel of that coordinator,
+exactly as a standalone ``--cluster`` search runs against the one
+channel of its own coordinator.  One TCP port serves both populations:
+workers handshake with ``role: "worker"``, clients with
+``role: "client"`` and the ``submit``/``status``/``result``/``cancel``/
+``list`` job frames.
 
 Layout of the service root directory::
 
@@ -34,8 +34,6 @@ appends out of it.
 
 from __future__ import annotations
 
-import asyncio
-import concurrent.futures
 import contextlib
 import json
 import os
@@ -44,7 +42,11 @@ import time
 from collections import deque
 
 from repro.campaign import Campaign
-from repro.cluster.coordinator import _Coordinator, JobCancelled
+from repro.cluster.coordinator import (
+    BaseLeaseEvaluator,
+    JobCancelled,
+    _Coordinator,
+)
 from repro.cluster.protocol import (
     CANCEL,
     JOB,
@@ -55,15 +57,12 @@ from repro.cluster.protocol import (
     STATUS,
     SUBMIT,
     SUBMITTED,
-    WELCOME,
-    parse_address,
 )
 from repro.config.fileformat import dump_config
 from repro.config.generator import build_tree
 from repro.config.model import Config
 from repro.search.bfs import SearchEngine
 from repro.search.retry import RetryPolicy
-from repro.service.evaluator import ServiceEvaluator
 from repro.service.jobs import (
     CANCELLED,
     COMPLETE,
@@ -76,10 +75,6 @@ from repro.service.jobs import (
 from repro.store import ResultStore
 from repro.telemetry import JsonlSink, MetricsRegistry, Telemetry
 from repro.workloads import REGISTRY
-
-#: service protocol: workers must speak v3 (tasks name their workload);
-#: v2 workers remain usable against single-job ``repro serve``.
-_SERVICE_VERSIONS = (3,)
 
 
 class PrecisionService:
@@ -130,41 +125,14 @@ class PrecisionService:
         self.registry = JobRegistry(max_queued=max_queued)
         self.store = ResultStore(os.path.join(self.root, "store.sqlite"))
         self._events: deque = deque()   # service-global (kind, fields)
-        welcome = {
-            "type": WELCOME,
-            "version": _SERVICE_VERSIONS[-1],
-            "service": True,
-            # No pinned workload: every task frame names its own.
-            "workload": "",
-            "klass": "",
-            "workload_id": "",
-            "incremental": True,
-            "optimize_checks": False,
-            "lease_timeout": lease_timeout,
-        }
         self._coord = _Coordinator(
-            welcome,
-            RetryPolicy(),
             lease_timeout,
             self._events,
-            versions=_SERVICE_VERSIONS,
             client_api=self,
             max_inflight=max_inflight,
             lease_log=lease_log,
         )
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, name="repro-service", daemon=True
-        )
-        self._thread.start()
-        host, port = parse_address(bind)
-        try:
-            self.host, self.port = asyncio.run_coroutine_threadsafe(
-                self._coord.start(host, port), self._loop
-            ).result(timeout=10)
-        except BaseException:
-            self._stop_loop()
-            raise
+        self._coord.serve(bind, "repro-service")
         self._closed = False
         self._closing = threading.Event()
         self._drainer = threading.Thread(
@@ -193,7 +161,7 @@ class PrecisionService:
     @property
     def address(self) -> str:
         """The bound ``host:port`` for both workers and clients."""
-        return f"{self.host}:{self.port}"
+        return self._coord.address
 
     @property
     def workers_connected(self) -> int:
@@ -312,9 +280,7 @@ class PrecisionService:
         # abort unblocks a batch already in flight.
         job.cancel_event.set()
         with contextlib.suppress(Exception):
-            asyncio.run_coroutine_threadsafe(
-                self._coord.cancel_channel(job.job_id), self._loop
-            ).result(timeout=5)
+            self._coord.call(self._coord.cancel_channel(job.job_id))
         return job.state
 
     def _run_job(self, job) -> None:
@@ -325,7 +291,8 @@ class PrecisionService:
         job.started = time.time()
         jobdir = os.path.join(self.root, "jobs", job.job_id)
         job.path = jobdir
-        evaluator = None
+        executor = None
+        engine = None
         campaign = None
         telemetry = None
         try:
@@ -348,20 +315,23 @@ class PrecisionService:
                 metrics=metrics,
             )
             tree = build_tree(workload.program)
-            evaluator = ServiceEvaluator(
-                self, job, workload, tree,
+            executor = BaseLeaseEvaluator(
+                self._coord, job.job_id, workload,
                 telemetry=telemetry,
                 incremental=options.incremental,
                 retry=RetryPolicy(options.retry_limit, options.retry_backoff),
+                tenant=job.tenant,
+                quantum=job.quantum,
+                cancel_event=job.cancel_event,
             )
-            # A supplied evaluator is externally owned: the engine keeps
+            # A supplied executor is externally owned: the engine keeps
             # it open across run() and our finally closes it (which
             # unregisters the job's coordinator channel).
             engine = SearchEngine(
                 workload,
                 options,
                 base_config=Config.all_double(tree),
-                evaluator=evaluator,
+                executor=executor,
                 telemetry=telemetry,
                 campaign=campaign,
                 store=self.store,
@@ -370,7 +340,7 @@ class PrecisionService:
             result = engine.run()
             job.result_row = result.row()
             job.tested = result.configs_tested
-            job.executions = evaluator.executions
+            job.executions = engine.evaluator.executions
             job.store_replays = result.store_replays
             if result.final_config is not None:
                 best = (
@@ -403,12 +373,14 @@ class PrecisionService:
             job.state = FAILED
         finally:
             job.finished = time.time()
-            if evaluator is not None:
-                job.tested = max(job.tested, evaluator.evaluations)
-                job.executions = max(job.executions, evaluator.executions)
-                job.store_replays = max(job.store_replays, evaluator.store_hits)
+            if engine is not None:
+                front = engine.evaluator
+                job.tested = max(job.tested, front.evaluations)
+                job.executions = max(job.executions, front.executions)
+                job.store_replays = max(job.store_replays, front.store_hits)
+            if executor is not None:
                 with contextlib.suppress(Exception):
-                    evaluator.close()
+                    executor.close()
             if campaign is not None:
                 with contextlib.suppress(Exception):
                     campaign.close()
@@ -446,9 +418,7 @@ class PrecisionService:
             log = self._coord.lease_log
             return list(log) if log is not None else []
 
-        return asyncio.run_coroutine_threadsafe(
-            grab(), self._loop
-        ).result(timeout=5)
+        return self._coord.call(grab())
 
     def wait_all(self, timeout: float = 300.0) -> bool:
         """Block until every admitted job reaches a terminal state."""
@@ -477,22 +447,11 @@ class PrecisionService:
             if job.thread is not None:
                 job.thread.join(timeout=10)
         try:
-            asyncio.run_coroutine_threadsafe(
-                self._coord.shutdown(), self._loop
-            ).result(timeout=5)
-        except (concurrent.futures.TimeoutError, RuntimeError):
-            pass
+            self._coord.close()
         finally:
-            self._stop_loop()
             self._closing.set()
             self._drainer.join(timeout=5)
             self.store.close()
-
-    def _stop_loop(self) -> None:
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=5)
-        if not self._loop.is_running():
-            self._loop.close()
 
     def __enter__(self) -> "PrecisionService":
         return self

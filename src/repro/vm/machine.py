@@ -1773,10 +1773,11 @@ class Machine:
     to a fresh :func:`run_program` call; the differential tests assert
     this bit-for-bit.
 
-    The optional *telemetry* only feeds the ``vm.compile_cache_*``
-    metric counters.  It is deliberately not passed into the VM: the
-    evaluation path runs the VM silent (exactly like the seed's
-    ``run_program(..., telemetry=None)``), keeping traces byte-compatible.
+    The optional *telemetry* only feeds the ``vm.compile_cache_*`` and
+    ``vm.fuse_cache_*`` metric counters.  It is deliberately not passed
+    into the VM: the evaluation path runs the VM silent (exactly like
+    the seed's ``run_program(..., telemetry=None)``), keeping traces
+    byte-compatible.
     """
 
     def __init__(
@@ -1820,14 +1821,13 @@ class Machine:
         closure reuse (the VM and its state arrays are still recycled).
         """
         cache = self._cache
-        h0 = cache.hits if cache is not None else 0
-        m0 = cache.misses if cache is not None else 0
         vm = self._vm
         if vm is not None and program.data_image == vm._data_image0:
+            before = (cache.hits, cache.misses, vm.fuse_hits, vm.fuse_misses)
             vm.rebind(program, segments)
         else:
+            before = (0, 0, 0, 0)
             cache = self._cache = CompiledSegmentCache(self.cost_model)
-            h0 = m0 = 0
             vm = self._vm = VM(
                 program,
                 stack_words=self.stack_words,
@@ -1842,8 +1842,10 @@ class Machine:
             return vm.run()
         finally:
             t = self.telemetry
-            t.count("vm.compile_cache_hits", cache.hits - h0)
-            t.count("vm.compile_cache_misses", cache.misses - m0)
+            t.count("vm.compile_cache_hits", cache.hits - before[0])
+            t.count("vm.compile_cache_misses", cache.misses - before[1])
+            t.count("vm.fuse_cache_hits", vm.fuse_hits - before[2])
+            t.count("vm.fuse_cache_misses", vm.fuse_misses - before[3])
 
 
 def run_program(

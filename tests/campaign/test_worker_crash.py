@@ -11,7 +11,7 @@ import os
 
 import pytest
 
-from repro.search import SearchEngine, SearchOptions
+from repro.search import Evaluator, SearchEngine, SearchOptions
 from repro.search.parallel import ParallelEvaluator, fork_available
 from repro.search.results import REASON_WORKER_CRASH
 from repro.workloads import make_workload
@@ -64,8 +64,8 @@ def test_single_crash_recovered_transparently(tmp_path, fault_hook):
     result = engine.run()
 
     assert not sentinel.exists(), "the injected crash never fired"
-    assert engine.evaluator.pool_respawns >= 1
-    assert engine.evaluator.crashed_configs == 0
+    assert engine.evaluator.executor.pool_respawns >= 1
+    assert engine.evaluator.executor.crashed_configs == 0
     # The crash was invisible to the search: identical outcome.
     assert result.configs_tested == reference.configs_tested
     assert [(r.label, r.passed, r.cycles) for r in result.history] == [
@@ -84,7 +84,7 @@ def test_persistent_crash_classified_not_fatal(fault_hook):
     assert crashed, "no evaluation was classified worker_crash"
     assert all(not r.passed for r in crashed)
     assert all("worker process died" in r.trap for r in crashed)
-    assert engine.evaluator.crashed_configs == len(crashed)
+    assert engine.evaluator.executor.crashed_configs == len(crashed)
     # retry_limit=1 means one retry round per crash cohort: attempts=2.
     assert all("(x2 attempts)" in r.trap for r in crashed)
     # The search descended past the crashes and kept deciding configs.
@@ -101,7 +101,8 @@ def test_retry_exhaustion_outcome_shape(fault_hook):
     with ParallelEvaluator(
         workload, tree, workers=2, retry_limit=2, retry_backoff=0.001
     ) as evaluator:
-        outcome = evaluator.evaluate(Config.all_single(tree))
+        front = Evaluator(workload, executor=evaluator)
+        outcome = front.evaluate(Config.all_single(tree))
     assert outcome.passed is False
     assert outcome.cycles == 0
     assert outcome.reason == REASON_WORKER_CRASH

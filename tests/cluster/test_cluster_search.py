@@ -24,7 +24,7 @@ def _cluster_options(**kwargs):
 
 def _run_cluster(name, klass, options, worker_count, **engine_kwargs):
     engine = SearchEngine(make_workload(name, klass), options, **engine_kwargs)
-    with workers_running(engine.evaluator.address, worker_count):
+    with workers_running(engine.evaluator.executor.address, worker_count):
         return engine.run()
 
 
@@ -74,7 +74,7 @@ class TestStoreIntegration:
             )
             warm = engine.run()
             assert engine.evaluator.executions == 0
-            assert engine.evaluator.leases_granted == 0
+            assert engine.evaluator.executor.leases_granted == 0
         assert dump_config(warm.final_config) == reference_config
         assert warm.configs_tested == reference.configs_tested
 
@@ -89,7 +89,7 @@ class TestStoreIntegration:
             make_workload("cg", "T"), options, campaign=campaign,
         )
         with pytest.raises(KeyboardInterrupt):
-            with workers_running(engine.evaluator.address, 2):
+            with workers_running(engine.evaluator.executor.address, 2):
                 engine.run()
         campaign.close()
         meta = json.loads((workdir / "campaign.json").read_text())
@@ -101,7 +101,7 @@ class TestStoreIntegration:
             engine = SearchEngine(
                 make_workload("cg", "T"), options, campaign=resumed_campaign,
             )
-            with workers_running(engine.evaluator.address, 2):
+            with workers_running(engine.evaluator.executor.address, 2):
                 result = engine.run()
         assert result.resumed
         assert dump_config(result.final_config) == reference_config

@@ -1,9 +1,9 @@
 """Coordinator behavior against hand-driven fake workers.
 
 Real workers are exercised by the differential tests; here a raw socket
-speaks the protocol directly so the lease lifecycle (versioning,
-requeue, retry exhaustion, duplicate results, heartbeats) can be pinned
-message by message.
+speaks the protocol directly so the lease lifecycle (version refusal,
+requeue, retry exhaustion, bye, duplicate results, heartbeats) can be
+pinned message by message.
 """
 
 import socket
@@ -12,10 +12,11 @@ import time
 
 import pytest
 
-from repro.cluster import ClusterEvaluator, PROTOCOL_VERSION, SUPPORTED_VERSIONS
+from repro.cluster import ClusterEvaluator, PROTOCOL_VERSION
 from repro.cluster.protocol import parse_address, recv_frame, send_frame
 from repro.config.generator import build_tree
 from repro.config.model import Config, Policy
+from repro.search import Evaluator
 from repro.search.results import REASON_WORKER_CRASH
 from repro.search.retry import RetryPolicy
 from repro.store import workload_id
@@ -32,10 +33,15 @@ def tree(workload):
     return build_tree(workload.program)
 
 
+def _front(workload, **cluster):
+    """An evaluator front leasing through a fresh coordinator."""
+    return Evaluator(workload, executor=ClusterEvaluator(workload, **cluster))
+
+
 @pytest.fixture
-def evaluator(workload, tree):
-    ev = ClusterEvaluator(
-        workload, tree, retry=RetryPolicy(limit=2, backoff=0.001),
+def evaluator(workload):
+    ev = _front(
+        workload, retry=RetryPolicy(limit=2, backoff=0.001),
         lease_timeout=10.0,
     )
     yield ev
@@ -72,13 +78,16 @@ class FakeWorker:
         send_frame(self.sock, {
             "type": "result", "task": task_id,
             "outcome": [passed, cycles, trap, reason],
-            "deltas": [0, 0, 0, 0],
         })
         ack = recv_frame(self.sock)
         assert ack["type"] == "ok"
 
     def heartbeat(self):
         send_frame(self.sock, {"type": "heartbeat"})
+
+    def bye(self):
+        send_frame(self.sock, {"type": "bye"})
+        self.sock.close()
 
     def close(self):
         self.sock.close()
@@ -109,45 +118,42 @@ def _configs(tree, count):
 
 
 class TestHandshake:
-    def test_welcome_describes_the_search(self, evaluator, workload):
-        worker = FakeWorker(evaluator.address)
+    def test_task_describes_the_search(self, evaluator, workload, tree):
+        # The welcome pins no workload: every task names its own.
+        thread, box = _batch_async(evaluator, _configs(tree, 1))
+        worker = FakeWorker(evaluator.executor.address)
         try:
             assert worker.welcome["type"] == "welcome"
-            assert worker.welcome["workload"] == "cg"
-            assert worker.welcome["klass"] == "T"
-            assert worker.welcome["workload_id"] == workload_id(workload)
             assert worker.welcome["version"] == PROTOCOL_VERSION
+            assert "workload" not in worker.welcome
+            task = worker.lease_task()
+            assert task["workload"] == "cg"
+            assert task["klass"] == "T"
+            assert task["workload_id"] == workload_id(workload)
+            worker.result(task["task"])
         finally:
             worker.close()
-        assert evaluator.workers_seen == 1
+        thread.join(timeout=10)
+        assert box["outcomes"][0].passed
+        assert evaluator.executor.workers_seen == 1
 
     def test_version_mismatch_refused(self, evaluator):
-        # v3 satellite: an unknown version gets a structured refusal
-        # naming every acceptable version, then a clean close.
-        worker = FakeWorker(evaluator.address, version=PROTOCOL_VERSION + 1)
-        try:
-            assert worker.welcome["type"] == "unsupported"
-            assert worker.welcome["supported"] == sorted(SUPPORTED_VERSIONS)
-            assert "version" in worker.welcome["message"]
-            # clean close: EOF at a frame boundary, not a reset
-            assert recv_frame(worker.sock) is None
-        finally:
-            worker.close()
-        assert evaluator.workers_seen == 0
-
-    def test_v2_worker_still_served(self, evaluator):
-        # Version negotiation keeps plain-v2 workers usable against a
-        # single-job coordinator: hello carries only `version: 2`.
-        worker = FakeWorker(evaluator.address, version=2)
-        try:
-            assert worker.welcome["type"] == "welcome"
-            assert worker.welcome["version"] == 2
-        finally:
-            worker.close()
-        assert evaluator.workers_seen == 1
+        # Any version but PROTOCOL_VERSION gets a structured refusal
+        # naming the acceptable one, then a clean close.
+        for version in (PROTOCOL_VERSION + 1, 2):
+            worker = FakeWorker(evaluator.executor.address, version=version)
+            try:
+                assert worker.welcome["type"] == "unsupported"
+                assert worker.welcome["supported"] == [PROTOCOL_VERSION]
+                assert "version" in worker.welcome["message"]
+                # clean close: EOF at a frame boundary, not a reset
+                assert recv_frame(worker.sock) is None
+            finally:
+                worker.close()
+        assert evaluator.executor.workers_seen == 0
 
     def test_idle_lease_gets_wait(self, evaluator):
-        worker = FakeWorker(evaluator.address)
+        worker = FakeWorker(evaluator.executor.address)
         try:
             reply = worker.lease()
             assert reply["type"] == "wait"
@@ -160,7 +166,7 @@ class TestLeaseLifecycle:
     def test_batch_outcomes_in_submission_order(self, evaluator, tree):
         configs = _configs(tree, 2)
         thread, box = _batch_async(evaluator, configs)
-        worker = FakeWorker(evaluator.address)
+        worker = FakeWorker(evaluator.executor.address)
         try:
             t1 = worker.lease_task()
             t2 = worker.lease_task()
@@ -175,12 +181,12 @@ class TestLeaseLifecycle:
         assert not outcomes[1].passed and outcomes[1].reason == "verify"
         assert evaluator.evaluations == 2
         assert evaluator.executions == 2
-        assert evaluator.leases_granted == 2
+        assert evaluator.executor.leases_granted == 2
 
     def test_duplicate_result_is_ignored(self, evaluator, tree):
         configs = _configs(tree, 2)
         thread, box = _batch_async(evaluator, configs)
-        worker = FakeWorker(evaluator.address)
+        worker = FakeWorker(evaluator.executor.address)
         try:
             t1 = worker.lease_task()
             t2 = worker.lease_task()
@@ -196,10 +202,10 @@ class TestLeaseLifecycle:
 
     def test_lost_worker_lease_requeued_to_survivor(self, evaluator, tree):
         thread, box = _batch_async(evaluator, _configs(tree, 1))
-        first = FakeWorker(evaluator.address)
+        first = FakeWorker(evaluator.executor.address)
         task = first.lease_task()
         first.close()  # EOF with the lease outstanding
-        second = FakeWorker(evaluator.address)
+        second = FakeWorker(evaluator.executor.address)
         try:
             requeued = second.lease_task()
             assert requeued["task"] == task["task"]
@@ -209,16 +215,14 @@ class TestLeaseLifecycle:
             second.close()
         thread.join(timeout=10)
         assert box["outcomes"][0].passed
-        assert evaluator.requeues == 1
-        assert evaluator.workers_seen == 2
+        assert evaluator.executor.requeues == 1
+        assert evaluator.executor.workers_seen == 2
 
     def test_retry_exhaustion_classified_worker_crash(self, workload, tree):
-        ev = ClusterEvaluator(
-            workload, tree, retry=RetryPolicy(limit=0), lease_timeout=10.0,
-        )
+        ev = _front(workload, retry=RetryPolicy(limit=0), lease_timeout=10.0)
         try:
             thread, box = _batch_async(ev, _configs(tree, 1))
-            worker = FakeWorker(ev.address)
+            worker = FakeWorker(ev.executor.address)
             worker.lease_task()
             worker.close()  # limit=0: first loss exhausts the budget
             thread.join(timeout=10)
@@ -226,14 +230,38 @@ class TestLeaseLifecycle:
             assert not outcome.passed
             assert outcome.reason == REASON_WORKER_CRASH
             assert "cluster worker died" in outcome.trap
-            assert ev.crashed_configs == 1
-            assert ev.requeues == 0
+            assert ev.executor.crashed_configs == 1
+            assert ev.executor.requeues == 0
+        finally:
+            ev.close()
+
+    def test_bye_returns_the_lease_uncharged(self, workload, tree):
+        # A worker that cannot build a task's workload leaves with bye
+        # while holding the lease.  Under limit=0 a charged loss would
+        # classify the config worker_crash without it ever running.
+        ev = _front(workload, retry=RetryPolicy(limit=0), lease_timeout=10.0)
+        try:
+            thread, box = _batch_async(ev, _configs(tree, 1))
+            first = FakeWorker(ev.executor.address)
+            task = first.lease_task()
+            first.bye()
+            second = FakeWorker(ev.executor.address)
+            try:
+                requeued = second.lease_task()
+                assert requeued["task"] == task["task"]
+                second.result(requeued["task"], passed=True, cycles=7)
+            finally:
+                second.close()
+            thread.join(timeout=10)
+            outcome = box["outcomes"][0]
+            assert outcome.passed and outcome.cycles == 7
+            assert ev.executor.crashed_configs == 0
         finally:
             ev.close()
 
     def test_heartbeats_do_not_break_pairing(self, evaluator, tree):
         thread, box = _batch_async(evaluator, _configs(tree, 1))
-        worker = FakeWorker(evaluator.address)
+        worker = FakeWorker(evaluator.executor.address)
         try:
             worker.heartbeat()
             task = worker.lease_task()
@@ -245,23 +273,23 @@ class TestLeaseLifecycle:
         assert box["outcomes"][0].passed
 
     def test_silent_worker_expires_and_lease_requeues(self, workload, tree):
-        ev = ClusterEvaluator(
-            workload, tree, retry=RetryPolicy(limit=2, backoff=0.001),
+        ev = _front(
+            workload, retry=RetryPolicy(limit=2, backoff=0.001),
             lease_timeout=0.2,
         )
         try:
             thread, box = _batch_async(ev, _configs(tree, 1))
-            silent = FakeWorker(ev.address)
+            silent = FakeWorker(ev.executor.address)
             silent.lease_task()
             # Say nothing: no heartbeat, no result.  The sweeper must
             # declare the worker lost and hand the lease to a live one.
-            live = FakeWorker(ev.address)
+            live = FakeWorker(ev.executor.address)
             task = live.lease_task(timeout=15.0)
             live.result(task["task"], passed=True, cycles=9)
             live.close()
             silent.close()
             thread.join(timeout=10)
             assert box["outcomes"][0].passed
-            assert ev.requeues == 1
+            assert ev.executor.requeues == 1
         finally:
             ev.close()

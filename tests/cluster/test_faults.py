@@ -64,7 +64,7 @@ class TestWorkerFaults:
             SearchOptions(cluster="127.0.0.1:0", workers=4, lease_timeout=5.0),
             telemetry=telemetry,
         )
-        address = engine.evaluator.address
+        address = engine.evaluator.executor.address
         procs = [
             _spawn_worker(address, sentinel=sentinel),  # dies on first task
             _spawn_worker(address),
@@ -73,7 +73,7 @@ class TestWorkerFaults:
         def late_join():
             # Join once the search is demonstrably under way.
             deadline = time.monotonic() + 30
-            while (engine.evaluator.leases_granted < 2
+            while (engine.evaluator.executor.leases_granted < 2
                    and time.monotonic() < deadline):
                 time.sleep(0.05)
             procs.append(_spawn_worker(address))
@@ -107,7 +107,7 @@ class TestWorkerFaults:
             SearchOptions(cluster="127.0.0.1:0", workers=4, lease_timeout=5.0),
             telemetry=telemetry,
         )
-        address = engine.evaluator.address
+        address = engine.evaluator.executor.address
         victim = _spawn_worker(address)
         survivor = None
         box = {}
@@ -116,7 +116,7 @@ class TestWorkerFaults:
             # SIGKILL the only worker once it has taken leases, then
             # bring up a replacement to finish the search.
             deadline = time.monotonic() + 30
-            while (engine.evaluator.leases_granted < 2
+            while (engine.evaluator.executor.leases_granted < 2
                    and time.monotonic() < deadline):
                 time.sleep(0.02)
             os.kill(victim.pid, signal.SIGKILL)

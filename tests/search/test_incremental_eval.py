@@ -133,9 +133,8 @@ class TestSemanticDedup:
         workload, tree = setup
         coarse, fine = self._alias_pair(tree)
         telemetry = Telemetry(sinks=[ListSink()], metrics=MetricsRegistry())
-        with ParallelEvaluator(
-            workload, tree, workers=2, telemetry=telemetry
-        ) as evaluator:
+        pool = ParallelEvaluator(workload, tree, workers=2, telemetry=telemetry)
+        with Evaluator(workload, telemetry=telemetry, executor=pool) as evaluator:
             outcomes = evaluator.evaluate_batch([coarse, fine])
         assert outcomes[0] == outcomes[1]
         assert evaluator.evaluations == 1

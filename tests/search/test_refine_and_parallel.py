@@ -125,7 +125,9 @@ class TestParallelEvaluation:
     def test_batch_caches(self):
         workload = _Workload(1e-9)
         tree = build_tree(workload.program)
-        evaluator = ParallelEvaluator(workload, tree, workers=2)
+        evaluator = Evaluator(
+            workload, executor=ParallelEvaluator(workload, tree, workers=2)
+        )
         try:
             config = Config.all_single(tree)
             first = evaluator.evaluate_batch([config, config.copy()])
@@ -168,7 +170,9 @@ class TestParallelEvaluation:
 
         workload = W(compiled)
         tree = build_tree(compiled)
-        evaluator = ParallelEvaluator(workload, tree, workers=2)
+        evaluator = Evaluator(
+            workload, executor=ParallelEvaluator(workload, tree, workers=2)
+        )
         try:
             passed, _cycles, trap, _reason = evaluator.evaluate(
                 Config.all_single(tree)
@@ -206,7 +210,8 @@ class TestEvaluatorLifecycle:
         tree = build_tree(workload.program)
         with ParallelEvaluator(workload, tree, workers=2) as evaluator:
             assert evaluator._pool is not None
-            evaluator.evaluate(Config.all_double(tree))
+            front = Evaluator(workload, executor=evaluator)
+            front.evaluate(Config.all_double(tree))
         assert evaluator._pool is None
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork start method")
@@ -214,14 +219,14 @@ class TestEvaluatorLifecycle:
         workload = _Workload(1e-9)
         engine = SearchEngine(workload, SearchOptions(workers=2))
         engine.run()
-        assert engine.evaluator._pool is None  # pool shut down by run()
+        assert engine.evaluator.executor._pool is None  # shut down by run()
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork start method")
     def test_engine_leaves_external_evaluator_open(self):
         workload = _Workload(1e-9)
         tree = build_tree(workload.program)
         with ParallelEvaluator(workload, tree, workers=2) as evaluator:
-            engine = SearchEngine(workload, evaluator=evaluator)
+            engine = SearchEngine(workload, executor=evaluator)
             engine.run()
             assert evaluator._pool is not None  # still usable by its owner
 

@@ -1,5 +1,5 @@
 """The wire protocol as a client sees it: submit/status/result/cancel/
-list round-trips, structured rejections, and version negotiation at the
+list round-trips, structured rejections, and version refusal at the
 service's front door.
 """
 

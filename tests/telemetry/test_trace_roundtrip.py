@@ -35,7 +35,7 @@ def _traced_run(tmp_path, options, workers=0):
             threads = [
                 threading.Thread(
                     target=run_worker,
-                    args=(engine.evaluator.address,),
+                    args=(engine.evaluator.executor.address,),
                     daemon=True,
                 )
                 for _ in range(workers)
