@@ -735,7 +735,6 @@ class BaseLeaseEvaluator:
         workload,
         telemetry=None,
         incremental: bool = True,
-        optimize_checks: bool = False,
         retry: RetryPolicy | None = None,
         tenant: str = "",
         quantum: float = 1.0,
@@ -761,7 +760,6 @@ class BaseLeaseEvaluator:
             "klass": klass,
             "workload_id": workload_id(workload),
             "incremental": incremental,
-            "optimize_checks": optimize_checks,
         }
         coord.call(coord.open_channel(
             job_id, tenant, quantum, retry or RetryPolicy(), info,
@@ -857,7 +855,6 @@ class ClusterEvaluator(BaseLeaseEvaluator):
         self,
         workload,
         bind: str = "127.0.0.1:0",
-        optimize_checks: bool = False,
         telemetry=None,
         incremental: bool = True,
         retry: RetryPolicy | None = None,
@@ -869,8 +866,7 @@ class ClusterEvaluator(BaseLeaseEvaluator):
         try:
             super().__init__(
                 coord, "", workload, telemetry=telemetry,
-                incremental=incremental, optimize_checks=optimize_checks,
-                retry=retry, events=events,
+                incremental=incremental, retry=retry, events=events,
             )
         except BaseException:
             coord.close()

@@ -18,7 +18,7 @@ Message flow (worker-initiated request/response, except one-way frames)::
     lease {}                    ->
                                 <- task {task, job, flags, digest,
                                          workload, klass, workload_id,
-                                         incremental, optimize_checks}
+                                         incremental}
                                    | wait {delay}   (no work right now)
                                    | bye {}         (coordinator closing)
     events {task, events}       ->    (one-way: never answered, sent

@@ -227,8 +227,7 @@ def run_worker(
             started = time.perf_counter()
             try:
                 outcome = execute_config(
-                    workload, config, state,
-                    bool(reply.get("optimize_checks")), telemetry=wtel,
+                    workload, config, state, telemetry=wtel
                 )
             except Exception as exc:  # an evaluation bug, not a protocol one
                 _forward_events(sock, send_lock, reply["task"], events_sink)

@@ -29,7 +29,7 @@ from repro.config.model import (
     Policy,
     ProgramTree,
 )
-from repro.search.evaluator import Evaluator, InlineExecutor
+from repro.search.evaluator import Evaluator
 from repro.search.results import REASON_PRUNED, EvalRecord, SearchResult
 from repro.telemetry import NULL_TELEMETRY
 
@@ -282,10 +282,7 @@ class SearchEngine:
                 retry_limit=opts.retry_limit,
                 retry_backoff=opts.retry_backoff,
             )
-        return InlineExecutor(
-            self.workload, incremental=opts.incremental,
-            telemetry=self.telemetry,
-        )
+        return None  # the front's default inline executor
 
     @property
     def analysis_report(self):

@@ -125,7 +125,6 @@ def execute_config(
     workload,
     config: Config,
     state,
-    optimize_checks: bool = False,
     telemetry=None,
     policies: dict | None = None,
 ) -> EvalOutcome:
@@ -139,8 +138,7 @@ def execute_config(
     coordinator).
     """
     instrumented = instrument(
-        workload.program, config,
-        optimize_checks=optimize_checks, telemetry=telemetry,
+        workload.program, config, telemetry=telemetry,
         cache=state.icache if state is not None else None,
         policies=policies,
     )
@@ -167,10 +165,9 @@ class PlannedJob(NamedTuple):
 class InlineExecutor:
     """Runs each job in this process, one after another."""
 
-    def __init__(self, workload, optimize_checks: bool = False,
-                 incremental: bool = True, telemetry=None) -> None:
+    def __init__(self, workload, incremental: bool = True,
+                 telemetry=None) -> None:
         self.workload = workload
-        self.optimize_checks = optimize_checks
         self.incremental = incremental
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self._state: IncrementalState | None = None
@@ -181,7 +178,7 @@ class InlineExecutor:
         return [
             execute_config(
                 self.workload, job.config, self._state,
-                self.optimize_checks, self.telemetry, job.policies,
+                self.telemetry, job.policies,
             )
             for job in jobs
         ]
@@ -199,9 +196,6 @@ class Evaluator:
     workload:
         Object with ``program`` (the original double-precision binary),
         ``run(program) -> ExecResult`` and ``verify(result) -> bool``.
-    optimize_checks:
-        Forwarded to the instrumentation engine (redundant-check
-        elimination ablation) by the default inline executor.
     telemetry:
         Optional :class:`repro.telemetry.Telemetry`; receives one
         ``eval.config`` event per execution plus the instrumentation
@@ -235,7 +229,6 @@ class Evaluator:
     """
 
     workload: object
-    optimize_checks: bool = False
     telemetry: object = None
     incremental: bool = True
     store: object = None
@@ -261,8 +254,7 @@ class Evaluator:
             self.telemetry = NULL_TELEMETRY
         if self.executor is None:
             self.executor = InlineExecutor(
-                self.workload, self.optimize_checks, self.incremental,
-                self.telemetry,
+                self.workload, self.incremental, self.telemetry
             )
 
     def _store_id(self) -> str:

@@ -93,10 +93,9 @@ def _counters(state) -> tuple[int, ...]:
     )
 
 
-def _worker_init(workload, tree, optimize_checks, incremental) -> None:
+def _worker_init(workload, tree, incremental) -> None:
     _STATE["workload"] = workload
     _STATE["tree"] = tree
-    _STATE["optimize_checks"] = optimize_checks
     _STATE["incremental"] = incremental
     _STATE["state"] = None
 
@@ -115,7 +114,7 @@ def _worker_eval(flags: dict):
     if _STATE["incremental"] and state is None:
         state = _STATE["state"] = IncrementalState(workload)
     before = _counters(state)
-    outcome = execute_config(workload, config, state, _STATE["optimize_checks"])
+    outcome = execute_config(workload, config, state)
     return outcome, tuple(a - b for a, b in zip(_counters(state), before))
 
 
@@ -154,7 +153,6 @@ class ParallelEvaluator:
         workload,
         tree,
         workers: int,
-        optimize_checks: bool = False,
         telemetry=None,
         incremental: bool = True,
         retry_limit: int = 3,
@@ -165,7 +163,6 @@ class ParallelEvaluator:
         self.workload = workload
         self.tree = tree
         self.workers = workers
-        self.optimize_checks = optimize_checks
         self.incremental = incremental
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         #: bounded-retry policy for crashed workers (shared with the
@@ -187,9 +184,7 @@ class ParallelEvaluator:
             max_workers=self.workers,
             mp_context=context,
             initializer=_worker_init,
-            initargs=(
-                self.workload, self.tree, self.optimize_checks, self.incremental
-            ),
+            initargs=(self.workload, self.tree, self.incremental),
         )
 
     def _respawn_pool(self) -> None:

@@ -1842,10 +1842,11 @@ class Machine:
             return vm.run()
         finally:
             t = self.telemetry
-            t.count("vm.compile_cache_hits", cache.hits - before[0])
-            t.count("vm.compile_cache_misses", cache.misses - before[1])
-            t.count("vm.fuse_cache_hits", vm.fuse_hits - before[2])
-            t.count("vm.fuse_cache_misses", vm.fuse_misses - before[3])
+            if t.enabled:
+                t.count("vm.compile_cache_hits", cache.hits - before[0])
+                t.count("vm.compile_cache_misses", cache.misses - before[1])
+                t.count("vm.fuse_cache_hits", vm.fuse_hits - before[2])
+                t.count("vm.fuse_cache_misses", vm.fuse_misses - before[3])
 
 
 def run_program(
