@@ -31,7 +31,6 @@ import time
 
 from conftest import emit, full_scale, merge_json_rows
 
-from repro.profile import CycleObserver
 from repro.search import SearchEngine, SearchOptions
 from repro.vm.machine import VM
 from repro.workloads import make_nas
@@ -96,41 +95,46 @@ def measure_profiling_overhead(
     """Guard: the profiling subsystem costs nothing unless asked for.
 
     Runs the workload's VM four ways — default (no profiling), with the
-    profiling knobs explicitly off, with the native ``profile=True``
-    counting loop, and with a :class:`CycleObserver` on the observer
-    hook — and asserts the deterministic outputs (cycle clock, step
-    count, output values) are byte-identical everywhere: neither the
-    *existence* of the profiling machinery nor its use may perturb the
-    cycle model.  Wall time of the explicitly-disabled run must stay
-    within generous noise of the default run (they are the same code
-    path; a divergence means the disabled path started paying for
-    hooks).  The enabled paths' overhead is recorded, not bounded.
+    profiling knobs explicitly off, with ``profile=True`` (counters
+    riding fused dispatch), and with ``fused=False, profile=True`` (the
+    same counters on the per-instruction reference loop) — and asserts
+    the deterministic outputs (cycle clock, step count, output values)
+    are byte-identical everywhere, and the two counting runs' execution
+    counts too: neither the *existence* of the profiling machinery nor
+    its use may perturb the cycle model.  Wall time of the
+    explicitly-disabled run must stay within generous noise of the
+    default run (they are the same code path; a divergence means the
+    disabled path started paying for hooks).  The enabled paths'
+    overhead is recorded, not bounded.  Each repeat runs the four ways
+    back to back, so drift in machine load hits every one alike; each
+    way's wall time is its best over the repeats.
     """
     workload = make_nas(bench, klass)
     program, params = workload.program, workload.vm_params()
 
-    def timed(make_kwargs):
-        best_wall, result = float("inf"), None
-        for _ in range(repeats):
-            vm = VM(program, **make_kwargs(), **params)
+    ways = {
+        "plain": {},
+        "disabled": {"profile": False, "observer": None},
+        "profiled": {"profile": True},
+        "reference": {"fused": False, "profile": True},
+    }
+    walls = dict.fromkeys(ways, float("inf"))
+    results = {}
+    for _ in range(repeats):
+        for name, kwargs in ways.items():
+            vm = VM(program, **kwargs, **params)
             start = time.perf_counter()
-            result = vm.run()
-            best_wall = min(best_wall, time.perf_counter() - start)
-        return result, best_wall
-
-    plain_res, plain_wall = timed(dict)
-    disabled_res, disabled_wall = timed(
-        lambda: {"profile": False, "observer": None}
-    )
-    profiled_res, profiled_wall = timed(lambda: {"profile": True})
-    observed_res, observed_wall = timed(
-        lambda: {"observer": CycleObserver()}
-    )
+            results[name] = vm.run()
+            walls[name] = min(walls[name], time.perf_counter() - start)
+    plain_res, plain_wall = results["plain"], walls["plain"]
+    disabled_res, disabled_wall = results["disabled"], walls["disabled"]
+    profiled_res, profiled_wall = results["profiled"], walls["profiled"]
+    reference_res, reference_wall = results["reference"], walls["reference"]
 
     for name, res in (
         ("disabled", disabled_res),
         ("profiled", profiled_res),
-        ("observed", observed_res),
+        ("reference", reference_res),
     ):
         assert res.cycles == plain_res.cycles, (
             f"{name} run changed the cycle clock: "
@@ -140,6 +144,9 @@ def measure_profiling_overhead(
         assert res.values() == plain_res.values(), (
             f"{name} run changed program output"
         )
+    assert profiled_res.exec_counts == reference_res.exec_counts, (
+        "fused counting diverged from the reference loop"
+    )
 
     # Same code path, so only scheduler noise may separate them; 1.5x
     # either way is far beyond any observed jitter on these runs.
@@ -154,10 +161,10 @@ def measure_profiling_overhead(
         "plain_wall_s": round(plain_wall, 4),
         "disabled_wall_s": round(disabled_wall, 4),
         "profiled_wall_s": round(profiled_wall, 4),
-        "observer_wall_s": round(observed_wall, 4),
+        "reference_wall_s": round(reference_wall, 4),
         "disabled_ratio": round(disabled_wall / plain_wall, 3),
         "profiled_ratio": round(profiled_wall / plain_wall, 3),
-        "observer_ratio": round(observed_wall / plain_wall, 3),
+        "reference_ratio": round(reference_wall / plain_wall, 3),
     }
 
 
@@ -173,8 +180,8 @@ def _format_overhead(row: dict) -> str:
             f"{row['disabled_ratio']:.3f}x",
             f"  profile=True {row['profiled_wall_s']:>5.4f}s   "
             f"{row['profiled_ratio']:.3f}x",
-            f"  observer  {row['observer_wall_s']:>8.4f}s   "
-            f"{row['observer_ratio']:.3f}x",
+            f"  reference {row['reference_wall_s']:>8.4f}s   "
+            f"{row['reference_ratio']:.3f}x",
         ]
     )
 

@@ -149,10 +149,11 @@ def cmd_run(args) -> int:
         if args.mpi > 1:
             result = run_mpi_program(
                 program, args.mpi, seed=args.seed, stack_words=args.stack,
-                telemetry=telemetry,
+                profile=args.profile, telemetry=telemetry,
             )
             print(f"[{args.mpi} ranks, makespan {result.elapsed} cycles, "
                   f"{result.collectives} collectives]")
+            run = result.per_rank[0]  # the reporting rank, as for values
             values = result.values()
         else:
             run = run_program(
@@ -161,11 +162,11 @@ def cmd_run(args) -> int:
             )
             print(f"[{run.cycles} cycles, {run.steps} instructions]")
             values = run.values()
-            if args.profile:
-                hot = sorted(run.exec_counts.items(), key=lambda kv: -kv[1])[:10]
-                print("hottest instructions:")
-                for addr, count in hot:
-                    print(f"  {addr:#08x}: {count}")
+        if args.profile:
+            hot = sorted(run.exec_counts.items(), key=lambda kv: -kv[1])[:10]
+            print("hottest instructions:")
+            for addr, count in hot:
+                print(f"  {addr:#08x}: {count}")
     for value in values:
         print(value)
     if metrics is not None:
@@ -462,9 +463,7 @@ def cmd_profile(args) -> int:
     workload = make_workload(args.workload, klass)
     telemetry, metrics = _build_telemetry(args)
     with telemetry:
-        profile = collect_profile(
-            workload, use_observer=args.observer, telemetry=telemetry
-        )
+        profile = collect_profile(workload, telemetry=telemetry)
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(dumps(profile))
@@ -925,10 +924,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="problem class (same as the positional argument)")
     p.add_argument("-o", "--output", metavar="FILE",
                    help="write the profile document here (profile.json)")
-    p.add_argument("--observer", action="store_true",
-                   help="count executions through the VM observer hook "
-                        "instead of the native profile loop (bit-identical "
-                        "output; differential-test mechanism)")
     p.add_argument("--top", type=int, default=10, metavar="N",
                    help="candidate sites in the human summary (default 10)")
     _add_telemetry_flags(p, progress=False)

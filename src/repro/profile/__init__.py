@@ -1,9 +1,8 @@
 """Profiling: per-site cycle census with config-tree attribution.
 
 The substrate for cost-aware search objectives — see
-:mod:`repro.profile.census` for the document shape and
-:mod:`repro.profile.observer` for the hook-based counter that is
-bit-identical to the VM's native ``profile=True`` tallies.
+:mod:`repro.profile.census` for the document shape.  Counts come from
+the VM's ``profile=True`` counters, which ride fused dispatch.
 """
 
 from repro.profile.census import (
@@ -14,11 +13,9 @@ from repro.profile.census import (
     emit_profile,
     load_profile,
 )
-from repro.profile.observer import CycleObserver
 
 __all__ = [
     "PROFILE_VERSION",
-    "CycleObserver",
     "build_profile",
     "collect_profile",
     "dumps",

@@ -14,10 +14,9 @@ schema-versioned profile document:
   config tree, i.e. exactly the per-site cost signal a cost-aware
   search objective weighs when it decides which subtree to descend.
 
-Counting can come from the VM's native ``profile=True`` loop or from a
-:class:`~repro.profile.observer.CycleObserver` riding the observer
-hook; the two are bit-identical by construction (and by differential
-test), so ``use_observer`` is a mechanism choice, not a semantics one.
+Counting comes from the VM's ``profile=True`` counters, which stay on
+fused dispatch; a ``VM(..., fused=False, profile=True)`` run is the
+oracle they are differential-tested against (tests/profile).
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ import json
 
 from repro.config.generator import build_tree
 from repro.config.model import LEVEL_BLOCK, LEVEL_FUNCTION, LEVEL_MODULE
-from repro.profile.observer import CycleObserver
 from repro.telemetry import NULL_TELEMETRY
 from repro.vm.machine import VM
 
@@ -34,9 +32,7 @@ from repro.vm.machine import VM
 PROFILE_VERSION = 1
 
 
-def collect_profile(
-    workload, tree=None, use_observer: bool = False, telemetry=None
-) -> dict:
+def collect_profile(workload, tree=None, telemetry=None) -> dict:
     """Profile *workload*'s original build; returns the profile document.
 
     The run uses the workload's own VM parameters, so the profiled
@@ -49,16 +45,9 @@ def collect_profile(
     program = workload.program
     if tree is None:
         tree = build_tree(program)
-    if use_observer:
-        observer = CycleObserver()
-        vm = VM(program, observer=observer, **getattr(workload, "vm_params", dict)())
-        result = vm.run()
-        stats = vm.instruction_stats(counts=observer.counts())
-    else:
-        vm = VM(program, profile=True, **getattr(workload, "vm_params", dict)())
-        result = vm.run()
-        stats = vm.instruction_stats()
-    profile = build_profile(workload, tree, stats, result)
+    vm = VM(program, profile=True, **getattr(workload, "vm_params", dict)())
+    result = vm.run()
+    profile = build_profile(workload, tree, vm.instruction_stats(), result)
     emit_profile(profile, tel)
     return profile
 

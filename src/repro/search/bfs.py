@@ -548,16 +548,16 @@ class SearchEngine:
     def _baseline_census(self) -> None:
         """Run the uninstrumented workload once with telemetry attached so
         the trace opens with a ``vm.opcodes`` census of the original
-        program (the profile the prioritization heuristic ranks by)."""
+        program (the profile the prioritization heuristic ranks by).
+        The workload's own VM parameters make it the baseline's run."""
         from repro.vm.errors import VmTrap
         from repro.vm.machine import VM
 
         workload = self.workload
         vm = VM(
             workload.program,
-            stack_words=getattr(workload, "stack_words", 8192),
-            max_steps=getattr(workload, "max_steps", 200_000_000),
             telemetry=self.telemetry,
+            **getattr(workload, "vm_params", dict)(),
         )
         try:
             vm.run()

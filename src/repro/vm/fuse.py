@@ -34,6 +34,10 @@ to the per-instruction loop —
   Integer division by zero raises a plain address-less ``VmTrap``,
   exactly like the reference helpers.
 
+Execution counting is not generated into runs: a counting VM wraps
+each run head at load time, and the exits above tell the wrapper which
+members ran (see ``VM._install_counters``).
+
 Generated factories are position- and VM-independent: branch targets,
 return addresses, MPI identity and the state arrays are passed as
 factory arguments, so one compiled factory (keyed by the run's
@@ -996,9 +1000,11 @@ def _scan_span(vm, lo: int, hi: int, leaders) -> list:
     return part
 
 
-def _instantiate(vm, fcode, covered, lo: int, part, state, halt) -> None:
+def _instantiate(vm, fcode, covered, lo: int, part, state, halt, runs) -> None:
     """Bind one span's partition to this load: resolve the terminator
-    targets from the patched text and call each run's factory."""
+    targets from the patched text and call each run's factory.  *runs*
+    collects each run's ``(head, length)``; None when the VM does not
+    count."""
     instrs = vm._instrs
     addrs = vm._instr_addrs
     n = len(instrs)
@@ -1022,9 +1028,11 @@ def _instantiate(vm, fcode, covered, lo: int, part, state, halt) -> None:
         if covered is not None:
             for c in range(start, start + k_total):
                 covered[c] = 1
+        if runs is not None:
+            runs.append((start, k_total))
 
 
-def build_fcode(vm, bounds, halt) -> tuple[list, bytearray]:
+def build_fcode(vm, bounds, halt, runs) -> tuple[list, bytearray]:
     """Build the fused dispatch array for *vm*'s freshly loaded program.
 
     ``bounds`` are the instruction indices that start a new segment (runs
@@ -1057,11 +1065,11 @@ def build_fcode(vm, bounds, halt) -> tuple[list, bytearray]:
         lo = edges[b]
         part = _scan_span(vm, lo, edges[b + 1], leaders)
         if part:
-            _instantiate(vm, fcode, covered, lo, part, state, halt)
+            _instantiate(vm, fcode, covered, lo, part, state, halt, runs)
     return fcode, covered
 
 
-def build_fcode_cached(vm, spans, partitions: dict, halt) -> list:
+def build_fcode_cached(vm, spans, partitions: dict, halt, runs) -> list:
     """Segment-path variant of :func:`build_fcode` with memoized runs.
 
     ``spans`` is the load's ``(seg_bytes, lo, hi)`` tiling and
@@ -1100,5 +1108,5 @@ def build_fcode_cached(vm, spans, partitions: dict, halt) -> list:
         else:
             vm.fuse_hits += len(part)
         if part:
-            _instantiate(vm, fcode, None, lo, part, state, halt)
+            _instantiate(vm, fcode, None, lo, part, state, halt, runs)
     return fcode

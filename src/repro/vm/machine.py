@@ -369,12 +369,13 @@ class VM:
         Hard budget on executed instructions (guards runaway configs).
     profile:
         Record per-address execution counts (needed for the search's
-        prioritization and the dynamic-replacement metric).
+        prioritization and the dynamic-replacement metric).  The counters
+        ride fused dispatch (see :meth:`_install_counters`).
     telemetry:
         Optional :class:`repro.telemetry.Telemetry`.  When enabled, the
-        VM counts executions per instruction (same mechanism the
-        profiler uses — cycle accounting itself is untouched, so costs
-        are byte-identical with telemetry on or off), emits a
+        VM counts executions per instruction (the same counters
+        ``profile`` installs — cycle accounting itself is untouched, so
+        costs are byte-identical with telemetry on or off), emits a
         ``vm.trap`` event on any hard fault, and :meth:`publish` reports
         the per-opcode execution/cycle census as a ``vm.opcodes`` event.
     observer:
@@ -384,9 +385,9 @@ class VM:
         (or None to leave the instruction alone).  Wrappers are applied
         *after* compilation, outside the shared segment cache — a VM
         with an observer always compiles cold so cached closures stay
-        pristine.  Detached-is-free: with ``observer=None`` the hook is
-        a single None check at load time and the execution loop is
-        untouched.  Observers must not mutate architectural state;
+        pristine, and never fuses (the only deopt left).  Detached-is-free:
+        with ``observer=None`` the hook is a single None check at load
+        time.  Observers must not mutate architectural state;
         outputs, cycle counts, step counts and trap addresses are
         identical with the hook attached or not (asserted by
         tests/vm/test_observer_parity.py).
@@ -424,6 +425,7 @@ class VM:
         self.max_steps = max_steps
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.profile = profile
+        self._counting = profile or self.telemetry.enabled
         self.cost_model = cost_model or DEFAULT_COST_MODEL
 
         self.mem = list(program.data_image) + [0] * stack_words
@@ -458,6 +460,8 @@ class VM:
         #: static (fall-through) cost per instruction, used by the opcode
         #: census; never consulted by the execution loop.
         self._inst_costs: list[int] = []
+        #: execution counters; only a counting VM fills them in
+        self._counts = self._entries = self._runs = ()
         self._code: list = []
         self._load(program, segments)
 
@@ -480,39 +484,24 @@ class VM:
         In multi-rank mode a :class:`CollectiveYield` escapes to the caller
         (the rank scheduler) with the resume index inside.
         """
-        if (
-            self._fcode is not None
-            and not self.profile
-            and not self.telemetry.enabled
-        ):
-            # Fast path: fused superinstruction dispatch.  Profiling,
-            # telemetry counting and observers deoptimize to the
-            # reference loop below (they need per-instruction hooks).
+        if self._fcode is not None:
+            # Fast path: fused superinstruction dispatch.  Only observed
+            # and ``fused=False`` VMs take the reference loop below.
             return self._resume_fused(index)
         code = self._code
-        counts = self._counts
         remaining = self.max_steps - self.steps
         n = 0
         try:
-            if self.profile or self.telemetry.enabled:
-                while True:
-                    n += 1
-                    if n > remaining:
-                        raise VmTimeout(f"step budget exceeded ({self.max_steps})")
-                    counts[index] += 1
+            # A halt or trap during iteration n leaves the loop variable
+            # at n; running the budget dry charges remaining + 1 (or a
+            # single step when the budget was already exhausted).
+            if remaining > 0:
+                for n in range(1, remaining + 1):
                     index = code[index](index)
+                n = remaining + 1
             else:
-                # Same step accounting as the counting loop above: a halt
-                # or trap during iteration n leaves the loop variable at
-                # n; running the budget dry charges remaining + 1 (or a
-                # single step when the budget was already exhausted).
-                if remaining > 0:
-                    for n in range(1, remaining + 1):
-                        index = code[index](index)
-                    n = remaining + 1
-                else:
-                    n = 1
-                raise VmTimeout(f"step budget exceeded ({self.max_steps})")
+                n = 1
+            raise VmTimeout(f"step budget exceeded ({self.max_steps})")
         except _Halt:
             self.steps += n
             self.finished = True
@@ -624,9 +613,7 @@ class VM:
         exec_counts = {}
         if self.profile:
             addrs = self._instr_addrs
-            exec_counts = {
-                addrs[i]: c for i, c in enumerate(self._counts) if c
-            }
+            exec_counts = {addrs[i]: c for i, c in enumerate(self._tally()) if c}
         return ExecResult(
             outputs=list(self.outputs),
             cycles=self._cyc[0],
@@ -648,31 +635,22 @@ class VM:
         Requires telemetry (or profiling) to have been enabled.
         """
         per: dict[str, list] = {}
-        instrs = self._instrs
-        costs = self._inst_costs
-        for i, count in enumerate(self._counts):
-            if not count:
-                continue
-            mnemonic = OPCODE_INFO[instrs[i].opcode].mnemonic
+        for _addr, mnemonic, execs, cycles in self.instruction_stats():
             entry = per.setdefault(mnemonic, [0, 0])
-            entry[0] += count
-            entry[1] += count * costs[i]
+            entry[0] += execs
+            entry[1] += cycles
         return {
             m: {"execs": e, "cycles": c} for m, (e, c) in sorted(per.items())
         }
 
-    def instruction_stats(self, counts=None) -> list:
+    def instruction_stats(self) -> list:
         """Per-instruction ``(addr, mnemonic, execs, cycles)`` census.
 
         Same static cycle attribution as :meth:`opcode_stats`, but at
         instruction-address granularity — the substrate for per-site
-        profiles.  *counts* overrides the VM's own execution counters
-        (an observer's independently collected tallies); by default the
-        native ``profile``/telemetry counters are used.  Cold path only:
-        nothing here touches the execution loop.
+        profiles.  Cold path only: nothing here touches the execution
+        loop.
         """
-        if counts is None:
-            counts = self._counts
         instrs = self._instrs
         addrs = self._instr_addrs
         costs = self._inst_costs
@@ -683,9 +661,21 @@ class VM:
                 count,
                 count * costs[i],
             )
-            for i, count in enumerate(counts)
+            for i, count in enumerate(self._tally())
             if count
         ]
+
+    def _tally(self) -> list:
+        """Execution count per instruction index: single steps plus each
+        completed fused entry charged to every member of its run."""
+        counts = list(self._counts)
+        entries = self._entries
+        for head, k in self._runs:
+            e = entries[head]
+            if e:
+                for i in range(head, head + k):
+                    counts[i] += e
+        return counts
 
     def publish(self) -> None:
         """Emit the ``vm.opcodes`` census event (no-op when disabled)."""
@@ -752,6 +742,8 @@ class VM:
         #: run fusion seams — instruction indices starting a new segment.
         bounds: list[int] = [0]
         fuse_here = self._fused and self._observer is None
+        #: (head, length) of every fused run, recorded only when counting.
+        runs = [] if self._counting else None
         if segments is None or cache is None:
             model = self.cost_model
             harvested = _harvest_blocks(program)
@@ -774,19 +766,20 @@ class VM:
                     costs.append(_static_cost(instr, model))
                     offset += size
             self._inst_costs = costs
-            self._counts = [0] * len(instrs)
             covered = None
             self._fcode = None
             if fuse_here:
-                fcode, covered = fuse.build_fcode(self, bounds, _HALT)
+                fcode, covered = fuse.build_fcode(self, bounds, _HALT, runs)
                 # A program with no fusable run gains nothing from the
                 # fused loop's extra None checks; keep the reference loop.
                 self._fcode = fcode if any(fcode) else None
             build = self._build
-            if self._fcode is not None:
+            if self._fcode is not None and runs is None:
                 # Instructions inside fused runs compile their reference
                 # closure lazily — only deopt paths (mid-run resume,
-                # budget tail, profile loop) ever dispatch through them.
+                # budget tail) ever dispatch through them.  A counting VM
+                # compiles eagerly: a shim replaces itself in _code,
+                # which would drop the counter wrapped around it.
                 lazy = self._lazy
                 self._code = [
                     lazy(i) if covered[i] else build(i)
@@ -816,7 +809,6 @@ class VM:
             if expect != len(text):
                 raise ValueError("segments do not tile the text section")
             self._inst_costs = costs
-            self._counts = [0] * len(instrs)
             code: list = []
             build = self._build
             i = 0
@@ -839,7 +831,7 @@ class VM:
             # Observed VMs never fuse: wrappers must see every dispatch.
             if fuse_here:
                 fcode = fuse.build_fcode_cached(
-                    self, spans, cache._fuse_partitions, _HALT
+                    self, spans, cache._fuse_partitions, _HALT, runs
                 )
                 self._fcode = fcode if any(fcode) else None
             else:
@@ -851,7 +843,56 @@ class VM:
                 wrapped = observer.wrap(self, i, instr, addrs[i], code[i])
                 if wrapped is not None:
                     code[i] = wrapped
+        if runs is not None:
+            self._install_counters(runs)
         self._entry_idx = a2i[program.entry]
+
+    def _install_counters(self, runs: list) -> None:
+        """Wrap this load's dispatch arrays in execution counters.
+
+        Each reference closure counts itself before it runs, so a
+        trapping instruction counts, and so do the budget tail's single
+        steps.  Each fused run head counts one completed entry, which
+        :meth:`_tally` charges to the run's members.  A run headed for
+        the budget tail counts nothing; HALT closes its run, so every
+        member ran; a trapping run has repaid its unexecuted suffix to
+        ``sl``, so exactly ``left - sl[0]`` members ran, the faulting
+        one included.  The wrappers live only in this VM's own arrays,
+        never in the shared segment cache.
+        """
+        counts = self._counts = [0] * len(self._instrs)
+        entries = self._entries = [0] * len(self._instrs)
+        self._runs = runs
+        sl = self._sl
+
+        def step(closure):
+            def counted(idx):
+                counts[idx] += 1
+                return closure(idx)
+            return counted
+
+        def head(run, k):
+            def counted(idx):
+                left = sl[0]
+                if left < k:
+                    return run(idx)
+                try:
+                    nxt = run(idx)
+                except _Halt:
+                    entries[idx] += 1
+                    raise
+                except VmTrap:
+                    for i in range(idx, idx + left - sl[0]):
+                        counts[i] += 1
+                    raise
+                entries[idx] += 1
+                return nxt
+            return counted
+
+        self._code = [step(closure) for closure in self._code]
+        fcode = self._fcode
+        for h, k in runs:
+            fcode[h] = head(fcode[h], k)
 
     def _lazy(self, i: int):
         """Deferred compile: a stand-in closure that builds instruction
@@ -1777,7 +1818,7 @@ class Machine:
     ``vm.fuse_cache_*`` metric counters.  It is deliberately not passed
     into the VM: the evaluation path runs the VM silent (exactly like
     the seed's ``run_program(..., telemetry=None)``), keeping traces
-    byte-compatible.
+    byte-compatible, and never counting executions.
     """
 
     def __init__(

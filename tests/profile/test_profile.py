@@ -1,9 +1,9 @@
 """Profiler tests: bit-identity, attribution, serialization, telemetry.
 
-The acceptance-critical property is the differential one: the observer
-path (counting via the VM observer hook) and the native path (the VM's
-``profile=True`` loop) must produce byte-identical profile documents —
-the observer is a mechanism choice, never a semantics one.
+The acceptance-critical property is the differential one: the profile
+document :func:`collect_profile` builds from counters riding fused
+dispatch must be byte-identical to the one built from a
+``VM(..., fused=False, profile=True)`` run, the reference oracle.
 """
 
 import json
@@ -13,7 +13,7 @@ import pytest
 from repro.config.generator import build_tree
 from repro.profile import (
     PROFILE_VERSION,
-    CycleObserver,
+    build_profile,
     collect_profile,
     dumps,
     load_profile,
@@ -34,30 +34,21 @@ def profile(workload):
 
 
 class TestBitIdentity:
-    def test_observer_and_native_profiles_are_byte_identical(self, workload):
-        native = collect_profile(workload)
-        observed = collect_profile(workload, use_observer=True)
-        assert dumps(native) == dumps(observed)
-
-    def test_observer_does_not_change_run_results(self, workload):
-        plain = VM(workload.program, **workload.vm_params()).run()
-        observer = CycleObserver()
-        observed = VM(
-            workload.program, observer=observer, **workload.vm_params()
-        ).run()
-        assert plain.values() == observed.values()
-        assert plain.cycles == observed.cycles
-        assert plain.steps == observed.steps
-
-    def test_observer_counts_match_native_profile_counts(self, workload):
-        observer = CycleObserver()
-        vm = VM(workload.program, observer=observer, **workload.vm_params())
-        vm.run()
-        native_vm = VM(workload.program, profile=True, **workload.vm_params())
-        native_vm.run()
-        native = native_vm.instruction_stats()
-        observed = native_vm.instruction_stats(counts=observer.counts())
-        assert native == observed
+    @pytest.mark.parametrize(
+        "name", ("cg.S", "mg.W", "ep.T", "ft.T", "nekcg.T", "lu.S")
+    )
+    def test_fused_and_reference_profiles_are_byte_identical(self, name):
+        workload = make_workload(*name.split("."))
+        fused = collect_profile(workload)
+        vm = VM(
+            workload.program, fused=False, profile=True, **workload.vm_params()
+        )
+        result = vm.run()
+        reference = build_profile(
+            workload, build_tree(workload.program), vm.instruction_stats(),
+            result,
+        )
+        assert dumps(fused) == dumps(reference)
 
 
 class TestDocument:

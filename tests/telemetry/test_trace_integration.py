@@ -25,7 +25,7 @@ from repro.telemetry import (
 )
 from repro.telemetry.sinks import read_trace
 from repro.vm.machine import run_program
-from repro.workloads import make_workload
+from repro.workloads import Workload, make_workload
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +111,33 @@ class TestSearchTrace:
         path, _registry, _result = traced_search
         for line in path.read_text().splitlines():
             json.loads(line)
+
+
+class TestBaselineCensus:
+    def test_census_describes_the_baseline_run(self):
+        # A seeded workload whose control flow depends on frand(): the
+        # census must come from the run the search ranks by, i.e. the
+        # workload's own VM parameters, seed included.
+        workload = Workload(
+            name="seeded",
+            sources=["""
+            fn main() {
+                var s: real = 0.0;
+                for i in 0 .. 100 {
+                    if frand() < 0.5 { s = s + 1.0; } else { s = s * 0.5; }
+                }
+                out(s);
+            }
+            """],
+            seed=7,
+        )
+        sink = ListSink()
+        with Telemetry(sinks=[sink]) as telemetry:
+            SearchEngine(workload, telemetry=telemetry).run()
+        (census,) = sink.of_kind("vm.opcodes")
+        baseline = workload.baseline()
+        assert census["steps"] == baseline.steps
+        assert census["cycles"] == baseline.cycles
 
 
 class TestSearchTelemetryInvariants:

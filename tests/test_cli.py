@@ -5,6 +5,8 @@ import re
 import pytest
 
 from repro.cli import main
+from repro.compiler import compile_source
+from repro.mpi import run_mpi_program
 
 SRC = """
 fn main() {
@@ -52,6 +54,31 @@ class TestCompileRun:
         assert main(["run", str(path), "--mpi", "4"]) == 0
         out = capsys.readouterr().out
         assert "4 ranks" in out and "4.0" in out
+
+    def test_run_mpi_profile_lists_rank0_counts(self, tmp_path, capsys):
+        # The collective sits inside the loop, so counting carries on
+        # across every collective yield and resume.
+        src = """
+        fn main() {
+            var s: real = 0.0;
+            for i in 0 .. 20 { s = allreduce_sum(s + 1.0) * 0.5; }
+            out(s);
+        }
+        """
+        path = tmp_path / "p.mh"
+        path.write_text(src)
+        assert main(["run", str(path), "--mpi", "2", "--profile"]) == 0
+        out = capsys.readouterr().out
+        assert "hottest instructions" in out
+        listed = [
+            (int(addr, 16), int(count))
+            for addr, count in re.findall(r"^  (0x[0-9a-f]+): (\d+)$", out, re.M)
+        ]
+        counts = run_mpi_program(
+            compile_source(src), 2, profile=True
+        ).per_rank[0].exec_counts
+        assert counts
+        assert listed == sorted(counts.items(), key=lambda kv: -kv[1])[:10]
 
     def test_bad_image_rejected(self, tmp_path):
         bogus = tmp_path / "x.rpx"

@@ -9,7 +9,10 @@ middle of a fused run, a fault on the last instruction of a fused pair,
 and a collective yield resuming execution inside a specialized segment.
 
 ``VM(..., fused=False)`` is the reference; it is the exact loop the
-fused path replaced (also reachable via ``REPRO_NO_FUSE=1``).
+fused path replaced (also reachable via ``REPRO_NO_FUSE=1``).  Every
+case also runs with ``profile=True``: execution counting rides fused
+dispatch, so the per-instruction and per-opcode census must match the
+reference's on every one of those paths too.
 """
 
 import pytest
@@ -20,6 +23,7 @@ from repro.config import Config, build_tree
 from repro.instrument import InstrumentCache, instrument
 from repro.isa import Imm, Mem, Op, Reg
 from repro.mpi import MultiRankRunner
+from repro.telemetry import ListSink, Telemetry
 from repro.vm import VM, Machine
 from repro.vm.errors import VmTimeout, VmTrap
 from repro.workloads import make_nas
@@ -50,18 +54,27 @@ def _pair(program, **kw):
     return fused, ref
 
 
+def _assert_same_counts(fused, ref):
+    """Both paths report the identical execution census."""
+    assert fused.instruction_stats() == ref.instruction_stats()
+    assert fused.opcode_stats() == ref.opcode_stats()
+
+
 def _assert_same_trap(program, match, **kw):
-    """Both paths trap with the identical message, address, steps, cycles."""
-    fused, ref = _pair(program, **kw)
-    with pytest.raises(VmTrap, match=match) as got_f:
-        fused.run()
-    with pytest.raises(VmTrap, match=match) as got_r:
-        ref.run()
-    assert str(got_f.value) == str(got_r.value)
-    assert got_f.value.addr == got_r.value.addr
-    assert fused.steps == ref.steps
-    assert fused.cycles == ref.cycles
-    assert fused.outputs == ref.outputs
+    """Both paths trap with the identical message, address, steps,
+    cycles and, with counting on, execution census."""
+    for profile in (False, True):
+        fused, ref = _pair(program, profile=profile, **kw)
+        with pytest.raises(VmTrap, match=match) as got_f:
+            fused.run()
+        with pytest.raises(VmTrap, match=match) as got_r:
+            ref.run()
+        assert str(got_f.value) == str(got_r.value)
+        assert got_f.value.addr == got_r.value.addr
+        assert fused.steps == ref.steps
+        assert fused.cycles == ref.cycles
+        assert fused.outputs == ref.outputs
+        _assert_same_counts(fused, ref)
     return got_f.value
 
 
@@ -74,28 +87,34 @@ class TestBudgetEdges:
         full = _loop_program(50)
         total = VM(full, fused=False).run().steps
         for budget in list(range(1, 16)) + [total - 1]:
-            fused, ref = _pair(full, max_steps=budget)
-            with pytest.raises(VmTimeout) as got_f:
-                fused.run()
-            with pytest.raises(VmTimeout) as got_r:
-                ref.run()
-            assert str(got_f.value) == str(got_r.value)
-            assert fused.steps == ref.steps, f"budget={budget}"
-            assert fused.cycles == ref.cycles, f"budget={budget}"
+            for profile in (False, True):
+                fused, ref = _pair(full, max_steps=budget, profile=profile)
+                with pytest.raises(VmTimeout) as got_f:
+                    fused.run()
+                with pytest.raises(VmTimeout) as got_r:
+                    ref.run()
+                assert str(got_f.value) == str(got_r.value)
+                assert fused.steps == ref.steps, f"budget={budget}"
+                assert fused.cycles == ref.cycles, f"budget={budget}"
+                _assert_same_counts(fused, ref)
 
     def test_budget_exactly_sufficient(self):
         full = _loop_program(50)
         total = VM(full, fused=False).run().steps
-        fused, ref = _pair(full, max_steps=total)
-        assert fused.run() == ref.run()
+        for profile in (False, True):
+            fused, ref = _pair(full, max_steps=total, profile=profile)
+            assert fused.run() == ref.run()  # exec_counts included
+            _assert_same_counts(fused, ref)
 
     def test_zero_remaining_budget_still_charges_one_step(self):
-        fused, ref = _pair(_loop_program(50), max_steps=0)
-        with pytest.raises(VmTimeout):
-            fused.run()
-        with pytest.raises(VmTimeout):
-            ref.run()
-        assert fused.steps == ref.steps == 1
+        for profile in (False, True):
+            fused, ref = _pair(_loop_program(50), max_steps=0, profile=profile)
+            with pytest.raises(VmTimeout):
+                fused.run()
+            with pytest.raises(VmTimeout):
+                ref.run()
+            assert fused.steps == ref.steps == 1
+            _assert_same_counts(fused, ref)
 
 
 class TestTrapParity:
@@ -151,12 +170,14 @@ class TestResumeMidSegment:
         # the fused loop must single-step the reference closures until
         # dispatch reaches the next run head, with exact accounting.
         program = _loop_program(30)
-        fused, ref = _pair(program)
-        assert fused._fcode[2] is None, "expected a run-interior entry"
-        assert fused.resume(2) and ref.resume(2)
-        assert fused.outputs == ref.outputs
-        assert fused.steps == ref.steps
-        assert fused.cycles == ref.cycles
+        for profile in (False, True):
+            fused, ref = _pair(program, profile=profile)
+            assert fused._fcode[2] is None, "expected a run-interior entry"
+            assert fused.resume(2) and ref.resume(2)
+            assert fused.outputs == ref.outputs
+            assert fused.steps == ref.steps
+            assert fused.cycles == ref.cycles
+            _assert_same_counts(fused, ref)
 
     def test_collective_yield_resumes_into_specialized_segment(self):
         # Multi-rank: every allreduce yields to the scheduler and resumes
@@ -178,22 +199,47 @@ class TestResumeMidSegment:
         }
         """
         program = compile_source(src, CompileOptions())
-        fused_runner = MultiRankRunner(program, 4)
-        assert any(
-            vm._fcode is not None and any(vm._fcode)
-            for vm in fused_runner.vms
-        ), "test is vacuous: no rank built a fused run"
-        ref_runner = MultiRankRunner(program, 4)
-        for vm in ref_runner.vms:
-            vm._fcode = None  # force the reference loop
-        got_f = fused_runner.run()
-        got_r = ref_runner.run()
-        assert got_f.values() == got_r.values()
-        assert fused_runner.collectives == ref_runner.collectives
-        for rank_f, rank_r in zip(got_f.per_rank, got_r.per_rank):
-            assert rank_f.outputs == rank_r.outputs
-            assert rank_f.cycles == rank_r.cycles
-            assert rank_f.steps == rank_r.steps
+        for size in (2, 4):
+            for profile in (False, True):
+                fused_runner = MultiRankRunner(program, size, profile=profile)
+                assert any(
+                    vm._fcode is not None and any(vm._fcode)
+                    for vm in fused_runner.vms
+                ), "test is vacuous: no rank built a fused run"
+                ref_runner = MultiRankRunner(program, size, profile=profile)
+                for vm in ref_runner.vms:
+                    vm._fcode = None  # force the reference loop
+                got_f = fused_runner.run()
+                got_r = ref_runner.run()
+                assert got_f.values() == got_r.values()
+                assert fused_runner.collectives == ref_runner.collectives
+                for rank_f, rank_r in zip(got_f.per_rank, got_r.per_rank):
+                    assert rank_f.outputs == rank_r.outputs
+                    assert rank_f.cycles == rank_r.cycles
+                    assert rank_f.steps == rank_r.steps
+                    assert rank_f.exec_counts == rank_r.exec_counts
+                for vm_f, vm_r in zip(fused_runner.vms, ref_runner.vms):
+                    _assert_same_counts(vm_f, vm_r)
+
+
+class TestCountingStaysFused:
+    def test_profiled_and_traced_vms_enter_fused_runs(self):
+        # Counting is a load-time wrapper, not a deopt: a profile=True
+        # VM and a telemetry-enabled VM must dispatch through their
+        # fused run heads, and still count exactly what the reference
+        # loop counts.
+        program = _loop_program(50)
+        for kw in ({"profile": True}, {"telemetry": Telemetry(sinks=[ListSink()])}):
+            fused, ref = _pair(program, **kw)
+            entered = []
+            fcode = fused._fcode
+            for i, run in enumerate(fcode):
+                if run is not None:
+                    fcode[i] = lambda idx, run=run: entered.append(idx) or run(idx)
+            assert fused.run() == ref.run()
+            assert entered, f"{kw}: no fused run was entered"
+            _assert_same_counts(fused, ref)
+            assert sum(e for _a, _m, e, _c in fused.instruction_stats()) == fused.steps
 
 
 class TestSegmentPartitionCache:
