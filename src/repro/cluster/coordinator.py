@@ -26,6 +26,13 @@ campaign cannot starve a small one, and per-tenant in-flight quotas
 (``max_inflight``) cap how much of the pool any one tenant can hold at
 once.
 
+Dispatch is push-based: a ``lease`` that finds no ready task is parked,
+and answered with a ``task`` the moment one becomes leasable (a new
+batch, a requeue, a backoff expiry, a released quota slot) — every
+grant still chosen by the deficit round-robin.  The sweeper answers a
+lease parked for a whole sweep interval with ``wait {delay: 0}``, a
+keepalive after which the worker leases again at once.
+
 Threading model
 ---------------
 The asyncio TCP server runs on one dedicated background thread
@@ -96,10 +103,6 @@ from repro.cluster.protocol import (
 from repro.search.results import EvalOutcome
 from repro.search.retry import RetryPolicy
 from repro.telemetry import NULL_TELEMETRY
-
-#: how long an idle worker is told to wait before polling for work again
-#: (doubles as the heartbeat that keeps it alive while the queue is dry).
-POLL_DELAY = 0.02
 
 
 class ClusterError(RuntimeError):
@@ -200,7 +203,8 @@ class _Channel:
 class _WorkerConn:
     """Loop-side connection state for one network worker."""
 
-    __slots__ = ("wid", "name", "writer", "leases", "last_seen", "reaped")
+    __slots__ = ("wid", "name", "writer", "leases", "last_seen", "reaped",
+                 "parked_at")
 
     def __init__(self, wid: str, name: str, writer, now: float) -> None:
         self.wid = wid
@@ -209,6 +213,9 @@ class _WorkerConn:
         self.leases: dict[int, _Task] = {}
         self.last_seen = now
         self.reaped = False
+        #: loop time its unanswered lease was parked (None = no lease
+        #: waiting on the coordinator)
+        self.parked_at: float | None = None
 
 
 class _Coordinator:
@@ -364,6 +371,7 @@ class _Coordinator:
             del self.tasks[task.task_id]
         channel.pending.clear()
         channel.delayed.clear()
+        self._dispatch()  # released quota may unblock another channel
         batch, channel.batch = channel.batch, None
         if batch is not None:
             batch.abort(JobCancelled(f"{job_id or 'search'}: {why}"))
@@ -388,6 +396,7 @@ class _Coordinator:
             self.tasks[task.task_id] = task
             channel.pending.append(task)
             tasks.append(task)
+        self._dispatch()
         try:
             await batch.done
         finally:
@@ -417,34 +426,67 @@ class _Coordinator:
         share of the pool.  Idle channels forfeit their credit (classic
         DRR, so a long-idle campaign cannot burst later), and channels
         whose tenant is at its in-flight quota are skipped without
-        earning credit.
+        earning credit.  Passes repeat while some channel is still
+        earning, so None means no channel has a leasable task — however
+        small its quantum — and a parked lease waits for a real change.
         """
         ring = self._ring
-        if not ring:
-            return None
         now = asyncio.get_running_loop().time()
-        for _ in range(2 * len(ring)):
-            job_id = ring[0]
-            ring.rotate(-1)
-            channel = self.channels.get(job_id)
-            if channel is None:
-                continue
-            channel.promote(now)
-            if not channel.pending:
-                channel.deficit = 0.0
-                continue
-            if self._quota_blocked(channel):
-                continue
-            channel.deficit += channel.quantum
-            if channel.deficit < 1.0:
-                continue
-            task = channel.pop_ready()
-            if task is None:
-                channel.deficit = 0.0
-                continue
-            channel.deficit -= 1.0
-            return task
+        earning = True
+        while earning:
+            earning = False
+            for _ in range(len(ring)):
+                job_id = ring[0]
+                ring.rotate(-1)
+                channel = self.channels.get(job_id)
+                if channel is None:
+                    continue
+                channel.promote(now)
+                if not channel.pending:
+                    channel.deficit = 0.0
+                    continue
+                if self._quota_blocked(channel):
+                    continue
+                earning = True
+                channel.deficit += channel.quantum
+                if channel.deficit < 1.0:
+                    continue
+                task = channel.pop_ready()
+                if task is None:
+                    channel.deficit = 0.0
+                    continue
+                channel.deficit -= 1.0
+                return task
         return None
+
+    def _dispatch(self) -> None:
+        """Answer parked leases, longest-parked first, while
+        :meth:`_next_task` has a task for them.  Called wherever a task
+        may have become leasable: a new batch, a requeue, a backoff
+        expiry, a released quota slot."""
+        if self.closing:
+            return
+        parked = sorted(
+            (w for w in self.workers.values() if w.parked_at is not None),
+            key=lambda worker: worker.parked_at,
+        )
+        for worker in parked:
+            task = self._next_task()
+            if task is None:
+                return
+            worker.parked_at = None
+            self._send_task(worker, task)
+
+    def _send_task(self, worker: _WorkerConn, task: _Task) -> None:
+        self._grant(worker, task)
+        worker.writer.write(pack_frame({
+            "type": TASK,
+            "task": task.task_id,
+            "job": task.job,
+            "flags": task.flags,
+            "digest": task.digest,
+            **self.channels[task.job].info,
+        }))
 
     # -- connection handling (loop thread) ----------------------------------
 
@@ -541,21 +583,15 @@ class _Coordinator:
                     worker.reaped = True  # clean exit: not "lost"
                     self.workers.pop(worker.wid, None)
                     return
+                if worker.parked_at is not None:
+                    raise ProtocolError("lease sent while one is parked")
                 task = self._next_task()
                 if task is None:
-                    await send_frame_async(
-                        writer, {"type": WAIT, "delay": POLL_DELAY}
-                    )
+                    # Park it: _dispatch answers the moment a task is
+                    # ready, the sweeper after an idle interval.
+                    worker.parked_at = worker.last_seen
                 else:
-                    self._grant(worker, task)
-                    await send_frame_async(writer, {
-                        "type": TASK,
-                        "task": task.task_id,
-                        "job": task.job,
-                        "flags": task.flags,
-                        "digest": task.digest,
-                        **self.channels[task.job].info,
-                    })
+                    self._send_task(worker, task)
             elif kind == RESULT:
                 self._complete(worker, message)
                 await send_frame_async(writer, {"type": OK})
@@ -646,6 +682,7 @@ class _Coordinator:
         batch = self.channels[task.job].batch
         if batch is not None:
             batch.finish_one(task.index, outcome_from_wire(message["outcome"]))
+        self._dispatch()  # the released quota slot may unblock a channel
 
     def _task_lost(self, task_id, reason: str, charge: bool = True) -> None:
         """Requeue a task its worker lost; a *charge*-d loss counts
@@ -671,10 +708,12 @@ class _Coordinator:
                             task.attempts, what="cluster worker died"
                         ),
                     )
+                self._dispatch()
                 return
-            now = asyncio.get_running_loop().time()
-            task.not_before = now + channel.retry.delay(task.attempts)
+            loop = asyncio.get_running_loop()
+            task.not_before = loop.time() + channel.retry.delay(task.attempts)
             channel.delayed.append(task)
+            loop.call_at(task.not_before, self._dispatch)
         else:
             channel.pending.appendleft(task)
         self.requeues += 1
@@ -682,6 +721,7 @@ class _Coordinator:
             task.job, "cluster.requeue",
             task=task.task_id, attempts=task.attempts, reason=reason,
         )
+        self._dispatch()
 
     def _requeue_leases(self, worker: _WorkerConn, reason: str,
                         charge: bool = True) -> None:
@@ -704,8 +744,12 @@ class _Coordinator:
 
     async def _sweep(self) -> None:
         """Expire workers whose heartbeats stopped (network partition,
-        frozen process — a SIGKILL usually surfaces as EOF instead)."""
+        frozen process — a SIGKILL usually surfaces as EOF instead), and
+        answer every lease parked for a whole interval with ``wait
+        {delay: 0}``, so an idle worker hears from a live coordinator
+        well within its socket timeout."""
         interval = max(0.01, min(1.0, self.lease_timeout / 4))
+        keepalive = pack_frame({"type": WAIT, "delay": 0})
         while True:
             await asyncio.sleep(interval)
             now = asyncio.get_running_loop().time()
@@ -714,6 +758,10 @@ class _Coordinator:
                     self._reap(worker, "expired")
                     with contextlib.suppress(Exception):
                         worker.writer.close()
+                elif (worker.parked_at is not None
+                      and now - worker.parked_at >= interval):
+                    worker.parked_at = None
+                    worker.writer.write(keepalive)
 
 
 class BaseLeaseEvaluator:
@@ -840,7 +888,7 @@ class ClusterEvaluator(BaseLeaseEvaluator):
         worker dies (requeue with exponential backoff, classify as
         ``worker_crash`` on exhaustion).
     lease_timeout:
-        Seconds of worker silence (no result/heartbeat/poll) before its
+        Seconds of worker silence (no result/heartbeat/lease) before its
         leases are requeued and the connection is declared lost.
         Workers heartbeat at a quarter of this, so only a dead — not
         merely busy — worker expires.

@@ -15,15 +15,19 @@ Message flow (worker-initiated request/response, except one-way frames)::
                                    | unsupported {supported, message}
                                      (any version but PROTOCOL_VERSION:
                                       structured refusal + clean close)
-    lease {}                    ->
+    lease {}                    ->    (no task ready: the lease is parked
+                                       and answered the moment one is)
                                 <- task {task, job, flags, digest,
                                          workload, klass, workload_id,
                                          incremental}
-                                   | wait {delay}   (no work right now)
+                                   | wait {delay: 0} (parked for a whole
+                                                      sweep interval: a
+                                                      keepalive, lease
+                                                      again at once)
                                    | bye {}         (coordinator closing)
-    events {task, events}       ->    (one-way: never answered, sent
-                                       right before result/error — the
-                                       worker's telemetry events for
+    events {task, events}       ->    (one-way: never answered, sent in
+                                       the same write as result/error —
+                                       the worker's telemetry events for
                                        that task, merged by the
                                        coordinator into the unified
                                        trace tagged with the worker id)
@@ -78,7 +82,8 @@ declared lost and its leases are requeued.
 
 Both a synchronous (blocking-socket, worker-side) and an asyncio
 (coordinator-side) implementation of the framing live here so the two
-endpoints cannot drift.
+endpoints cannot drift, as does :func:`dial`, the one way a worker or
+client opens its connection.
 """
 
 from __future__ import annotations
@@ -87,6 +92,7 @@ import asyncio
 import json
 import socket
 import struct
+import time
 
 #: the protocol version; hello/welcome carry it, and a hello naming any
 #: other version is refused at handshake time.  Every peer ships from
@@ -156,6 +162,28 @@ def _check_length(length: int) -> None:
 
 
 # -- synchronous (worker-side) endpoints ------------------------------------
+
+
+def dial(address: str, retries: int = 50, backoff: float = 0.1) -> socket.socket:
+    """Connect to ``HOST:PORT``, retrying while the peer is still coming
+    up; re-raises the last :class:`OSError` once *retries* run out.
+
+    The socket has ``TCP_NODELAY`` set.  Exchanges here are small
+    request/response frames, and with Nagle's algorithm on, a frame
+    written while an earlier one is unacknowledged waits for the peer's
+    delayed ACK (~40 ms on Linux) — which a one-way frame never hurries.
+    """
+    host, port = parse_address(address)
+    for attempt in range(max(retries, 0) + 1):
+        try:
+            sock = socket.create_connection((host, port), timeout=30)
+            break
+        except OSError:
+            if attempt >= retries:
+                raise
+            time.sleep(backoff * min(attempt + 1, 10))
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
 
 
 def send_frame(sock: socket.socket, message: dict) -> None:

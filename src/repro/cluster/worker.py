@@ -3,7 +3,9 @@
 ``repro worker HOST:PORT`` connects to a coordinator, then loops: lease
 a task, execute it through the shared
 :func:`~repro.search.evaluator.execute_config` kernel, report the
-outcome.  Each ``task`` frame names its own ``workload``/``klass``/
+outcome.  A lease with no task ready is parked on the coordinator and
+answered when one is, so an idle worker blocks instead of polling.
+Each ``task`` frame names its own ``workload``/``klass``/
 ``workload_id``, so one worker serves every campaign on the coordinator.
 Workloads (and their incremental VM state) are rebuilt *locally* on
 first use and cached per ``workload_id`` — programs are compiled
@@ -50,8 +52,9 @@ from repro.cluster.protocol import (
     WAIT,
     WELCOME,
     ProtocolError,
+    dial,
     outcome_to_wire,
-    parse_address,
+    pack_frame,
     recv_frame,
     send_frame,
 )
@@ -77,23 +80,6 @@ def _maybe_crash() -> None:
         except OSError:
             pass
         os._exit(1)
-
-
-def connect(
-    address: str,
-    connect_retries: int = 50,
-    connect_backoff: float = 0.1,
-) -> socket.socket:
-    """Dial the coordinator, retrying while it is still coming up."""
-    host, port = parse_address(address)
-    last_error: Exception | None = None
-    for attempt in range(connect_retries + 1):
-        try:
-            return socket.create_connection((host, port), timeout=30)
-        except OSError as exc:
-            last_error = exc
-            time.sleep(connect_backoff * min(attempt + 1, 10))
-    raise WorkerError(f"cannot reach coordinator at {address}: {last_error}")
 
 
 def _handshake(sock: socket.socket) -> dict:
@@ -138,20 +124,23 @@ def _build(name: str, klass: str, expected_id: str, incremental: bool,
     return workload, build_tree(workload.program), state
 
 
-def _forward_events(sock, send_lock, task, events_sink) -> None:
-    """Ship the task's buffered telemetry as one one-way frame.
+def _reply(sock, send_lock, events_sink, message: dict) -> None:
+    """Send a task's result/error with its buffered telemetry in one write.
 
-    Sent *before* the result/error frame so the coordinator merges the
-    evidence into its trace ahead of the outcome it explains (TCP
-    preserves the order).  Never answered; an empty buffer sends
-    nothing.
+    The one-way ``events`` frame goes first, so the coordinator merges
+    the evidence into its trace ahead of the outcome it explains, and in
+    the same ``sendall``, so the reply is never two TCP writes.  An empty
+    buffer sends no ``events`` frame.
     """
-    events = list(events_sink.events)
-    events_sink.events.clear()
-    if not events:
-        return
+    wire = pack_frame(message)
+    if events_sink.events:
+        wire = pack_frame({
+            "type": EVENTS, "task": message["task"],
+            "events": list(events_sink.events),
+        }) + wire
+        events_sink.events.clear()
     with send_lock:
-        send_frame(sock, {"type": EVENTS, "task": task, "events": events})
+        sock.sendall(wire)
 
 
 class _Heartbeat(threading.Thread):
@@ -184,7 +173,12 @@ def run_worker(
 ) -> dict:
     """Serve one coordinator until it says ``bye`` (or *max_tasks* runs
     out); returns ``{"tasks": n, "workload": names}`` run statistics."""
-    sock = connect(address, connect_retries, connect_backoff)
+    try:
+        sock = dial(address, connect_retries, connect_backoff)
+    except OSError as exc:
+        raise WorkerError(
+            f"cannot reach coordinator at {address}: {exc}"
+        ) from None
     send_lock = threading.Lock()
     heartbeat = None
     tasks_done = 0
@@ -192,9 +186,9 @@ def run_worker(
     try:
         welcome = _handshake(sock)
         # Local telemetry buffer: per-task events (the evaluation's
-        # eval.remote and its cache counters) are flushed to the
-        # coordinator as one-way `events` frames so the search's trace
-        # covers worker-side activity too.
+        # eval.remote and its cache counters) travel to the coordinator
+        # with the task's reply so the search's trace covers worker-side
+        # activity too.
         events_sink = ListSink()
         wtel = Telemetry(sinks=[events_sink])
         interval = max(0.005, float(welcome.get("lease_timeout", 30.0)) / 4)
@@ -208,7 +202,7 @@ def run_worker(
                 break
             kind = reply.get("type")
             if kind == WAIT:
-                time.sleep(float(reply.get("delay", 0.02)))
+                time.sleep(float(reply.get("delay", 0)))
                 continue
             if kind != TASK:
                 raise ProtocolError(f"expected task/wait/bye, got {kind!r}")
@@ -230,13 +224,11 @@ def run_worker(
                     workload, config, state, telemetry=wtel
                 )
             except Exception as exc:  # an evaluation bug, not a protocol one
-                _forward_events(sock, send_lock, reply["task"], events_sink)
-                with send_lock:
-                    send_frame(sock, {
-                        "type": ERROR,
-                        "task": reply["task"],
-                        "message": f"{type(exc).__name__}: {exc}",
-                    })
+                _reply(sock, send_lock, events_sink, {
+                    "type": ERROR,
+                    "task": reply["task"],
+                    "message": f"{type(exc).__name__}: {exc}",
+                })
             else:
                 wtel.emit(
                     "eval.remote",
@@ -247,13 +239,11 @@ def run_worker(
                     reason=outcome.reason,
                     wall_s=round(time.perf_counter() - started, 6),
                 )
-                _forward_events(sock, send_lock, reply["task"], events_sink)
-                with send_lock:
-                    send_frame(sock, {
-                        "type": RESULT,
-                        "task": reply["task"],
-                        "outcome": outcome_to_wire(outcome),
-                    })
+                _reply(sock, send_lock, events_sink, {
+                    "type": RESULT,
+                    "task": reply["task"],
+                    "outcome": outcome_to_wire(outcome),
+                })
                 tasks_done += 1
             ack = recv_frame(sock)
             if ack is None:

@@ -31,7 +31,7 @@ from repro.cluster.protocol import (
     SUBMITTED,
     UNSUPPORTED,
     WELCOME,
-    parse_address,
+    dial,
     recv_frame,
     send_frame,
 )
@@ -57,22 +57,20 @@ class ServiceClient:
         connect_retries: int = 50,
         connect_backoff: float = 0.1,
     ) -> None:
-        host, port = parse_address(address)
-        last_error: Exception | None = None
-        sock = None
-        for attempt in range(connect_retries + 1):
-            try:
-                sock = socket.create_connection((host, port), timeout=30)
-                break
-            except OSError as exc:
-                last_error = exc
-                time.sleep(connect_backoff * min(attempt + 1, 10))
-        if sock is None:
+        try:
+            self.sock = dial(address, connect_retries, connect_backoff)
+        except OSError as exc:
             raise ServiceError(
-                f"cannot reach service at {address}: {last_error}"
-            )
-        self.sock = sock
+                f"cannot reach service at {address}: {exc}"
+            ) from None
         self.address = address
+        try:
+            self._handshake()
+        except BaseException:
+            self.sock.close()
+            raise
+
+    def _handshake(self) -> None:
         send_frame(self.sock, {
             "type": HELLO,
             "version": PROTOCOL_VERSION,
@@ -92,7 +90,7 @@ class ServiceClient:
             raise ServiceError(welcome.get("message", "handshake refused"))
         if welcome.get("type") != WELCOME or not welcome.get("service"):
             raise ServiceError(
-                f"{address} is not a job service (got "
+                f"{self.address} is not a job service (got "
                 f"{welcome.get('type')!r})"
             )
 

@@ -2,17 +2,20 @@
 
 Real workers are exercised by the differential tests; here a raw socket
 speaks the protocol directly so the lease lifecycle (version refusal,
-requeue, retry exhaustion, bye, duplicate results, heartbeats) can be
-pinned message by message.
+requeue, retry exhaustion, bye, duplicate results, heartbeats, parked
+leases) can be pinned message by message.
 """
 
 import socket
 import threading
 import time
+from collections import deque
 
 import pytest
 
-from repro.cluster import ClusterEvaluator, PROTOCOL_VERSION
+from repro.cluster import ClusterEvaluator, PROTOCOL_VERSION, run_worker
+from repro.cluster import worker as worker_module
+from repro.cluster.coordinator import BaseLeaseEvaluator, _Coordinator
 from repro.cluster.protocol import parse_address, recv_frame, send_frame
 from repro.config.generator import build_tree
 from repro.config.model import Config, Policy
@@ -59,9 +62,15 @@ class FakeWorker:
         })
         self.welcome = recv_frame(self.sock)
 
-    def lease(self):
+    def send_lease(self):
         send_frame(self.sock, {"type": "lease"})
+
+    def recv(self):
         return recv_frame(self.sock)
+
+    def lease(self):
+        self.send_lease()
+        return self.recv()
 
     def lease_task(self, timeout: float = 10.0):
         """Poll through wait replies until a task arrives."""
@@ -103,6 +112,17 @@ def _batch_async(evaluator, configs):
     thread = threading.Thread(target=run, daemon=True)
     thread.start()
     return thread, box
+
+
+def _wait_parked(coord, count: int = 1) -> None:
+    """Block until *count* leases are parked on *coord* (a lease the
+    coordinator has not read yet would be answered, not parked)."""
+    deadline = time.monotonic() + 10
+    # list() copies the loop thread's dict in one step
+    while sum(w.parked_at is not None
+              for w in list(coord.workers.values())) < count:
+        assert time.monotonic() < deadline, "lease never parked"
+        time.sleep(0.005)
 
 
 def _configs(tree, count):
@@ -152,14 +172,183 @@ class TestHandshake:
                 worker.close()
         assert evaluator.executor.workers_seen == 0
 
-    def test_idle_lease_gets_wait(self, evaluator):
+    def test_worker_socket_has_nodelay(self, evaluator, monkeypatch):
+        # Without TCP_NODELAY a reply written behind an unacknowledged
+        # frame waits out the coordinator's delayed ACK.
+        real_dial = worker_module.dial
+        dialed = []
+
+        def dial(*args):
+            dialed.append(real_dial(*args))
+            return dialed[-1]
+
+        monkeypatch.setattr(worker_module, "dial", dial)
+        thread = threading.Thread(
+            target=run_worker, args=(evaluator.executor.address,),
+            daemon=True,
+        )
+        thread.start()
+        deadline = time.monotonic() + 10
+        while evaluator.executor.workers_connected < 1:
+            assert time.monotonic() < deadline, "worker never connected"
+            time.sleep(0.005)
+        assert dialed[0].getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        evaluator.executor.close()  # dismisses the worker
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+class TestParkedLeases:
+    """A lease that finds nothing to do is parked on the coordinator and
+    answered, without another frame from the worker, once a task is
+    leasable."""
+
+    def test_answered_when_a_batch_is_queued(self, evaluator, tree):
         worker = FakeWorker(evaluator.executor.address)
         try:
-            reply = worker.lease()
-            assert reply["type"] == "wait"
-            assert reply["delay"] > 0
+            worker.send_lease()
+            _wait_parked(evaluator.executor._coord)
+            worker.heartbeat()  # one-way frames leave the lease parked
+            thread, box = _batch_async(evaluator, _configs(tree, 1))
+            task = worker.recv()
+            assert task["type"] == "task"
+            worker.result(task["task"], passed=True, cycles=3)
         finally:
             worker.close()
+        thread.join(timeout=10)
+        assert box["outcomes"][0].cycles == 3
+
+    def test_keepalive_after_one_sweep_interval(self, evaluator, tree):
+        # lease_timeout 10 s: the sweeper runs every second.
+        worker = FakeWorker(evaluator.executor.address)
+        try:
+            sent = time.monotonic()
+            reply = worker.lease()
+            assert time.monotonic() - sent >= 1.0
+            assert reply == {"type": "wait", "delay": 0}
+            assert evaluator.executor.workers_connected == 1
+            # leasing again parks again, and the next batch reaches it
+            worker.send_lease()
+            _wait_parked(evaluator.executor._coord)
+            thread, box = _batch_async(evaluator, _configs(tree, 1))
+            task = worker.recv()
+            assert task["type"] == "task"
+            worker.result(task["task"], passed=True, cycles=4)
+        finally:
+            worker.close()
+        thread.join(timeout=10)
+        assert box["outcomes"][0].cycles == 4
+
+    def test_gets_a_task_returned_by_bye(self, workload, tree):
+        # limit=0: a charged loss would classify the task worker_crash.
+        ev = _front(workload, retry=RetryPolicy(limit=0), lease_timeout=10.0)
+        try:
+            thread, box = _batch_async(ev, _configs(tree, 1))
+            leaving = FakeWorker(ev.executor.address)
+            task = leaving.lease_task()
+            parked = FakeWorker(ev.executor.address)
+            try:
+                parked.send_lease()
+                _wait_parked(ev.executor._coord)
+                leaving.bye()
+                requeued = parked.recv()
+                assert requeued["type"] == "task"
+                assert requeued["task"] == task["task"]
+                parked.result(requeued["task"], passed=True, cycles=5)
+            finally:
+                parked.close()
+            thread.join(timeout=10)
+            assert box["outcomes"][0].cycles == 5
+            assert ev.executor.crashed_configs == 0
+        finally:
+            ev.close()
+
+    def test_gets_a_task_after_its_backoff(self, workload, tree):
+        ev = _front(
+            workload, retry=RetryPolicy(limit=2, backoff=0.1),
+            lease_timeout=10.0,
+        )
+        try:
+            thread, box = _batch_async(ev, _configs(tree, 1))
+            doomed = FakeWorker(ev.executor.address)
+            task = doomed.lease_task()
+            parked = FakeWorker(ev.executor.address)
+            try:
+                parked.send_lease()
+                _wait_parked(ev.executor._coord)
+                doomed.close()  # EOF: a charged loss, 0.1 s of backoff
+                requeued = parked.recv()
+                assert requeued["type"] == "task"
+                assert requeued["task"] == task["task"]
+                parked.result(requeued["task"], passed=True, cycles=6)
+            finally:
+                parked.close()
+            thread.join(timeout=10)
+            assert box["outcomes"][0].cycles == 6
+            assert ev.executor.requeues == 1
+        finally:
+            ev.close()
+
+
+@pytest.fixture
+def coordinator():
+    coord = _Coordinator(10.0, deque(), max_inflight=1)
+    coord.serve("127.0.0.1:0", "test-coordinator")
+    yield coord
+    coord.close()
+
+
+def _channel(coord, workload, job_id, **kwargs):
+    """An evaluator front on one tenant channel of *coord*."""
+    return Evaluator(
+        workload,
+        executor=BaseLeaseEvaluator(coord, job_id, workload, **kwargs),
+    )
+
+
+class TestTenantChannels:
+    def test_parked_lease_gets_a_task_freed_by_the_quota(
+        self, coordinator, workload, tree
+    ):
+        # max_inflight=1: while the first task is out, the tenant's
+        # second one cannot be leased.
+        ev = _channel(coordinator, workload, "j1", tenant="alice")
+        first = FakeWorker(coordinator.address)
+        second = FakeWorker(coordinator.address)
+        try:
+            thread, box = _batch_async(ev, _configs(tree, 2))
+            t1 = first.lease_task()
+            second.send_lease()
+            _wait_parked(coordinator)
+            first.result(t1["task"], passed=True, cycles=7)
+            t2 = second.recv()
+            assert t2["type"] == "task"
+            second.result(t2["task"], passed=True, cycles=8)
+            thread.join(timeout=10)
+            assert [o.cycles for o in box["outcomes"]] == [7, 8]
+        finally:
+            first.close()
+            second.close()
+            ev.close()
+
+    def test_small_quantum_is_not_a_reason_to_park(
+        self, coordinator, workload, tree
+    ):
+        # A lone channel earning 0.1 credit per visit still gets every
+        # lease: DRR shares the pool between channels, it never leaves
+        # a worker idle beside a leasable task.
+        ev = _channel(coordinator, workload, "j1", quantum=0.1)
+        worker = FakeWorker(coordinator.address)
+        try:
+            thread, box = _batch_async(ev, _configs(tree, 1))
+            task = worker.lease()
+            assert task["type"] == "task"
+            worker.result(task["task"], passed=True, cycles=9)
+            thread.join(timeout=10)
+            assert box["outcomes"][0].cycles == 9
+        finally:
+            worker.close()
+            ev.close()
 
 
 class TestLeaseLifecycle:

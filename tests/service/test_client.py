@@ -3,15 +3,21 @@ list round-trips, structured rejections, and version refusal at the
 service's front door.
 """
 
+import gc
 import os
 import socket
+import threading
+import warnings
 
 import pytest
 
 from repro.cluster.protocol import (
+    ERROR,
     HELLO,
+    PROTOCOL_VERSION,
     ROLE_WORKER,
     UNSUPPORTED,
+    WELCOME,
     parse_address,
     recv_frame,
     send_frame,
@@ -132,6 +138,52 @@ class TestNegotiation:
             assert recv_frame(sock) is None
         finally:
             sock.close()
+
+
+def _one_shot_server(reply):
+    """A listener that answers one hello with *reply* (None: hang up)."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        with listener:
+            conn, _ = listener.accept()
+            with conn:
+                recv_frame(conn)
+                if reply is not None:
+                    send_frame(conn, reply)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    host, port = listener.getsockname()
+    return f"{host}:{port}", thread
+
+
+class TestConnection:
+    def test_client_socket_has_nodelay(self, service):
+        with ServiceClient(service.address) as client:
+            assert client.sock.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            )
+
+    @pytest.mark.parametrize("reply", [
+        {"type": UNSUPPORTED, "supported": [PROTOCOL_VERSION],
+         "message": "peer speaks another version"},
+        # what a coordinator started without --service answers
+        {"type": ERROR, "message": "no job submissions here"},
+        {"type": WELCOME, "version": PROTOCOL_VERSION},
+        None,
+    ], ids=["unsupported", "error", "worker-welcome", "hangup"])
+    def test_refused_handshake_closes_the_socket(self, reply):
+        address, thread = _one_shot_server(reply)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(ServiceError):
+                ServiceClient(address, connect_retries=0)
+            gc.collect()  # finalize the client the traceback held
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaks, leaks[0].message
 
 
 class TestPluginTenant:

@@ -90,14 +90,12 @@ class TestJobArtifacts:
                 "config.txt", "result.json", "metrics.txt",
             ):
                 assert os.path.exists(os.path.join(job.path, name)), name
-            payload = json.loads(
-                open(os.path.join(job.path, "result.json")).read()
-            )
+            with open(os.path.join(job.path, "result.json")) as handle:
+                payload = json.load(handle)
             assert payload["tested"] == job.tested
             assert payload["row"]["benchmark"] == "mg.T"
-            meta = json.loads(
-                open(os.path.join(svc.root, "service.json")).read()
-            )
+            with open(os.path.join(svc.root, "service.json")) as handle:
+                meta = json.load(handle)
             assert meta["address"] == svc.address
 
     def test_unknown_workload_fails_cleanly(self, tmp_path):
