@@ -49,7 +49,7 @@ from repro.config.model import Policy
 from repro.instrument.dataflow import block_precleaned
 from repro.instrument.rewriter import _addr_label, _emit_instruction
 from repro.instrument.snippets import DEFAULT_WIDTHS, SnippetStats
-from repro.isa.encode import encode_instruction
+from repro.isa.encode import encode_canonical
 from repro.isa.instruction import Instruction
 from repro.isa.operands import Imm, KIND_IMM, KIND_MEM, KIND_REG, KIND_XMM
 
@@ -98,12 +98,33 @@ def _operand_width(operand) -> int:
     raise ValueError(f"cannot lay out operand {operand!r}")
 
 
+_ZERO = Imm(0)
+
+
+def _zero_labels(operands: tuple, offset: int, labelled: list) -> tuple:
+    """Replace each label operand of the instruction at *offset* with a
+    zeroed ``Imm``, recording ``(payload position, label name)``."""
+    out = []
+    position = offset + 3
+    for operand in operands:
+        if operand.__class__ is LabelRef:
+            labelled.append((position + 1, operand.name))
+            out.append(_ZERO)
+        else:
+            out.append(operand)
+        position += _operand_width(operand)
+    return tuple(out)
+
+
 @dataclass(slots=True)
 class BlockTemplate:
     """One basic block, instrumented and encoded position-independently."""
 
     #: encoded block code with every label operand's payload zeroed
     code: bytes
+    #: the instructions of ``code`` exactly as ``decode_instruction``
+    #: returns them (template-relative addresses, zeroed label payloads)
+    instrs: tuple
     #: (payload offset, kind, value) — 8-byte LE patches at assembly time
     relocs: tuple
     #: (original instruction address, template-relative offset)
@@ -122,10 +143,19 @@ def build_block_template(
     wrap_moves: bool,
     streamline: bool,
     optimize_checks: bool,
+    instr_pool: dict,
     widths: tuple = DEFAULT_WIDTHS,
 ) -> BlockTemplate:
     """Instrument one block into a relocatable template (the cold path of
-    the cache; byte-compatible with the AsmBuilder-based rewriter)."""
+    the cache; byte-compatible with the AsmBuilder-based rewriter).
+
+    *instr_pool* maps (encoding, template offset) to the decoded-form
+    instruction first built for it.  Re-instrumenting a block under
+    another policy slice reproduces most of its instructions at the same
+    offsets, and those reuse the pooled objects: the cyclic collector
+    then has fewer long-lived objects to track, and fewer of its full
+    collections are triggered from inside template builds.
+    """
     precleaned: dict[int, frozenset[int]] = {}
     if optimize_checks and snippet_all:
         block_precleaned(block.instructions, policies, precleaned)
@@ -142,47 +172,45 @@ def build_block_template(
     if stats.replaced_single + stats.wrapped_double:
         stats.blocks_split = 1
 
-    # Layout pass: assign template-relative offsets, collect label defs.
+    # One pass: encode with label payloads zeroed, keep each instruction
+    # in its decoded form, and note where labels are defined and used.
     label_off: dict[str, int] = {}
-    pending: list = []  # (opcode, operands, line, offset)
+    labelled: list = []  # (payload position, label name)
+    chunks: list[bytes] = []
+    instrs: list = []
+    lines: list = []
     offset = 0
     for item in builder.items:
         if isinstance(item, str):
             label_off[item] = offset
-        else:
-            opcode, operands, line = item
-            pending.append((opcode, operands, line, offset))
-            offset += 3 + sum(_operand_width(o) for o in operands)
-
-    # Encoding pass: zero label payloads, record their patch positions.
-    chunks: list[bytes] = []
-    relocs: list = []
-    lines: list = []
-    for opcode, operands, line, off in pending:
-        resolved = []
-        payload = 3
-        for operand in operands:
-            if isinstance(operand, LabelRef):
-                name = operand.name
-                local = label_off.get(name)
-                if local is not None:
-                    relocs.append((off + payload + 1, _REL_LOCAL, local))
-                elif name.startswith(".A"):
-                    relocs.append((off + payload + 1, _REL_ADDR, int(name[2:], 16)))
-                else:
-                    relocs.append((off + payload + 1, _REL_FUNC, name))
-                resolved.append(Imm(0))
-            else:
-                resolved.append(operand)
-            payload += _operand_width(operand)
-        raw = encode_instruction(Instruction(opcode, tuple(resolved)))
-        assert len(raw) == payload, "layout/encoding width mismatch"
+            continue
+        opcode, operands, line = item
+        if LabelRef in map(type, operands):
+            operands = _zero_labels(operands, offset, labelled)
+        raw, operands = encode_canonical(opcode, operands)
+        key = (raw, offset)
+        instr = instr_pool.get(key)
+        if instr is None:
+            instr = instr_pool[key] = Instruction(opcode, operands, offset)
+        instrs.append(instr)
         if line:
-            lines.append((off, line))
+            lines.append((offset, line))
         chunks.append(raw)
+        offset += len(raw)
+
+    relocs: list = []
+    for position, name in labelled:
+        local = label_off.get(name)
+        if local is not None:
+            relocs.append((position, _REL_LOCAL, local))
+        elif name.startswith(".A"):
+            relocs.append((position, _REL_ADDR, int(name[2:], 16)))
+        else:
+            relocs.append((position, _REL_FUNC, name))
 
     return BlockTemplate(
         code=b"".join(chunks),
+        instrs=tuple(instrs),
         relocs=tuple(relocs),
         defs=tuple((instr.addr, label_off[_addr_label(instr.addr)])
                    for instr in block.instructions),
@@ -197,8 +225,9 @@ class CachedRewrite:
 
     program: Program
     stats: SnippetStats
-    #: ordered (template code bytes, base address) pairs tiling the text;
-    #: the VM's compiled-closure cache keys on the (unpatched) code bytes
+    #: ordered (template code bytes, template instructions, base address)
+    #: triples tiling the text; the VM's compiled-segment cache keys on the
+    #: (unpatched) code bytes and takes the instructions as decoded
     segments: tuple
     block_hits: int
     block_misses: int
@@ -221,6 +250,7 @@ class InstrumentCache:
         self.hits = 0
         self.misses = 0
         self._templates: dict = {}
+        self._instr_pool: dict = {}  # see build_block_template
         self._scratch_ok: bool | None = None
 
         self.entry_names = {fn.entry: fn.name for fn in program.functions}
@@ -303,10 +333,12 @@ class InstrumentCache:
                     misses += 1
                     template = build_block_template(
                         block, self.entry_names, policies, snippet_all,
-                        wrap_moves, streamline, optimize_checks, widths,
+                        wrap_moves, streamline, optimize_checks,
+                        self._instr_pool, widths,
                     )
                     if len(templates) >= self.max_templates:
                         templates.clear()  # crude epoch flush; see docs
+                        self._instr_pool.clear()
                     templates[key] = template
                 else:
                     hits += 1
@@ -354,7 +386,10 @@ class InstrumentCache:
         return CachedRewrite(
             program=new_program,
             stats=stats,
-            segments=tuple((template.code, base) for template, base in order),
+            segments=tuple(
+                (template.code, template.instrs, base)
+                for template, base in order
+            ),
             block_hits=hits,
             block_misses=misses,
         )

@@ -49,9 +49,11 @@ class InstrumentedProgram:
     config: Config
     stats: SnippetStats
     snippeted: bool
-    #: ordered (template bytes, base address) pairs tiling the text when
-    #: the program came out of an :class:`InstrumentCache`; the VM's
-    #: compiled-closure cache keys on these.  ``None`` on the cold path.
+    #: ordered (template bytes, template instructions, base address)
+    #: triples tiling the text when the program came out of an
+    #: :class:`InstrumentCache`; the VM's compiled-segment cache keys on
+    #: the bytes and loads the instructions without decoding them.
+    #: ``None`` on the cold path.
     segments: tuple | None = None
 
     @property

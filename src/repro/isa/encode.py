@@ -41,6 +41,8 @@ _U16 = struct.Struct("<H")
 _I64 = struct.Struct("<q")
 
 _BITS64 = 0xFFFFFFFFFFFFFFFF
+_LO64 = -(1 << 63)
+_HI64 = 1 << 63
 
 
 def _imm_to_signed(value: int) -> int:
@@ -49,19 +51,41 @@ def _imm_to_signed(value: int) -> int:
     return value - (1 << 64) if value >= (1 << 63) else value
 
 
-def encode_operand(op) -> bytes:
-    kind = op.kind
-    if kind == KIND_REG or kind == KIND_XMM:
-        return bytes((kind, op.index))
-    if kind == KIND_IMM:
-        return bytes((kind,)) + _I64.pack(_imm_to_signed(op.value))
-    if kind == KIND_MEM:
-        base = NO_REG if op.base is None else op.base
-        index = NO_REG if op.index is None else op.index
-        return bytes((kind, base, index, op.scale)) + _I64.pack(
-            _imm_to_signed(op.disp)
-        )
-    raise IsaError(f"cannot encode operand {op!r}")
+def encode_canonical(opcode: Op, operands: tuple) -> tuple[bytes, tuple]:
+    """Encode an (opcode, operands) pair and return the operands exactly
+    as :func:`decode_instruction` reads them back.
+
+    Decoding canonicalizes immediates and displacements to signed i64 (a
+    raw 64-bit pattern at or above ``2**63`` comes back negative), so the
+    returned tuple applies the same rule: it is *operands* itself unless
+    some value needed it.  A caller that encodes can thus skip decoding.
+    """
+    parts = [_U16.pack(int(opcode)), bytes((len(operands),))]
+    canon = None
+    for k, op in enumerate(operands):
+        kind = op.kind
+        if kind == KIND_REG or kind == KIND_XMM:
+            parts.append(bytes((kind, op.index)))
+            continue
+        if kind == KIND_IMM:
+            value = op.value
+            if not _LO64 <= value < _HI64:
+                value = _imm_to_signed(value)
+                canon = canon or list(operands)
+                canon[k] = Imm(value)
+            parts.append(bytes((kind,)) + _I64.pack(value))
+        elif kind == KIND_MEM:
+            disp = op.disp
+            if not _LO64 <= disp < _HI64:
+                disp = _imm_to_signed(disp)
+                canon = canon or list(operands)
+                canon[k] = Mem(op.base, op.index, op.scale, disp)
+            base = NO_REG if op.base is None else op.base
+            index = NO_REG if op.index is None else op.index
+            parts.append(bytes((kind, base, index, op.scale)) + _I64.pack(disp))
+        else:
+            raise IsaError(f"cannot encode operand {op!r}")
+    return b"".join(parts), operands if canon is None else tuple(canon)
 
 
 def encode_body(opcode: Op, operands: tuple) -> bytes:
@@ -71,9 +95,7 @@ def encode_body(opcode: Op, operands: tuple) -> bytes:
     that know their operands are final (no unresolved labels) can encode
     before layout and reuse the bytes.
     """
-    parts = [_U16.pack(int(opcode)), bytes((len(operands),))]
-    parts.extend(encode_operand(o) for o in operands)
-    return b"".join(parts)
+    return encode_canonical(opcode, operands)[0]
 
 
 def encode_instruction(instr: Instruction) -> bytes:

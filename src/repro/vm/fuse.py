@@ -1069,42 +1069,34 @@ def build_fcode(vm, bounds, halt, runs) -> tuple[list, bytearray]:
     return fcode, covered
 
 
-def build_fcode_cached(vm, spans, partitions: dict, halt, runs) -> list:
+def build_fcode_cached(vm, tiles, halt, runs) -> list:
     """Segment-path variant of :func:`build_fcode` with memoized runs.
 
-    ``spans`` is the load's ``(seg_bytes, lo, hi)`` tiling and
-    ``partitions`` the compiled-segment cache's template-keyed partition
-    store.  A segment template's run partition depends only on its own
-    instruction sequence: member operands are final in the template
-    bytes, terminator *targets* stay outside the partition, and interior
-    run leaders can only come from the segment's own branches (original
-    branches target block starts — segment heads — and snippet branches
-    are intra-block).  So the scan runs once per template and every
-    rebind merely re-resolves targets and re-binds factories.
-
-    Run interiors are never marked for lazy compilation here: the
-    segment path shares reference closures through the compiled-segment
-    cache, which must stay fully populated.
+    ``tiles`` is the load's ``(record, lo)`` tiling: each segment's
+    compiled-segment record (see ``repro.vm.machine``) and the index of
+    its first instruction.  A segment template's run partition depends
+    only on its own instruction sequence: member operands are final in
+    the template bytes, terminator *targets* stay outside the partition,
+    and interior run leaders can only come from the segment's own
+    branches (original branches target block starts — segment heads —
+    and snippet branches are intra-block).  So the scan runs once per
+    template, its result kept in ``record.partition``, and every later
+    load merely re-resolves targets and re-binds factories.
     """
     instrs = vm._instrs
     a2i = vm._addr2idx
-    n = len(instrs)
-    fcode: list = [None] * n
+    fcode: list = [None] * len(instrs)
     state = _vm_state(vm)
-    terms = _TERMINATORS
-    for seg_bytes, lo, hi in spans:
-        part = partitions.get(seg_bytes)
+    for record, lo in tiles:
+        part = record.partition
         if part is None:
+            hi = lo + len(record.instrs)
             leaders = set()
-            for i in range(lo, hi):
-                ins = instrs[i]
-                op = ins.opcode
-                if op in terms and op is not Op.RET:
-                    t = a2i.get(ins.operands[0].value)
-                    if t is not None and lo < t < hi:
-                        leaders.add(t)
-            part = _scan_span(vm, lo, hi, leaders)
-            partitions[seg_bytes] = part
+            for j in record.ctl:
+                t = a2i.get(instrs[lo + j].operands[0].value)
+                if t is not None and lo < t < hi:
+                    leaders.add(t)
+            part = record.partition = _scan_span(vm, lo, hi, leaders)
         else:
             vm.fuse_hits += len(part)
         if part:

@@ -15,6 +15,7 @@ deterministic stand-in for the paper's wall-clock measurements.
 from __future__ import annotations
 
 import os
+import struct
 
 from dataclasses import dataclass, field
 
@@ -228,25 +229,33 @@ def _irem(a: int, b: int) -> int:
     return r & _M64
 
 
-#: memo for :func:`_static_cost`.  The cost is a pure function of
-#: (opcode, operands, model) — all hashable and drawn from a small set of
-#: shapes that repeat across every rewrite of the same program — so one
-#: dict hit replaces the cost-table lookup and operand scan.
+#: memo for :func:`_static_costs`: cost model -> {(opcode, operands):
+#: cost}.  The cost is a pure function of (opcode, operands, model) —
+#: all hashable and drawn from a small set of shapes that repeat across
+#: every rewrite of the same program — so one dict hit replaces the
+#: cost-table lookup and operand scan, and the model (whose hash walks
+#: every field) is hashed once per call instead of once per instruction.
 _COST_CACHE: dict = {}
 
 
-def _static_cost(instr: Instruction, model: CostModel) -> int:
-    """Fall-through cycle cost of one instruction (position-independent)."""
-    key = (instr.opcode, instr.operands, model)
-    cost = _COST_CACHE.get(key)
-    if cost is None:
-        info = OPCODE_INFO[instr.opcode]
-        cost = model.op_cost(instr.opcode)
-        for o in instr.operands:
-            if isinstance(o, Mem):
-                cost += model.mem_cost(info.mem_width, o.base == 14)
-        _COST_CACHE[key] = cost
-    return cost
+def _static_costs(instrs, model: CostModel) -> list[int]:
+    """Fall-through cycle cost of each instruction (position-independent)."""
+    memo = _COST_CACHE.get(model)
+    if memo is None:
+        memo = _COST_CACHE[model] = {}
+    out = []
+    for instr in instrs:
+        key = (instr.opcode, instr.operands)
+        cost = memo.get(key)
+        if cost is None:
+            info = OPCODE_INFO[instr.opcode]
+            cost = model.op_cost(instr.opcode)
+            for o in instr.operands:
+                if isinstance(o, Mem):
+                    cost += model.mem_cost(info.mem_width, o.base == 14)
+            memo[key] = cost
+        out.append(cost)
+    return out
 
 
 def _harvest_blocks(program: Program) -> list[Instruction] | None:
@@ -276,78 +285,89 @@ def _harvest_blocks(program: Program) -> list[Instruction] | None:
     return out if offset == len(program.text) else None
 
 
-class _SegInstr:
-    """One instruction of a cached segment.
+#: records a :class:`CompiledSegmentCache` holds before it flushes
+#: wholesale: the bound of :class:`~repro.instrument.cache.InstrumentCache`'s
+#: default ``max_templates``, so the caches of a long-lived worker's VM
+#: stay as bounded as the template cache that feeds them.
+SEGMENT_CACHE_MAX = 65536
 
-    ``cacheable`` is False exactly for control-flow transfers (jmp / jcc /
-    call): their closures embed resolved target indices and return
-    addresses, which depend on where the segment landed in the final
-    layout.  Everything else advances ``idx + 1`` relative to wherever it
-    sits, so its compiled closure can be reused verbatim."""
+#: control transfers (jmp / jcc / call).  Each takes exactly one
+#: immediate operand (the opcode table's only signature for them), so
+#: its target's 8-byte payload sits 4 bytes into the instruction.
+_CONTROL = frozenset(
+    op for op, info in OPCODE_INFO.items() if info.is_branch or info.is_call
+)
 
-    __slots__ = ("instr", "off", "cost", "cacheable", "closure")
+_I64 = struct.Struct("<q")
 
-    def __init__(self, instr: Instruction, off: int, cost: int, cacheable: bool) -> None:
-        self.instr = instr
-        self.off = off
-        self.cost = cost
-        self.cacheable = cacheable
-        self.closure = None
+
+class _SegmentRecord:
+    """Everything the VM derives from one block template, built once.
+
+    ``instrs`` are the template's instructions exactly as decoded
+    (template-relative addresses, label payloads zeroed), ``offs`` their
+    offsets and ``costs`` their static costs.  ``ctl`` lists the slots of
+    the control transfers: their closures embed resolved target indices
+    and return addresses, which depend on where the segment landed, so
+    every load reads their targets from the patched text and rebuilds
+    them.  Every other instruction advances ``idx + 1`` wherever it sits,
+    so its slot in ``closures`` is compiled once and reused verbatim — or
+    holds a lazy stand-in until its first dispatch (see :meth:`VM._lazy`).
+    ``partition`` is the fused-run partition (see
+    :func:`repro.vm.fuse.build_fcode_cached`), None until scanned;
+    ``ready`` turns True once every slot outside ``ctl`` is filled.
+    """
+
+    __slots__ = ("instrs", "offs", "costs", "ctl", "closures", "partition",
+                 "ready")
+
+    def __init__(self, instrs: tuple, model: CostModel) -> None:
+        self.instrs = instrs
+        self.offs = tuple([instr.addr for instr in instrs])
+        self.costs = _static_costs(instrs, model)
+        self.ctl = tuple(
+            [j for j, instr in enumerate(instrs) if instr.opcode in _CONTROL]
+        )
+        self.closures: list = [None] * len(instrs)
+        self.partition = None
+        self.ready = False
 
 
 class CompiledSegmentCache:
-    """Compiled-closure cache keyed by a segment's *unpatched* bytes.
+    """Per-template VM records keyed by a segment's *unpatched* bytes.
 
-    The instrumentation cache hands the VM the template byte string of
-    every block it assembled (relocation payloads still zeroed).  Those
-    bytes are a sound content key: two occurrences decode to the same
-    instruction sequence, and the only operands that differ after
-    patching belong to the non-cacheable control-flow transfers, which
-    are re-decoded from the patched text and rebuilt on every load.
+    The instrumentation cache hands the VM each block template it
+    assembled: the code bytes (relocation payloads still zeroed) and the
+    instructions they decode to.  The bytes are a sound content key: two
+    occurrences hold the same instruction sequence, and the only operands
+    that differ after patching are the targets of control transfers,
+    which every load reads from the patched text.  A miss builds the
+    record from the template's instructions; nothing is decoded.
 
     Closures capture one VM's state arrays by reference, so a cache is
     bound to a single VM for its whole life (:class:`Machine` enforces
-    this).  ``hits``/``misses`` count segment-level lookups.
+    this).  ``hits``/``misses`` count segment-level lookups.  The cache
+    flushes wholesale once it holds :data:`SEGMENT_CACHE_MAX` records.
     """
 
     def __init__(self, cost_model: CostModel | None = None) -> None:
         self.cost_model = cost_model or DEFAULT_COST_MODEL
         self.hits = 0
         self.misses = 0
-        self._segments: dict[bytes, list[_SegInstr]] = {}
-        #: template bytes -> fused-run partition (see fuse.build_fcode_cached);
-        #: sound per-template for the same reason the closure cache is, and
-        #: safe to share across loads because terminator targets stay out.
-        self._fuse_partitions: dict[bytes, list] = {}
+        self._records: dict[bytes, _SegmentRecord] = {}
 
-    def lookup(self, seg_bytes: bytes) -> list[_SegInstr]:
-        entry = self._segments.get(seg_bytes)
-        if entry is None:
+    def lookup(self, code: bytes, instrs: tuple) -> _SegmentRecord:
+        records = self._records
+        record = records.get(code)
+        if record is None:
             self.misses += 1
-            entry = self._decode_segment(seg_bytes)
-            self._segments[seg_bytes] = entry
+            record = _SegmentRecord(instrs, self.cost_model)
+            if len(records) >= SEGMENT_CACHE_MAX:
+                records.clear()
+            records[code] = record
         else:
             self.hits += 1
-        return entry
-
-    def _decode_segment(self, seg_bytes: bytes) -> list[_SegInstr]:
-        out: list[_SegInstr] = []
-        model = self.cost_model
-        offset = 0
-        n = len(seg_bytes)
-        while offset < n:
-            instr, size = decode_instruction(seg_bytes, offset)
-            info = OPCODE_INFO[instr.opcode]
-            out.append(
-                _SegInstr(
-                    instr,
-                    offset,
-                    _static_cost(instr, model),
-                    not (info.is_call or info.is_branch),
-                )
-            )
-            offset += size
-        return out
+        return record
 
 
 class VM:
@@ -723,11 +743,11 @@ class VM:
         """(Re)compile *program* into the closure array.
 
         When *segments* (the instrumentation cache's template tiling) and
-        a :class:`CompiledSegmentCache` are both present, position-
-        independent closures are fetched from the cache and only
-        control-flow transfers are re-decoded from the patched text and
-        rebuilt.  Otherwise every instruction is decoded and compiled
-        fresh, exactly as the original single-program VM did.
+        a :class:`CompiledSegmentCache` are both present, each segment's
+        record is fetched from the cache and tiled in bulk; only control
+        transfers are rebuilt, with targets read from the patched text.
+        Otherwise every instruction is decoded and compiled fresh,
+        exactly as the original single-program VM did.
         """
         self.program = program
         instrs = self._instrs
@@ -738,14 +758,11 @@ class VM:
         a2i.clear()  # in place: cached ret closures captured this dict
         cache = self._segment_cache
         text = program.text
-        costs: list[int] = []
-        #: run fusion seams — instruction indices starting a new segment.
-        bounds: list[int] = [0]
         fuse_here = self._fused and self._observer is None
         #: (head, length) of every fused run, recorded only when counting.
         runs = [] if self._counting else None
+        self._fcode = None
         if segments is None or cache is None:
-            model = self.cost_model
             harvested = _harvest_blocks(program)
             if harvested is not None:
                 # The linker just decoded these instructions; reuse them
@@ -754,7 +771,6 @@ class VM:
                     a2i[instr.addr] = len(instrs)
                     instrs.append(instr)
                     addrs.append(instr.addr)
-                    costs.append(_static_cost(instr, model))
             else:
                 offset = 0
                 n = len(text)
@@ -763,13 +779,11 @@ class VM:
                     a2i[offset] = len(instrs)
                     instrs.append(instr)
                     addrs.append(offset)
-                    costs.append(_static_cost(instr, model))
                     offset += size
-            self._inst_costs = costs
+            self._inst_costs = _static_costs(instrs, self.cost_model)
             covered = None
-            self._fcode = None
             if fuse_here:
-                fcode, covered = fuse.build_fcode(self, bounds, _HALT, runs)
+                fcode, covered = fuse.build_fcode(self, [0], _HALT, runs)
                 # A program with no fusable run gains nothing from the
                 # fused loop's extra None checks; keep the reference loop.
                 self._fcode = fcode if any(fcode) else None
@@ -780,62 +794,57 @@ class VM:
                 # budget tail) ever dispatch through them.  A counting VM
                 # compiles eagerly: a shim replaces itself in _code,
                 # which would drop the counter wrapped around it.
-                lazy = self._lazy
+                lazy = self._lazy()
                 self._code = [
-                    lazy(i) if covered[i] else build(i)
+                    lazy if covered[i] else build(i)
                     for i in range(len(instrs))
                 ]
             else:
                 self._code = [build(i) for i in range(len(instrs))]
         else:
-            entries: list[list[_SegInstr]] = []
-            spans: list[tuple[bytes, int, int]] = []
+            tiles: list = []  # (record, first instruction index)
+            costs: list[int] = []
+            lookup = cache.lookup
             expect = 0
-            for seg_bytes, base in segments:
+            for seg_bytes, seg_instrs, base in segments:
                 if base != expect:
                     raise ValueError("segments do not tile the text section")
                 expect += len(seg_bytes)
-                entry = cache.lookup(seg_bytes)
-                entries.append(entry)
-                lo = len(instrs)
-                if lo:
-                    bounds.append(lo)
-                for si in entry:
-                    a2i[base + si.off] = len(instrs)
-                    instrs.append(si.instr)
-                    addrs.append(base + si.off)
-                    costs.append(si.cost)
-                spans.append((seg_bytes, lo, len(instrs)))
+                record = lookup(seg_bytes, seg_instrs)
+                tiles.append((record, len(instrs)))
+                instrs.extend(record.instrs)
+                addrs.extend([base + off for off in record.offs])
+                costs.extend(record.costs)
             if expect != len(text):
                 raise ValueError("segments do not tile the text section")
+            a2i.update(zip(addrs, range(len(addrs))))
             self._inst_costs = costs
-            code: list = []
-            build = self._build
-            i = 0
-            for entry in entries:
-                for si in entry:
-                    if si.cacheable:
-                        closure = si.closure
-                        if closure is None:
-                            closure = si.closure = build(i)
-                    else:
-                        # Target operands were patched at assembly time;
-                        # decode the real instruction from the final text.
-                        instr, _size = decode_instruction(text, addrs[i])
-                        instrs[i] = instr
-                        closure = build(i)
-                    code.append(closure)
-                    i += 1
-            self._code = code
+            # Control transfers carry a zeroed target in the template;
+            # read the patched 8-byte immediate instead of decoding.
+            unpack = _I64.unpack_from
+            transfers: list[int] = []
+            for record, lo in tiles:
+                for j in record.ctl:
+                    i = lo + j
+                    target = (Imm(unpack(text, addrs[i] + 4)[0]),)
+                    instrs[i] = Instruction(instrs[i].opcode, target, addrs[i])
+                    transfers.append(i)
             # Fused superinstruction dispatch (see repro.vm.fuse).
             # Observed VMs never fuse: wrappers must see every dispatch.
             if fuse_here:
-                fcode = fuse.build_fcode_cached(
-                    self, spans, cache._fuse_partitions, _HALT, runs
-                )
+                fcode = fuse.build_fcode_cached(self, tiles, _HALT, runs)
                 self._fcode = fcode if any(fcode) else None
-            else:
-                self._fcode = None
+            lazy = fuse_here and runs is None
+            for record, lo in tiles:
+                if not record.ready:
+                    self._fill(record, lo, lazy)
+            code: list = []
+            for record, _lo in tiles:
+                code.extend(record.closures)
+            build = self._build
+            for i in transfers:
+                code[i] = build(i)
+            self._code = code
         observer = self._observer
         if observer is not None:
             code = self._code
@@ -846,6 +855,27 @@ class VM:
         if runs is not None:
             self._install_counters(runs)
         self._entry_idx = a2i[program.entry]
+
+    def _fill(self, record: _SegmentRecord, lo: int, lazy: bool) -> None:
+        """Fill a new record's closure slots from its placement at *lo*.
+
+        With *lazy* (a fused, non-counting VM), each slot a fused run
+        covers gets a stand-in that compiles on first dispatch; every
+        other slot outside the control transfers compiles now, so no
+        load-time error is deferred.
+        """
+        closures = record.closures
+        ctl = set(record.ctl)
+        if lazy and record.partition:
+            for rel, k_total, *_ in record.partition:
+                for j in range(rel, rel + k_total):
+                    if j not in ctl:
+                        closures[j] = self._lazy(closures, j)
+        build = self._build
+        for j, closure in enumerate(closures):
+            if closure is None and j not in ctl:
+                closures[j] = build(lo + j)
+        record.ready = True
 
     def _install_counters(self, runs: list) -> None:
         """Wrap this load's dispatch arrays in execution counters.
@@ -894,15 +924,23 @@ class VM:
         for h, k in runs:
             fcode[h] = head(fcode[h], k)
 
-    def _lazy(self, i: int):
-        """Deferred compile: a stand-in closure that builds instruction
-        *i*'s reference closure on its first dispatch and replaces
-        itself.  Only instructions covered by a fused run get one, and
-        fusion already validated their shape, so the deferral never
-        hides a load-time error."""
+    def _lazy(self, store: list | None = None, slot: int = 0):
+        """Deferred compile: a stand-in closure that builds the reference
+        closure of the instruction it is dispatched at and replaces
+        itself in ``_code`` — and, for a cached segment, in *slot* of the
+        record's closure list *store*, so later loads reuse the closure.
+        Only instructions covered by a fused run get one, and fusion
+        already validated their shape, so the deferral never hides a
+        load-time error.  The stand-in takes its position from the
+        dispatch index, so one serves every covered instruction of a
+        cold load."""
 
-        def shim(idx):
-            closure = self._code[i] = self._build(i)
+        # Defaults rather than free variables: a stand-in then costs one
+        # function and one tuple, and a new segment gets one per member.
+        def shim(idx, vm=self, store=store, slot=slot):
+            closure = vm._code[idx] = vm._build(idx)
+            if store is not None:
+                store[slot] = closure
             return closure(idx)
 
         return shim

@@ -12,6 +12,8 @@ import pytest
 from repro.config import Config, Policy, build_tree
 from repro.config.model import LEVEL_FUNCTION
 from repro.instrument import InstrumentCache, InstrumentError, instrument
+from repro.isa import decode_instruction
+from repro.isa.opcodes import NARROW_FAMILIES
 from repro.vm import run_program
 from repro.workloads import make_nas
 from tests.conftest import compile_src
@@ -108,10 +110,52 @@ def test_segments_tile_the_text_section():
     result = instrument(workload.program, Config.all_single(tree), cache=cache)
     assert result.segments is not None
     expect = 0
-    for seg_bytes, base in result.segments:
+    for seg_bytes, _instrs, base in result.segments:
         assert base == expect
         expect += len(seg_bytes)
     assert expect == len(result.program.text)
+
+
+def _lattice_config(tree, program):
+    """All four lattice rungs dealt round-robin over the instructions; a
+    site with no 16-bit equivalent (a packed op) stays at f32."""
+    opcodes = {instr.addr: instr.opcode for instr in program.decode_all()}
+    rungs = (Policy.DOUBLE, Policy.SINGLE, Policy.BF16, Policy.HALF)
+    widths = {Policy.BF16: "bf16", Policy.HALF: "f16"}
+    config = Config.all_double(tree)
+    for k, node in enumerate(tree.instructions()):
+        policy = rungs[k % 4]
+        family = widths.get(policy)
+        if family and opcodes[node.addr] not in NARROW_FAMILIES[family][0]:
+            policy = Policy.SINGLE
+        config.set(node.node_id, policy)
+    return config
+
+
+def _decode_all(code):
+    out, offset = [], 0
+    while offset < len(code):
+        instr, size = decode_instruction(code, offset)
+        out.append(instr)
+        offset += size
+    return tuple(out)
+
+
+@pytest.mark.parametrize("bench", NAS)
+def test_template_instructions_equal_a_decode_of_their_bytes(bench):
+    # The VM loads segments from these instructions instead of decoding
+    # the template bytes, so they must be exactly what decode returns.
+    program = make_nas(bench, "T").program
+    tree = build_tree(program)
+    cache = InstrumentCache(program)
+    builds = [(config, "auto") for config in _configs(tree)]
+    builds.append((Config.all_double(tree), "all"))
+    builds.append((_lattice_config(tree, program), "auto"))
+    for config, mode in builds:
+        built = instrument(program, config, mode=mode, cache=cache)
+        for code, instrs, _base in built.segments:
+            assert instrs == _decode_all(code)
+    assert cache.misses > 0
 
 
 def test_cached_program_runs_without_cfg():

@@ -16,6 +16,7 @@ from repro.isa import (
     encode_instruction,
     encoded_length,
 )
+from repro.isa.encode import encode_canonical
 
 
 def roundtrip(instr: Instruction) -> Instruction:
@@ -60,12 +61,15 @@ class TestScalarRoundtrips:
 
 
 _GPRS = st.integers(min_value=0, max_value=15)
-_IMMS = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+_SIGNED = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+#: signed values and raw unsigned 64-bit patterns alike
+_RAW64 = st.integers(min_value=-(2**63), max_value=2**64 - 1)
 
 
 @st.composite
-def instructions(draw):
-    """Random valid instructions across the operand-form space."""
+def instructions(draw, values=_SIGNED):
+    """Random valid instructions across the operand-form space, drawing
+    immediates and displacements from *values*."""
     op = draw(st.sampled_from(sorted(OPCODE_INFO, key=int)))
     info = OPCODE_INFO[op]
     sig = draw(st.sampled_from(list(info.sigs)))
@@ -80,14 +84,14 @@ def instructions(draw):
             if op in (Op.PEXTR, Op.PINSR):
                 operands.append(Imm(draw(st.integers(0, 1))))
             else:
-                operands.append(Imm(draw(_IMMS)))
+                operands.append(Imm(draw(values)))
         else:
             operands.append(
                 Mem(
                     base=draw(st.one_of(st.none(), _GPRS)),
                     index=draw(st.one_of(st.none(), _GPRS)),
                     scale=draw(st.sampled_from([1, 2, 4, 8])),
-                    disp=draw(st.integers(-(2**31), 2**31 - 1)),
+                    disp=draw(values),
                 )
             )
     return Instruction(op, tuple(operands))
@@ -103,6 +107,16 @@ class TestPropertyRoundtrip:
     @given(instructions())
     def test_length_matches(self, instr):
         assert len(encode_instruction(instr)) == encoded_length(instr)
+
+    @given(instructions(_RAW64))
+    def test_canonical_form_is_the_decoded_form(self, instr):
+        # Block templates keep their instructions in this form instead
+        # of decoding their bytes: it must be exactly what decode returns,
+        # raw unsigned patterns included (they come back negative).
+        raw, operands = encode_canonical(instr.opcode, instr.operands)
+        assert raw == encode_instruction(instr)
+        decoded, _size = decode_instruction(raw, 0)
+        assert Instruction(instr.opcode, operands, 0) == decoded
 
 
 class TestStreamDecoding:

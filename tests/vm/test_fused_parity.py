@@ -262,7 +262,7 @@ class TestSegmentPartitionCache:
                 assert warm.cycles == ref.cycles
                 assert warm.steps == ref.steps
         assert machine._cache is not None
-        assert machine._cache._fuse_partitions, (
-            "segment loads never populated the partition cache"
-        )
+        assert any(
+            record.partition for record in machine._cache._records.values()
+        ), "segment loads never populated the partition cache"
         assert machine.fuse_cache_hits > 0

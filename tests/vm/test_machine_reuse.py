@@ -9,9 +9,10 @@ many runs the machine has already absorbed.
 
 import pytest
 
+import repro.vm.machine as vm_machine
 from repro.config import Config, Policy, build_tree
 from repro.instrument import InstrumentCache, instrument
-from repro.vm import Machine, run_program
+from repro.vm import VM, CompiledSegmentCache, Machine, run_program
 from repro.vm.errors import VmTrap
 from repro.workloads import make_nas
 from tests.conftest import compile_src
@@ -27,7 +28,7 @@ fn main() {
 """
 
 
-def _trapping_program():
+def _trapping_build(cache: bool = False):
     # Single-replace the multiply but ignore the conversion: the flagged
     # slot reads back as NaN -> integer indefinite -> wild index -> trap.
     program = compile_src(TRAP_SRC)
@@ -36,7 +37,66 @@ def _trapping_program():
     config = Config(tree)
     config.set(next(n for n in nodes if "mulsd" in n.text).node_id, Policy.SINGLE)
     config.set(next(n for n in nodes if "cvttsd2si" in n.text).node_id, Policy.IGNORE)
-    return instrument(program, config).program
+    return instrument(
+        program, config, cache=InstrumentCache(program) if cache else None
+    )
+
+
+def _trapping_program():
+    return _trapping_build().program
+
+
+class _Dispatches:
+    """Observer recording the index of every dispatched instruction."""
+
+    def __init__(self):
+        self.indices = []
+
+    def wrap(self, vm, index, instr, addr, closure):
+        indices = self.indices
+
+        def traced(idx):
+            indices.append(idx)
+            return closure(idx)
+
+        return traced
+
+
+def _reference_dispatches(program, **params):
+    """Indices the reference loop dispatches until it traps, the
+    trapping (or budget-exceeding) one last."""
+    observer = _Dispatches()
+    with pytest.raises(VmTrap):
+        VM(program, fused=False, observer=observer, **params).run()
+    return observer.indices
+
+
+def _fused_runs(built, **params):
+    """Instruction index -> (head, length) of the fused run covering it
+    on the segment path; empty when fusion is disabled process-wide."""
+    vm = VM(
+        built.program, profile=True, segment_cache=CompiledSegmentCache(),
+        segments=built.segments, **params,
+    )
+    return {i: (h, k) for h, k in vm._runs for i in range(h, h + k)}
+
+
+def _assert_segment_trap_parity(built, **params):
+    """A Machine fed *built*'s segments traps exactly like the reference
+    loop — on its first load, and on a second load that reuses what the
+    first compiled, closures built by lazy stand-ins included."""
+    machine = Machine(**params)
+    for _ in range(2):
+        with pytest.raises(VmTrap) as warm:
+            machine.run(built.program, built.segments)
+        ref = VM(built.program, fused=False, **params)
+        with pytest.raises(VmTrap) as cold:
+            ref.run()
+        assert str(warm.value) == str(cold.value)
+        assert warm.value.addr == cold.value.addr
+        assert machine._vm.steps == ref.steps
+        assert machine._vm.cycles == ref.cycles
+    assert machine.compile_cache_hits > 0
 
 
 class TestReuse:
@@ -129,3 +189,107 @@ class TestRebind:
         assert third.outputs == second.outputs
         assert third.cycles == second.cycles
         assert first.outputs != second.outputs
+
+
+class TestSegmentLoads:
+    """Loads from InstrumentCache segments: decode-free tiling, lazily
+    compiled fused-run members, and a bounded segment cache."""
+
+    def test_budget_expiring_inside_a_fused_run_and_a_reference_stretch(self):
+        # ep's snippeted build dispatches unfused branches early on.
+        workload = make_nas("ep", "T")
+        params = workload.vm_params()
+        built = instrument(
+            workload.program, Config.all_single(build_tree(workload.program)),
+            cache=InstrumentCache(workload.program),
+        )
+        trace = _reference_dispatches(
+            built.program, **{**params, "max_steps": 3000}
+        )
+        runs = _fused_runs(built, **params)
+        # Budget b stops the run before dispatch trace[b].  Inside a run,
+        # the budget tail single-steps its lazily compiled members; in a
+        # reference-only stretch, the fused loop single-steps on its own.
+        inside = next(
+            (b for b in range(1, len(trace))
+             if trace[b] == trace[b - 1] + 1
+             and runs.get(trace[b]) is not None
+             and runs.get(trace[b]) == runs.get(trace[b - 1])),
+            None,
+        )
+        outside = next(
+            (b for b in range(1, len(trace)) if trace[b] not in runs), None
+        )
+        if not vm_machine._NO_FUSE:
+            assert inside is not None and outside is not None
+        for budget in (inside, outside):
+            if budget is not None:
+                _assert_segment_trap_parity(
+                    built, **{**params, "max_steps": budget}
+                )
+
+    def test_memory_trap_inside_a_fused_run(self):
+        built = _trapping_build(cache=True)
+        params = {"stack_words": 256, "max_steps": 100_000}
+        trace = _reference_dispatches(built.program, **params)
+        fault = trace[-1]
+        if not vm_machine._NO_FUSE:
+            head, length = _fused_runs(built, **params)[fault]
+            # Not the run's last member, so the exact budget below stops
+            # the fused entry and the tail steps into the fault.
+            assert fault < head + length - 1
+        # Full budget: the fused run faults.  Exact budget: the budget
+        # tail single-steps lazily compiled members into the fault.
+        for budget in (params["max_steps"], len(trace)):
+            _assert_segment_trap_parity(
+                built, **{**params, "max_steps": budget}
+            )
+
+    def test_segment_loads_never_decode(self, monkeypatch):
+        workload = make_nas("mg", "T")
+        tree = build_tree(workload.program)
+        cache = InstrumentCache(workload.program)
+        params = workload.vm_params()
+        configs = [
+            Config.all_double(tree),
+            Config.all_single(tree),
+            Config.all_double(tree).set(
+                next(iter(tree.instructions())).node_id, Policy.SINGLE
+            ),
+        ]
+        builds = [instrument(workload.program, c, cache=cache) for c in configs]
+        refs = [VM(b.program, fused=False, **params).run() for b in builds]
+
+        def no_decode(*_args):
+            raise AssertionError("a segment load decoded an instruction")
+
+        monkeypatch.setattr(vm_machine, "decode_instruction", no_decode)
+        machine = Machine(**params)
+        for built, ref in zip(builds + builds, refs + refs):
+            warm = machine.run(built.program, built.segments)
+            assert warm.outputs == ref.outputs
+            assert warm.cycles == ref.cycles
+            assert warm.steps == ref.steps
+
+    def test_segment_cache_flushes_at_its_bound(self, monkeypatch):
+        bound = 4
+        monkeypatch.setattr(vm_machine, "SEGMENT_CACHE_MAX", bound)
+        workload = make_nas("mg", "T")
+        tree = build_tree(workload.program)
+        cache = InstrumentCache(workload.program)
+        params = workload.vm_params()
+        machine = Machine(**params)
+        insns = list(tree.instructions())
+        configs = [Config.all_double(tree), Config.all_single(tree)] + [
+            Config.all_double(tree).set(node.node_id, Policy.SINGLE)
+            for node in insns[:3]
+        ]
+        for config in configs + configs:
+            built = instrument(workload.program, config, cache=cache)
+            assert len(built.segments) > bound
+            warm = machine.run(built.program, built.segments)
+            ref = VM(built.program, fused=False, **params).run()
+            assert warm.outputs == ref.outputs
+            assert warm.cycles == ref.cycles
+            assert warm.steps == ref.steps
+            assert len(machine._cache._records) <= bound
