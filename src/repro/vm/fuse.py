@@ -11,12 +11,47 @@ cmp+branch) thereby execute inside a single frame; the cmp+branch pair
 in particular turns a tight loop's body+test+back-edge into one call per
 iteration.
 
-Parity contract (asserted by tests/vm/test_fused_parity.py and the
-differential suites): a fused run is bit-identical and cycle-identical
-to the per-instruction loop —
+The generated code is specialized three ways:
 
+* **register promotion** — a ``gpr``/``xl`` cell that two or more
+  members touch lives in a Python local for the whole run: loaded once,
+  after the budget check, if the run reads it before writing it, and
+  written back once on every exit;
+* **flag liveness** — :func:`flag_liveness` computes, over the control
+  flow of the span being scanned, which flags some successor of each
+  run's exit may read.  The run's last compare computes only those plus
+  the ones its own conditional branch tests (which it tests as locals),
+  and stores only the former; an earlier compare computes nothing;
+* **inlined codecs** — scalar add/sub/mul, the single<->double
+  conversions and the scalar compares decode their operands through
+  :mod:`repro.fpbits.ieee`'s own ``struct.Struct`` methods instead of
+  calling its helpers, and so does every binary64 encode.  Rounding to
+  binary32 stays one ``single_to_bits`` call (its overflow rule lives
+  there); division, min/max, square roots, transcendentals, packed lanes
+  and the narrow widths keep their helpers.
+
+Parity contract (asserted by tests/vm/test_fused_parity.py,
+tests/vm/test_fused_generative.py and the differential suites): a fused
+run is bit-identical and cycle-identical to the per-instruction loop on
+registers, memory, outputs, cycles, steps and traps, and its flags are
+exact wherever a conditional jump can read them —
+
+* every normal exit writes the dirty promoted cells back.  A fault —
+  a memory or stack guard, a ``ret`` to a non-instruction address,
+  integer division by zero — and HALT leave ``gpr``/``xl``/``xh``
+  exactly as the reference loop leaves them: guards raise
+  :class:`FusedTrap` into one shared handler per run, which writes back
+  the cells written before the faulting member, keyed by its relative
+  index; HALT and division by zero write theirs back inline;
+* a flag outside the run's exit mask is neither computed nor stored, so
+  ``VM.flags`` may differ from the reference after a run only in flags
+  that every path overwrites before reading (docs/ISA.md: flags are
+  observable only through conditional jumps).  The analysis is
+  conservative: after a CALL or RET, at a branch target it cannot
+  resolve inside the span and on every edge leaving the span all flags
+  are live; after HALT or a fault none are;
 * cycles are accumulated as one constant-folded ``cyc[0] += TOTAL`` on
-  fall-through; every fault site charges exactly the partial sum of the
+  fall-through; every fault charges exactly the partial sum of the
   instructions *before* the faulting one (the reference closures charge
   cost after the trap check);
 * the step budget is tracked in a steps-left cell ``sl``: a run of K
@@ -41,8 +76,9 @@ members ran (see ``VM._install_counters``).
 Generated factories are position- and VM-independent: branch targets,
 return addresses, MPI identity and the state arrays are passed as
 factory arguments, so one compiled factory (keyed by the run's
-*unpatched template bytes* plus the cost model) is shared across every
-program, configuration and Machine in the process.
+*unpatched template bytes*, the cost model and, for a run that writes
+flags, its exit mask) is shared across every program, configuration and
+Machine in the process.
 """
 
 from __future__ import annotations
@@ -81,8 +117,18 @@ def _s64(v: int) -> int:
     return v - 0x10000000000000000 if v & _SIGN64 else v
 
 
+def _oob(access: str, a: int, rel: int) -> FusedTrap:
+    """The reference loop's bounds fault for *access* at address *a*.
+    Guards call this rather than format an f-string inline, which keeps
+    each factory's compile() cost down."""
+    return FusedTrap(f"{access} out of bounds: {a}", rel)
+
+
 #: globals handed to every exec'd factory — the same helpers the
-#: reference closures call, bound once.
+#: reference closures call, bound once, plus the bound ``pack``/
+#: ``unpack`` methods of ieee's own ``struct.Struct`` codecs for the
+#: inlined decodes and encodes (``_pq``/``_uq``: ``<Q``, ``_pd``/``_ud``:
+#: ``<d``, ``_pi``: ``<I``, ``_uf``: ``<f``).
 _EXEC_GLOBALS = {
     "__builtins__": {"abs": abs, "float": float, "int": int, "len": len},
     "_M64": _M64,
@@ -92,11 +138,15 @@ _EXEC_GLOBALS = {
     "_XORSHIFT_MULT": _XORSHIFT_MULT,
     "_s64": _s64,
     "_FT": FusedTrap,
+    "_oob": _oob,
     "VmTrap": VmTrap,
-    "bits_to_double": ieee.bits_to_double,
-    "bits_to_single": ieee.bits_to_single,
-    "double_to_bits": ieee.double_to_bits,
     "single_to_bits": ieee.single_to_bits,
+    "_pq": ieee._PACK_Q.pack,
+    "_uq": ieee._PACK_Q.unpack,
+    "_pd": ieee._PACK_D.pack,
+    "_ud": ieee._PACK_D.unpack,
+    "_pi": ieee._PACK_I.pack,
+    "_uf": ieee._PACK_F.unpack,
 }
 for _name in (
     "double_add", "double_sub", "double_mul", "double_div", "double_min",
@@ -117,6 +167,22 @@ for _name in (
 ):
     _EXEC_GLOBALS[_name] = getattr(narrow, _name)
 
+
+def _dec64(v: str) -> str:
+    """Inlined ``bits_to_double(v)``."""
+    return f"_ud(_pq({v} & _M64))[0]"
+
+
+def _enc64(f: str) -> str:
+    """Inlined ``double_to_bits(f)``."""
+    return f"_uq(_pd({f}))[0]"
+
+
+def _dec32(v: str) -> str:
+    """Inlined ``bits_to_single(v)``."""
+    return f"_uf(_pi({v} & _M32))[0]"
+
+
 _FPD_BIN = {
     Op.ADDSD: "double_add", Op.SUBSD: "double_sub", Op.MULSD: "double_mul",
     Op.DIVSD: "double_div", Op.MINSD: "double_min", Op.MAXSD: "double_max",
@@ -134,6 +200,16 @@ _FPS_UN = {
     Op.SQRTSS: "single_sqrt", Op.ABSSS: "single_abs", Op.NEGSS: "single_neg",
     Op.SINSS: "single_sin", Op.COSSS: "single_cos", Op.EXPSS: "single_exp",
     Op.LOGSS: "single_log",
+}
+#: scalar ops whose codecs are inlined: the operator applied between the
+#: decoded operands (the helper computes exactly this in binary64).  A NaN
+#: result is re-derived by the helper itself: when both operands are NaN,
+#: which payload CPython's float arithmetic propagates depends on whether
+#: the calling code object has specialized the operation yet, so only
+#: the reference's own code may pick it.
+_FP_INLINE = {
+    Op.ADDSD: "+", Op.SUBSD: "-", Op.MULSD: "*",
+    Op.ADDSS: "+", Op.SUBSS: "-", Op.MULSS: "*",
 }
 _FPN_BIN = {
     Op.ADDBF: "bf16_add", Op.SUBBF: "bf16_sub", Op.MULBF: "bf16_mul",
@@ -181,101 +257,294 @@ _INT_BIN_EXPR = {
     Op.SHR: "{d} >> ({s} & 63)",
     Op.SAR: "(_s64({d}) >> ({s} & 63)) & _M64",
 }
-_COND_EXPR = {
-    Op.JE: "flags[0]",
-    Op.JNE: "not flags[0]",
-    Op.JL: "flags[1]",
-    Op.JLE: "flags[1] or flags[0]",
-    Op.JG: "not (flags[1] or flags[0] or flags[2])",
-    Op.JGE: "not flags[1] and not flags[2]",
-    Op.JP: "flags[2]",
-    Op.JNP: "not flags[2]",
+
+# -- flag liveness -----------------------------------------------------------
+
+#: flag bits: ``flags[0]`` (zf), ``flags[1]`` (lt), ``flags[2]`` (unord).
+_ZF, _LT, _PF = 1, 2, 4
+_ALL_FLAGS = _ZF | _LT | _PF
+
+#: conditional branch -> (flags it reads, its test over flag expressions).
+_COND = {
+    Op.JE: (_ZF, "{z}"),
+    Op.JNE: (_ZF, "not {z}"),
+    Op.JL: (_LT, "{l}"),
+    Op.JLE: (_LT | _ZF, "{l} or {z}"),
+    Op.JG: (_ALL_FLAGS, "not ({l} or {z} or {p})"),
+    Op.JGE: (_LT | _PF, "not {l} and not {p}"),
+    Op.JP: (_PF, "{p}"),
+    Op.JNP: (_PF, "not {p}"),
 }
 
-#: placeholder for the run length, substituted once the run is closed.
-_K = "__K__"
+#: the compares; each writes all three flags.
+_FLAG_WRITERS = frozenset(
+    op for op, info in OPCODE_INFO.items() if info.writes_flags
+)
+
+#: liveness transfer class per opcode (absent: passes flags through):
+#: 1 compare (kills every flag), 2 HALT (nothing is live after it),
+#: 3 CALL/RET (everything is), 4 JMP, 5 conditional branch.
+_FLOW = dict.fromkeys(_FLAG_WRITERS, 1)
+_FLOW.update({Op.HALT: 2, Op.CALL: 3, Op.RET: 3, Op.JMP: 4})
+_FLOW.update(dict.fromkeys(_COND, 5))
 
 
-def _addr_expr(m: Mem) -> str:
-    parts = []
-    if m.base is not None:
-        parts.append(f"gpr[{m.base}]")
-    if m.index is not None:
-        if m.scale != 1:
-            parts.append(f"gpr[{m.index}] * {m.scale}")
-        else:
-            parts.append(f"gpr[{m.index}]")
-    if m.disp or not parts:
-        parts.append(str(m.disp))
-    return " + ".join(parts)
+def flag_liveness(instrs, lo: int, hi: int, targets: dict) -> list[int] | None:
+    """Flags live after each instruction of the span ``[lo, hi)``; None
+    when the span has no compare, since then no run needs a mask.
+
+    Entry ``r`` is the mask (``_ZF | _LT | _PF``) of the flags that some
+    path leaving ``instrs[lo + r]`` may read before a compare rewrites
+    them.  *targets* maps the index of each JMP/jcc whose target lies in
+    the span to that target's index; any other branch target, like a
+    fall-through off the span's end, counts as leaving the span.  The
+    analysis is conservative wherever the span cannot see what follows:
+    after a CALL, a RET and on every edge leaving the span all flags are
+    live.  After HALT none are (and after a trap none are either: no
+    normal exit follows it).
+    """
+    if _FLAG_WRITERS.isdisjoint([instrs[i].opcode for i in range(lo, hi)]):
+        return None
+    n = hi - lo
+    flow = _FLOW
+    kind = [0] * n
+    tgt = [n] * n  # span-relative target; n is the span exit
+    reads = [0] * n
+    for r in range(n):
+        k = flow.get(instrs[lo + r].opcode, 0)
+        if k:
+            kind[r] = k
+            if k >= 4:
+                t = targets.get(lo + r)
+                if t is not None and lo <= t < hi:
+                    tgt[r] = t - lo
+                if k == 5:
+                    reads[r] = _COND[instrs[lo + r].opcode][0]
+    live = [0] * n + [_ALL_FLAGS]  # live before each instruction
+    changed = True
+    while changed:  # backward sweeps to the fixpoint (back edges)
+        changed = False
+        after = _ALL_FLAGS
+        for r in range(n - 1, -1, -1):
+            k = kind[r]
+            if k == 0:
+                v = after
+            elif k <= 2:
+                v = 0
+            elif k == 3:
+                v = _ALL_FLAGS
+            elif k == 4:
+                v = live[tgt[r]]
+            else:
+                v = reads[r] | after | live[tgt[r]]
+            if v != live[r]:
+                live[r] = v
+                changed = True
+            after = v
+    out = live[1:]  # plain instructions and compares fall through
+    for r in range(n):
+        k = kind[r]
+        if k == 2:
+            out[r] = 0
+        elif k == 3:
+            out[r] = _ALL_FLAGS
+        elif k == 4:
+            out[r] = live[tgt[r]]
+        elif k == 5:
+            out[r] |= live[tgt[r]]
+    return out
+
+
+# -- code generation ---------------------------------------------------------
+
+#: instructions that read and write ``gpr[15]`` implicitly.
+_STACK_OPS = frozenset((Op.PUSH, Op.POP, Op.PUSHX, Op.POPX, Op.CALL, Op.RET))
+
+
+def _promoted(instrs, start: int, end: int) -> frozenset:
+    """Cells that two or more of ``instrs[start:end]`` touch.
+
+    A cell is named like the local that holds it: ``g3`` for ``gpr[3]``,
+    ``x5`` for ``xl[5]``.  Named operands over-approximate what the
+    emitter touches (a lane-1 ``pextr`` reads only ``xh``), which costs
+    nothing: a promoted cell the run never accesses emits no code.
+    """
+    seen: set = set()
+    twice: set = set()
+    for i in range(start, end):
+        instr = instrs[i]
+        cells = set()
+        for o in instr.operands:
+            if isinstance(o, Reg):
+                cells.add(f"g{o.index}")
+            elif isinstance(o, Xmm):
+                cells.add(f"x{o.index}")
+            elif isinstance(o, Mem):
+                if o.base is not None:
+                    cells.add(f"g{o.base}")
+                if o.index is not None:
+                    cells.add(f"g{o.index}")
+        if instr.opcode in _STACK_OPS:
+            cells.add("g15")
+        twice |= cells & seen
+        seen |= cells
+    return frozenset(twice)
 
 
 class _RunEmitter:
-    """Accumulates the generated source of one fused run.
+    """Accumulates the generated source of one fused run of ``k``
+    instructions.
 
-    ``j`` is the relative index of the instruction being emitted; every
-    fault site charges the constant partial cycle sum of the completed
-    instructions and returns the unexecuted suffix to the steps-left
-    cell before raising.
+    ``j`` is the relative index of the instruction being emitted and
+    ``cycles`` the cost of the members before it.  Bodies reach the
+    registers through :meth:`g`/:meth:`x` (reads, which must come before
+    the same member's writes) and :meth:`set_g`/:meth:`set_x` (write
+    targets).  A *promoted* cell is a local named like the cell, loaded
+    before the body when its first access is a read; any other cell is
+    accessed in its list.  ``spills`` maps each written promoted cell to
+    its write-back statement and the smallest relative index whose fault
+    must perform it.  ``writer`` is the run's last compare, the only one
+    that computes flags: ``need`` of them, storing the ``mask`` ones.
     """
 
-    def __init__(self, size: int) -> None:
+    def __init__(
+        self, size: int, k: int, promoted, writer: int, mask: int, reads: int
+    ) -> None:
         self.size = size
+        self.k = k
+        self.promoted = promoted
+        self.writer = writer
+        self.mask = mask
+        self.need = mask | reads
         self.lines: list[str] = []
         self.j = 0
         self.cycles = 0  # partial sum: cost of instructions < j
+        self.partial: list[int] = []  # cycles charged by a fault at each j
         self.halted = False  # a HALT was emitted; run falls through no more
+        self.loads: list[str] = []
+        self.defined: set = set()
+        self.spills: dict = {}
+        self.trap_rels: list[int] = []  # j of every FusedTrap site
+        self.targets = 0  # factory target slots the exit reads
+        #: the flags a terminator tests: the last compare's locals, or
+        #: the flag cells when the run has no compare
+        self.flag_exprs = ("flags[0]", "flags[1]", "flags[2]")
 
     # -- plumbing ---------------------------------------------------------
 
     def emit(self, *lines: str) -> None:
         self.lines.extend(lines)
 
-    def fault_lines(self, raise_stmt: str, extra_cycles: int = 0) -> list[str]:
-        out = []
+    def guard(self, cond: str, fault: str, arg: str) -> None:
+        """Fault if *cond*: raise ``fault(arg, j)``, a :class:`FusedTrap`.
+        The run's shared handler charges the partial cycles, repays the
+        unexecuted suffix to the budget and spills the cells written so
+        far."""
+        self.trap_rels.append(self.j)
+        self.emit(f"if {cond}:", f"    raise {fault}({arg}, {self.j})")
+
+    def fault_inline(self, raise_stmt: str, extra_cycles: int = 0) -> list[str]:
+        """A fault exit that bypasses the handler (HALT, division by
+        zero): spill, charge, repay the budget, raise."""
+        out = [stmt for stmt, _first in self.spills.values()]
         charge = self.cycles + extra_cycles
         if charge:
             out.append(f"cyc[0] += {charge}")
-        out.append(f"sl[0] += {_K} - {self.j + 1}")
+        left = self.k - self.j - 1
+        if left:
+            out.append(f"sl[0] += {left}")
         out.append(raise_stmt)
         return out
 
-    def guard(self, cond: str, raise_stmt: str) -> None:
-        self.emit(f"if {cond}:")
-        self.emit(*("    " + ln for ln in self.fault_lines(raise_stmt)))
+    def _get(self, cell: str, arr: str, i: int) -> str:
+        if cell not in self.promoted:
+            return f"{arr}[{i}]"
+        if cell not in self.defined:
+            self.defined.add(cell)
+            self.loads.append(f"{cell} = {arr}[{i}]")
+        return cell
 
-    def ft(self, msg_expr: str) -> str:
-        return f"raise _FT({msg_expr}, {self.j})"
+    def _set(self, cell: str, arr: str, i: int, early: bool) -> str:
+        if cell not in self.promoted:
+            return f"{arr}[{i}]"
+        self.defined.add(cell)
+        if cell not in self.spills:
+            # A fault at this member itself spills the cell only if the
+            # write precedes the member's own check (*early*).
+            self.spills[cell] = (f"{arr}[{i}] = {cell}", self.j + (not early))
+        return cell
+
+    def g(self, i: int) -> str:
+        return self._get(f"g{i}", "gpr", i)
+
+    def x(self, i: int) -> str:
+        return self._get(f"x{i}", "xl", i)
+
+    def set_g(self, i: int, early: bool = False) -> str:
+        return self._set(f"g{i}", "gpr", i, early)
+
+    def set_x(self, i: int) -> str:
+        return self._set(f"x{i}", "xl", i, False)
+
+    def once(self, expr: str, name: str) -> str:
+        """*expr* as a name: list reads are bound to *name* first."""
+        if "[" not in expr:
+            return expr
+        self.emit(f"{name} = {expr}")
+        return name
 
     # -- operand fragments ------------------------------------------------
 
-    def read64(self, m: Mem, var: str) -> None:
+    def addr(self, m: Mem) -> str:
+        parts = []
+        if m.base is not None:
+            parts.append(self.g(m.base))
+        if m.index is not None:
+            index = self.g(m.index)
+            parts.append(f"{index} * {m.scale}" if m.scale != 1 else index)
+        if m.disp or not parts:
+            parts.append(str(m.disp))
+        return " + ".join(parts)
+
+    def read64(self, m: Mem) -> str:
+        """Emit the bounds check of a read of *m*; returns the cell."""
         a = f"a{self.j}"
-        self.emit(f"{a} = {_addr_expr(m)}")
-        self.guard(
-            f"not (0 <= {a} < top)",
-            self.ft(f'f"memory read out of bounds: {{{a}}}"'),
-        )
-        self.emit(f"{var} = mem[{a}]")
+        self.emit(f"{a} = {self.addr(m)}")
+        self.guard(f"not 0 <= {a} < top", "_oob", f'"memory read", {a}')
+        return f"mem[{a}]"
+
+    def store_addr(self, m: Mem, width: int = 1) -> str:
+        """Emit the address and bounds check of a *width*-cell write."""
+        a = f"w{self.j}"
+        self.emit(f"{a} = {self.addr(m)}")
+        if width == 1:
+            self.guard(f"not 0 <= {a} < top", "_oob", f'"memory write", {a}')
+        else:
+            self.guard(
+                f"not (0 <= {a} and {a} + 1 < top)",
+                "_oob",
+                f'"packed memory write", {a}',
+            )
+        return a
 
     def src64(self, operand) -> str:
         """Expression for a 64-bit source; Mem emits a checked read."""
         if isinstance(operand, Reg):
-            return f"gpr[{operand.index}]"
+            return self.g(operand.index)
         if isinstance(operand, Imm):
             return str(operand.value & _M64)
         if isinstance(operand, Mem):
             var = f"v{self.j}"
-            self.read64(operand, var)
+            self.emit(f"{var} = {self.read64(operand)}")
             return var
         raise Unfusable
 
     def xsrc64(self, operand) -> str:
         if isinstance(operand, Xmm):
-            return f"xl[{operand.index}]"
+            return self.x(operand.index)
         if isinstance(operand, Mem):
             var = f"v{self.j}"
-            self.read64(operand, var)
+            self.emit(f"{var} = {self.read64(operand)}")
             return var
         raise Unfusable
 
@@ -283,16 +552,45 @@ class _RunEmitter:
         """(lo, hi) expressions; Mem emits a checked 2-cell read."""
         if isinstance(operand, Xmm):
             i = operand.index
-            return f"xl[{i}]", f"xh[{i}]"
+            return self.x(i), f"xh[{i}]"
         if isinstance(operand, Mem):
             a = f"a{self.j}"
-            self.emit(f"{a} = {_addr_expr(operand)}")
+            self.emit(f"{a} = {self.addr(operand)}")
             self.guard(
                 f"not (0 <= {a} and {a} + 1 < top)",
-                self.ft(f'f"packed memory read out of bounds: {{{a}}}"'),
+                "_oob",
+                f'"packed memory read", {a}',
             )
             return f"mem[{a}]", f"mem[{a} + 1]"
         raise Unfusable
+
+    # -- flags ------------------------------------------------------------
+
+    def publish_flags(self, z: str, l: str, p: str, int_lt: bool = False) -> None:
+        """Make the last compare's flag locals the terminator's, and
+        store the exit-live ones as 0/1 like the reference closures
+        (``p == "0"``: a constant clear flag; *int_lt*: ``l`` already
+        holds 0/1)."""
+        self.flag_exprs = (z, l, p)
+        for bit, k, v in ((_ZF, 0, z), (_LT, 1, l), (_PF, 2, p)):
+            if self.mask & bit:
+                if v == "0" or (bit == _LT and int_lt):
+                    self.emit(f"flags[{k}] = {v}")
+                else:
+                    self.emit(f"flags[{k}] = 1 if {v} else 0")
+
+    def fp_compare(self, a: str, b: str, need: int) -> None:
+        """Flags of a decoded floating-point compare of *a* and *b*:
+        unordered sets zf and unord, and clears lt (NaN compares false)."""
+        j = self.j
+        self.emit(f"fa{j} = {a}", f"fb{j} = {b}")
+        if need & (_ZF | _PF):
+            self.emit(f"p{j} = fa{j} != fa{j} or fb{j} != fb{j}")
+        if need & _ZF:
+            self.emit(f"z{j} = p{j} or fa{j} == fb{j}")
+        if need & _LT:
+            self.emit(f"l{j} = fa{j} < fb{j}")
+        self.publish_flags(f"z{j}", f"l{j}", f"p{j}")
 
     # -- one instruction --------------------------------------------------
 
@@ -309,6 +607,9 @@ class _RunEmitter:
         ops = instr.operands
         j = self.j
         e = self.emit
+        self.partial.append(self.cycles)
+        # Flags are computed only by the run's last compare.
+        need = self.need if j == self.writer else 0
 
         if op is Op.NOP:
             pass
@@ -317,59 +618,55 @@ class _RunEmitter:
             # Charges its own cost, then stops the machine: the fault
             # preamble with the HALT's cost included is exactly the
             # reference accounting.
-            self.emit(*self.fault_lines("raise halt", extra_cycles=cost))
+            e(*self.fault_inline("raise halt", extra_cycles=cost))
             self.halted = True
 
         elif op is Op.OUTI:
-            e(f'outputs.append(("i", gpr[{ops[0].index}]))')
+            e(f'outputs.append(("i", {self.g(ops[0].index)}))')
         elif op is Op.OUTSD:
-            e(f'outputs.append(("d", xl[{ops[0].index}]))')
+            e(f'outputs.append(("d", {self.x(ops[0].index)}))')
         elif op is Op.OUTSS:
-            e(f'outputs.append(("s", xl[{ops[0].index}] & _M32))')
+            e(f'outputs.append(("s", {self.x(ops[0].index)} & _M32))')
 
         elif op is Op.RAND:
-            r = ops[0].index
             e(f"s{j} = rng[0]",
               f"s{j} ^= s{j} >> 12",
               f"s{j} = (s{j} ^ (s{j} << 25)) & _M64",
               f"s{j} ^= s{j} >> 27",
               f"rng[0] = s{j}",
-              f"gpr[{r}] = (s{j} * _XORSHIFT_MULT) & _M64")
+              f"{self.set_g(ops[0].index)} = (s{j} * _XORSHIFT_MULT) & _M64")
 
         elif op is Op.MOV:
             dst, src = ops
             if isinstance(dst, Reg):
-                d = dst.index
                 if isinstance(src, Reg):
-                    e(f"gpr[{d}] = gpr[{src.index}]")
+                    v = self.g(src.index)
                 elif isinstance(src, Imm):
-                    e(f"gpr[{d}] = {src.value & _M64}")
+                    v = str(src.value & _M64)
                 elif isinstance(src, Mem):
-                    self.read64(src, f"gpr[{d}]")
+                    v = self.read64(src)
                 else:
                     raise Unfusable
+                e(f"{self.set_g(dst.index)} = {v}")
             elif isinstance(dst, Mem):
                 # Reference order: source evaluated first (its read may
                 # trap), then the destination bounds check.
                 sv = self.src64(src)
-                a = f"w{j}"
-                e(f"{a} = {_addr_expr(dst)}")
-                self.guard(
-                    f"not (0 <= {a} < top)",
-                    self.ft(f'f"memory write out of bounds: {{{a}}}"'),
-                )
+                a = self.store_addr(dst)
                 e(f"mem[{a}] = {sv}")
             else:
                 raise Unfusable
 
         elif op is Op.LEA:
-            e(f"gpr[{ops[0].index}] = ({_addr_expr(ops[1])}) & _M64")
+            v = self.addr(ops[1])
+            e(f"{self.set_g(ops[0].index)} = ({v}) & _M64")
 
         elif op in _INT_BIN_EXPR:
             d = ops[0].index
+            dv = self.g(d)
             sv = self.src64(ops[1])
-            expr = _INT_BIN_EXPR[op].format(d=f"gpr[{d}]", s=sv)
-            e(f"gpr[{d}] = {expr}")
+            expr = _INT_BIN_EXPR[op].format(d=dv, s=sv)
+            e(f"{self.set_g(d)} = {expr}")
 
         elif op is Op.IDIV or op is Op.IREM:
             d = ops[0].index
@@ -377,100 +674,114 @@ class _RunEmitter:
             e(f"b{j} = {sv}")
             # Plain address-less VmTrap, exactly like the reference
             # _idiv/_irem helpers (resume() must not stamp an address).
-            self.guard(
-                f"b{j} == 0",
-                'raise VmTrap("integer division by zero")',
-            )
-            e(f"sa{j} = _s64(gpr[{d}])",
+            e(f"if b{j} == 0:")
+            e(*("    " + ln for ln in self.fault_inline(
+                'raise VmTrap("integer division by zero")')))
+            e(f"sa{j} = _s64({self.g(d)})",
               f"sb{j} = _s64(b{j})")
             if op is Op.IDIV:
                 e(f"q{j} = abs(sa{j}) // abs(sb{j})",
                   f"if (sa{j} < 0) != (sb{j} < 0):",
-                  f"    q{j} = -q{j}",
-                  f"gpr[{d}] = q{j} & _M64")
+                  f"    q{j} = -q{j}")
             else:
                 e(f"q{j} = abs(sa{j}) % abs(sb{j})",
                   f"if sa{j} < 0:",
-                  f"    q{j} = -q{j}",
-                  f"gpr[{d}] = q{j} & _M64")
+                  f"    q{j} = -q{j}")
+            e(f"{self.set_g(d)} = q{j} & _M64")
 
         elif op is Op.NOT:
-            e(f"gpr[{ops[0].index}] ^= _M64")
+            d = ops[0].index
+            v = self.g(d)
+            e(f"{self.set_g(d)} = {v} ^ _M64")
         elif op is Op.NEG:
             d = ops[0].index
-            e(f"gpr[{d}] = (-gpr[{d}]) & _M64")
+            v = self.g(d)
+            e(f"{self.set_g(d)} = (-{v}) & _M64")
         elif op is Op.INC:
             d = ops[0].index
-            e(f"gpr[{d}] = (gpr[{d}] + 1) & _M64")
+            v = self.g(d)
+            e(f"{self.set_g(d)} = ({v} + 1) & _M64")
         elif op is Op.DEC:
             d = ops[0].index
-            e(f"gpr[{d}] = (gpr[{d}] - 1) & _M64")
+            v = self.g(d)
+            e(f"{self.set_g(d)} = ({v} - 1) & _M64")
 
         elif op is Op.CMP:
-            d = ops[0].index
-            sv = self.src64(ops[1])
-            e(f"ca{j} = gpr[{d}]",
-              f"cb{j} = {sv}",
-              f"flags[0] = 1 if ca{j} == cb{j} else 0",
-              f"flags[1] = 1 if _s64(ca{j}) < _s64(cb{j}) else 0",
-              "flags[2] = 0")
+            src = ops[1]
+            b = self.src64(src)  # a memory source traps even if unread
+            if need:
+                a = self.g(ops[0].index)
+                if need & _ZF:
+                    e(f"z{j} = {a} == {b}")
+                if need & _LT:
+                    # Signed less-than on the unsigned patterns: flipping
+                    # the sign bit maps two's complement order onto
+                    # unsigned order.
+                    if isinstance(src, Imm):
+                        bx = str((src.value & _M64) ^ _SIGN64)
+                    else:
+                        bx = f"({b} ^ {_SIGN64})"
+                    e(f"l{j} = ({a} ^ {_SIGN64}) < {bx}")
+            if j == self.writer:
+                self.publish_flags(f"z{j}", f"l{j}", "0")
 
         elif op is Op.TEST:
-            d = ops[0].index
             sv = self.src64(ops[1])
-            e(f"v{j}t = gpr[{d}] & {sv}",
-              f"flags[0] = 1 if v{j}t == 0 else 0",
-              f"flags[1] = (v{j}t >> 63) & 1",
-              "flags[2] = 0")
+            if need & (_ZF | _LT):
+                e(f"tv{j} = {self.g(ops[0].index)} & {sv}")
+                if need & _ZF:
+                    e(f"z{j} = tv{j} == 0")
+                if need & _LT:
+                    e(f"l{j} = (tv{j} >> 63) & 1")
+            if j == self.writer:
+                self.publish_flags(f"z{j}", f"l{j}", "0", int_lt=True)
 
         elif op is Op.PUSH:
-            e(f"sp{j} = gpr[15] - 1")
-            self.guard(f"sp{j} < limit", self.ft('"stack overflow"'))
+            e(f"sp{j} = {self.g(15)} - 1")
+            self.guard(f"sp{j} < limit", "_FT", '"stack overflow"')
             sv = self.src64(ops[0])
             e(f"mem[sp{j}] = {sv}",
-              f"gpr[15] = sp{j}")
+              f"{self.set_g(15)} = sp{j}")
 
         elif op is Op.POP:
-            e(f"sp{j} = gpr[15]")
-            self.guard(f"sp{j} >= top", self.ft('"stack underflow"'))
-            e(f"gpr[{ops[0].index}] = mem[sp{j}]",
-              f"gpr[15] = sp{j} + 1")
+            e(f"sp{j} = {self.g(15)}")
+            self.guard(f"sp{j} >= top", "_FT", '"stack underflow"')
+            e(f"{self.set_g(ops[0].index)} = mem[sp{j}]",
+              f"{self.set_g(15)} = sp{j} + 1")
 
         elif op is Op.PUSHX:
             x = ops[0].index
-            e(f"sp{j} = gpr[15] - 2")
-            self.guard(f"sp{j} < limit", self.ft('"stack overflow"'))
-            e(f"mem[sp{j}] = xl[{x}]",
+            e(f"sp{j} = {self.g(15)} - 2")
+            self.guard(f"sp{j} < limit", "_FT", '"stack overflow"')
+            e(f"mem[sp{j}] = {self.x(x)}",
               f"mem[sp{j} + 1] = xh[{x}]",
-              f"gpr[15] = sp{j}")
+              f"{self.set_g(15)} = sp{j}")
 
         elif op is Op.POPX:
             x = ops[0].index
-            e(f"sp{j} = gpr[15]")
-            self.guard(f"sp{j} + 1 >= top", self.ft('"stack underflow"'))
-            e(f"xl[{x}] = mem[sp{j}]",
+            e(f"sp{j} = {self.g(15)}")
+            self.guard(f"sp{j} + 1 >= top", "_FT", '"stack underflow"')
+            e(f"{self.set_x(x)} = mem[sp{j}]",
               f"xh[{x}] = mem[sp{j} + 1]",
-              f"gpr[15] = sp{j} + 2")
+              f"{self.set_g(15)} = sp{j} + 2")
 
         elif op is Op.MOVSD:
             dst, src = ops
             if isinstance(dst, Xmm):
                 d = dst.index
                 if isinstance(src, Xmm):
-                    e(f"xl[{d}] = xl[{src.index}]")
+                    v = self.x(src.index)
+                    e(f"{self.set_x(d)} = {v}")
                 elif isinstance(src, Mem):
-                    self.read64(src, f"xl[{d}]")
-                    e(f"xh[{d}] = 0")
+                    v = self.read64(src)
+                    e(f"{self.set_x(d)} = {v}",
+                      f"xh[{d}] = 0")
                 else:
                     raise Unfusable
             elif isinstance(dst, Mem) and isinstance(src, Xmm):
-                a = f"w{j}"
-                e(f"{a} = {_addr_expr(dst)}")
-                self.guard(
-                    f"not (0 <= {a} < top)",
-                    self.ft(f'f"memory write out of bounds: {{{a}}}"'),
-                )
-                e(f"mem[{a}] = xl[{src.index}]")
+                sv = self.x(src.index)
+                a = self.store_addr(dst)
+                e(f"mem[{a}] = {sv}")
             else:
                 raise Unfusable
 
@@ -479,137 +790,123 @@ class _RunEmitter:
             if isinstance(dst, Xmm):
                 lo, hi = self.xsrc128(src)
                 d = dst.index
-                e(f"xl[{d}] = {lo}",
+                e(f"{self.set_x(d)} = {lo}",
                   f"xh[{d}] = {hi}")
             elif isinstance(dst, Mem) and isinstance(src, Xmm):
-                a = f"w{j}"
                 s = src.index
-                e(f"{a} = {_addr_expr(dst)}")
-                self.guard(
-                    f"not (0 <= {a} and {a} + 1 < top)",
-                    self.ft(f'f"packed memory write out of bounds: {{{a}}}"'),
-                )
-                e(f"mem[{a}] = xl[{s}]",
+                sv = self.x(s)
+                a = self.store_addr(dst, width=2)
+                e(f"mem[{a}] = {sv}",
                   f"mem[{a} + 1] = xh[{s}]")
             else:
                 raise Unfusable
 
         elif op in _FPD_BIN:
-            fn = _FPD_BIN[op]
             d = ops[0].index
+            dv = self.x(d)
             sv = self.xsrc64(ops[1])
-            e(f"xl[{d}] = {fn}(xl[{d}], {sv})")
+            if op in _FP_INLINE:
+                e(f"f{j} = {_dec64(dv)} {_FP_INLINE[op]} {_dec64(sv)}")
+                rhs = (
+                    f"{_enc64(f'f{j}')} if f{j} == f{j} "
+                    f"else {_FPD_BIN[op]}({dv}, {sv})"
+                )
+            else:
+                rhs = f"{_FPD_BIN[op]}({dv}, {sv})"
+            e(f"{self.set_x(d)} = {rhs}")
 
         elif op in _FPD_UN:
-            fn = _FPD_UN[op]
-            d = ops[0].index
             sv = self.xsrc64(ops[1])
-            e(f"xl[{d}] = {fn}({sv})")
+            e(f"{self.set_x(ops[0].index)} = {_FPD_UN[op]}({sv})")
 
         elif op is Op.UCOMISD or op is Op.UCOMISS:
-            d = ops[0].index
             sv = self.xsrc64(ops[1])
-            if op is Op.UCOMISD:
-                e(f"fa{j} = bits_to_double(xl[{d}])",
-                  f"fb{j} = bits_to_double({sv})")
-            else:
-                e(f"fa{j} = bits_to_single(xl[{d}] & _M32)",
-                  f"fb{j} = bits_to_single(({sv}) & _M32)")
-            e(f"if fa{j} != fa{j} or fb{j} != fb{j}:",
-              "    flags[0] = 1",
-              "    flags[1] = 0",
-              "    flags[2] = 1",
-              "else:",
-              f"    flags[0] = 1 if fa{j} == fb{j} else 0",
-              f"    flags[1] = 1 if fa{j} < fb{j} else 0",
-              "    flags[2] = 0")
+            if need:
+                dec = _dec64 if op is Op.UCOMISD else _dec32
+                self.fp_compare(dec(self.x(ops[0].index)), dec(sv), need)
 
         elif op is Op.CVTSI2SD:
-            e(f"xl[{ops[0].index}] = double_to_bits(float(_s64(gpr[{ops[1].index}])))")
+            v = self.g(ops[1].index)
+            e(f"{self.set_x(ops[0].index)} = {_enc64(f'float(_s64({v}))')}")
 
         elif op is Op.CVTTSD2SI or op is Op.CVTTSS2SI:
-            d, s = ops[0].index, ops[1].index
-            if op is Op.CVTTSD2SI:
-                e(f"f{j} = bits_to_double(xl[{s}])")
-            else:
-                e(f"f{j} = bits_to_single(xl[{s}] & _M32)")
-            e(f"if f{j} != f{j} or f{j} >= 9.223372036854776e18 or f{j} < -9.223372036854776e18:",
-              f"    gpr[{d}] = _INT_INDEFINITE",
-              "else:",
-              f"    gpr[{d}] = int(f{j}) & _M64")
+            sv = self.x(ops[1].index)
+            dec = _dec64 if op is Op.CVTTSD2SI else _dec32
+            e(f"f{j} = {dec(sv)}")
+            self.truncate(ops[0].index)
 
         elif op is Op.CVTSD2SS:
-            d, s = ops[0].index, ops[1].index
-            e(f"xl[{d}] = (xl[{d}] & _HI32) | single_to_bits(bits_to_double(xl[{s}]))")
+            d = ops[0].index
+            dv = self.x(d)
+            sv = self.x(ops[1].index)
+            e(f"{self.set_x(d)} = ({dv} & _HI32) | single_to_bits({_dec64(sv)})")
 
         elif op is Op.CVTSS2SD:
-            d, s = ops[0].index, ops[1].index
-            e(f"xl[{d}] = double_to_bits(bits_to_single(xl[{s}] & _M32))")
+            sv = self.x(ops[1].index)
+            e(f"{self.set_x(ops[0].index)} = {_enc64(_dec32(sv))}")
 
         elif op in _FPN_BIN:
             fn = _FPN_BIN[op]
             d = ops[0].index
             sv = self.xsrc64(ops[1])
-            e(f"v{j}n = xl[{d}]",
-              f"xl[{d}] = (v{j}n & _HI32) | {fn}(v{j}n & 0xFFFF, ({sv}) & 0xFFFF)")
+            dv = self.once(self.x(d), f"v{j}n")
+            e(f"{self.set_x(d)} = ({dv} & _HI32) | {fn}({dv} & 0xFFFF, {sv} & 0xFFFF)")
 
         elif op in _FPN_UN:
-            fn = _FPN_UN[op]
             d = ops[0].index
             sv = self.xsrc64(ops[1])
-            e(f"xl[{d}] = (xl[{d}] & _HI32) | {fn}(({sv}) & 0xFFFF)")
+            dv = self.x(d)
+            e(f"{self.set_x(d)} = ({dv} & _HI32) | {_FPN_UN[op]}({sv} & 0xFFFF)")
 
         elif op is Op.UCOMIBF or op is Op.UCOMIHF:
             dec = _FPN_CODEC_OPS[op][0]
-            d = ops[0].index
             sv = self.xsrc64(ops[1])
-            e(f"fa{j} = {dec}(xl[{d}] & 0xFFFF)",
-              f"fb{j} = {dec}(({sv}) & 0xFFFF)",
-              f"if fa{j} != fa{j} or fb{j} != fb{j}:",
-              "    flags[0] = 1",
-              "    flags[1] = 0",
-              "    flags[2] = 1",
-              "else:",
-              f"    flags[0] = 1 if fa{j} == fb{j} else 0",
-              f"    flags[1] = 1 if fa{j} < fb{j} else 0",
-              "    flags[2] = 0")
+            if need:
+                self.fp_compare(
+                    f"{dec}({self.x(ops[0].index)} & 0xFFFF)",
+                    f"{dec}({sv} & 0xFFFF)",
+                    need,
+                )
 
         elif op is Op.CVTSI2BF or op is Op.CVTSI2HF:
             enc = _FPN_CODEC_OPS[op][1]
-            d, s = ops[0].index, ops[1].index
-            e(f"xl[{d}] = (xl[{d}] & _HI32) | {enc}(float(_s64(gpr[{s}])))")
+            d = ops[0].index
+            v = self.g(ops[1].index)
+            dv = self.x(d)
+            e(f"{self.set_x(d)} = ({dv} & _HI32) | {enc}(float(_s64({v})))")
 
         elif op is Op.CVTTBF2SI or op is Op.CVTTHF2SI:
             dec = _FPN_CODEC_OPS[op][0]
-            d, s = ops[0].index, ops[1].index
-            e(f"f{j} = {dec}(xl[{s}] & 0xFFFF)",
-              f"if f{j} != f{j} or f{j} >= 9.223372036854776e18 or f{j} < -9.223372036854776e18:",
-              f"    gpr[{d}] = _INT_INDEFINITE",
-              "else:",
-              f"    gpr[{d}] = int(f{j}) & _M64")
+            e(f"f{j} = {dec}({self.x(ops[1].index)} & 0xFFFF)")
+            self.truncate(ops[0].index)
 
         elif op is Op.CVTSD2BF or op is Op.CVTSD2HF:
             enc = _FPN_CODEC_OPS[op][1]
-            d, s = ops[0].index, ops[1].index
-            e(f"xl[{d}] = (xl[{d}] & _HI32) | {enc}(bits_to_double(xl[{s}]))")
+            d = ops[0].index
+            dv = self.x(d)
+            sv = self.x(ops[1].index)
+            e(f"{self.set_x(d)} = ({dv} & _HI32) | {enc}({_dec64(sv)})")
 
         elif op is Op.CVTBF2SD or op is Op.CVTHF2SD:
             dec = _FPN_CODEC_OPS[op][0]
-            d, s = ops[0].index, ops[1].index
-            e(f"xl[{d}] = double_to_bits({dec}(xl[{s}] & 0xFFFF))")
+            sv = self.x(ops[1].index)
+            e(f"{self.set_x(ops[0].index)} = {_enc64(f'{dec}({sv} & 0xFFFF)')}")
 
         elif op is Op.MOVQXR:
-            e(f"xl[{ops[0].index}] = gpr[{ops[1].index}]")
+            v = self.g(ops[1].index)
+            e(f"{self.set_x(ops[0].index)} = {v}")
         elif op is Op.MOVQRX:
-            e(f"gpr[{ops[0].index}] = xl[{ops[1].index}]")
+            v = self.x(ops[1].index)
+            e(f"{self.set_g(ops[0].index)} = {v}")
 
         elif op in _PD_BIN:
             fn = _PD_BIN[op]
             d = ops[0].index
             lo, hi = self.xsrc128(ops[1])
             e(f"lo{j} = {lo}",
-              f"hi{j} = {hi}",
-              f"xl[{d}] = {fn}(xl[{d}], lo{j})",
+              f"hi{j} = {hi}")
+            dv = self.x(d)
+            e(f"{self.set_x(d)} = {fn}({dv}, lo{j})",
               f"xh[{d}] = {fn}(xh[{d}], hi{j})")
 
         elif op is Op.SQRTPD:
@@ -617,7 +914,7 @@ class _RunEmitter:
             lo, hi = self.xsrc128(ops[1])
             e(f"lo{j} = {lo}",
               f"hi{j} = {hi}",
-              f"xl[{d}] = double_sqrt(lo{j})",
+              f"{self.set_x(d)} = double_sqrt(lo{j})",
               f"xh[{d}] = double_sqrt(hi{j})")
 
         elif op is Op.MOVSS:
@@ -625,49 +922,54 @@ class _RunEmitter:
             if isinstance(dst, Xmm):
                 d = dst.index
                 if isinstance(src, Xmm):
-                    e(f"xl[{d}] = (xl[{d}] & _HI32) | (xl[{src.index}] & _M32)")
+                    dv = self.x(d)
+                    sv = self.x(src.index)
+                    e(f"{self.set_x(d)} = ({dv} & _HI32) | ({sv} & _M32)")
                 elif isinstance(src, Mem):
-                    self.read64(src, f"v{j}")
-                    e(f"xl[{d}] = v{j} & _M32",
+                    v = self.read64(src)
+                    e(f"{self.set_x(d)} = {v} & _M32",
                       f"xh[{d}] = 0")
                 else:
                     raise Unfusable
             elif isinstance(dst, Mem) and isinstance(src, Xmm):
-                a = f"w{j}"
-                e(f"{a} = {_addr_expr(dst)}")
-                self.guard(
-                    f"not 0 <= {a} < top",
-                    self.ft(f'f"memory write out of bounds: {{{a}}}"'),
-                )
-                e(f"mem[{a}] = (mem[{a}] & _HI32) | (xl[{src.index}] & _M32)")
+                sv = self.x(src.index)
+                a = self.store_addr(dst)
+                e(f"mem[{a}] = (mem[{a}] & _HI32) | ({sv} & _M32)")
             else:
                 raise Unfusable
 
         elif op in _FPS_BIN:
-            fn = _FPS_BIN[op]
             d = ops[0].index
             sv = self.xsrc64(ops[1])
-            e(f"v{j}d = xl[{d}]",
-              f"xl[{d}] = (v{j}d & _HI32) | {fn}(v{j}d & _M32, ({sv}) & _M32)")
+            dv = self.once(self.x(d), f"v{j}d")
+            helper = f"{_FPS_BIN[op]}({dv} & _M32, {sv} & _M32)"
+            if op in _FP_INLINE:
+                e(f"f{j} = {_dec32(dv)} {_FP_INLINE[op]} {_dec32(sv)}")
+                rhs = f"(single_to_bits(f{j}) if f{j} == f{j} else {helper})"
+            else:
+                rhs = helper
+            e(f"{self.set_x(d)} = ({dv} & _HI32) | {rhs}")
 
         elif op in _FPS_UN:
-            fn = _FPS_UN[op]
             d = ops[0].index
             sv = self.xsrc64(ops[1])
-            e(f"xl[{d}] = (xl[{d}] & _HI32) | {fn}(({sv}) & _M32)")
+            dv = self.x(d)
+            e(f"{self.set_x(d)} = ({dv} & _HI32) | {_FPS_UN[op]}({sv} & _M32)")
 
         elif op is Op.CVTSI2SS:
-            d, s = ops[0].index, ops[1].index
-            e(f"xl[{d}] = (xl[{d}] & _HI32) | single_to_bits(float(_s64(gpr[{s}])))")
+            d = ops[0].index
+            v = self.g(ops[1].index)
+            dv = self.x(d)
+            e(f"{self.set_x(d)} = ({dv} & _HI32) | single_to_bits(float(_s64({v})))")
 
         elif op in _PS_BIN:
             fn = _PS_BIN[op]
             d = ops[0].index
             lo, hi = self.xsrc128(ops[1])
             e(f"lo{j} = {lo}",
-              f"hi{j} = {hi}",
-              f"pa{j} = xl[{d}]",
-              f"xl[{d}] = ({fn}((pa{j} >> 32) & _M32, (lo{j} >> 32) & _M32) << 32) | {fn}(pa{j} & _M32, lo{j} & _M32)",
+              f"hi{j} = {hi}")
+            pa = self.once(self.x(d), f"pa{j}")
+            e(f"{self.set_x(d)} = ({fn}(({pa} >> 32) & _M32, (lo{j} >> 32) & _M32) << 32) | {fn}({pa} & _M32, lo{j} & _M32)",
               f"pb{j} = xh[{d}]",
               f"xh[{d}] = ({fn}((pb{j} >> 32) & _M32, (hi{j} >> 32) & _M32) << 32) | {fn}(pb{j} & _M32, hi{j} & _M32)")
 
@@ -676,23 +978,26 @@ class _RunEmitter:
             lo, hi = self.xsrc128(ops[1])
             e(f"lo{j} = {lo}",
               f"hi{j} = {hi}",
-              f"xl[{d}] = (single_sqrt((lo{j} >> 32) & _M32) << 32) | single_sqrt(lo{j} & _M32)",
+              f"{self.set_x(d)} = (single_sqrt((lo{j} >> 32) & _M32) << 32) | single_sqrt(lo{j} & _M32)",
               f"xh[{d}] = (single_sqrt((hi{j} >> 32) & _M32) << 32) | single_sqrt(hi{j} & _M32)")
 
         elif op is Op.PEXTR or op is Op.PINSR:
             lane = ops[2].value
             if lane not in (0, 1):
                 raise Unfusable
-            arr = "xl" if lane == 0 else "xh"
+            x = ops[1].index if op is Op.PEXTR else ops[0].index
             if op is Op.PEXTR:
-                e(f"gpr[{ops[0].index}] = {arr}[{ops[1].index}]")
+                v = self.x(x) if lane == 0 else f"xh[{x}]"
+                e(f"{self.set_g(ops[0].index)} = {v}")
             else:
-                e(f"{arr}[{ops[0].index}] = gpr[{ops[1].index}]")
+                v = self.g(ops[1].index)
+                t = self.set_x(x) if lane == 0 else f"xh[{x}]"
+                e(f"{t} = {v}")
 
         elif op is Op.MPIRANK:
-            e(f"gpr[{ops[0].index}] = rank")
+            e(f"{self.set_g(ops[0].index)} = rank")
         elif op is Op.MPISIZE:
-            e(f"gpr[{ops[0].index}] = size")
+            e(f"{self.set_g(ops[0].index)} = size")
 
         elif op in (Op.ALLRED, Op.ALLREDSS, Op.BCASTSD, Op.BARRIER):
             # Local no-ops at size 1 (cost only); multi-rank collectives
@@ -708,11 +1013,12 @@ class _RunEmitter:
                 raise Unfusable
             if ops[1].value not in (RED_SUM, RED_MIN, RED_MAX):
                 raise Unfusable
-            e(f"a{j} = {_addr_expr(ops[0])}",
-              f"n{j} = gpr[{ops[2].index}]")
+            e(f"a{j} = {self.addr(ops[0])}",
+              f"n{j} = {self.g(ops[2].index)}")
             self.guard(
                 f"not (0 <= a{j} and a{j} + n{j} <= top)",
-                self.ft(f'f"vector collective out of bounds: {{a{j}}}+{{n{j}}}"'),
+                "_FT",
+                f'f"vector collective out of bounds: {{a{j}}}+{{n{j}}}"',
             )
 
         else:
@@ -721,62 +1027,106 @@ class _RunEmitter:
         self.j += 1
         self.cycles += cost
 
+    def truncate(self, d: int) -> None:
+        """``gpr[d]`` = the decoded ``f<j>`` truncated toward zero, or
+        the integer indefinite value when it does not fit (cvtt*2si)."""
+        j = self.j
+        t = self.set_g(d)
+        self.emit(
+            f"if f{j} != f{j} or f{j} >= 9.223372036854776e18 or f{j} < -9.223372036854776e18:",
+            f"    {t} = _INT_INDEFINITE",
+            "else:",
+            f"    {t} = int(f{j}) & _M64",
+        )
+
     # -- terminators ------------------------------------------------------
 
-    def terminator(self, instr, cost: int, branch_extra: int) -> int:
-        """Emit the run's closing control transfer; returns the number
-        of ``targets`` slots the factory call must fill.
+    def terminator(self, instr, cost: int, branch_extra: int) -> list[str]:
+        """Emit the run's closing control transfer: its checks join the
+        body, and the returned exit statements run after the spills.
 
         The fall-through total (all straight-line costs plus the
         terminator's own cost) is folded into each exit path as one
         constant; taken branches add the cost model's extra.
         """
         op = instr.opcode
-        j = self.j
         e = self.emit
         total = self.cycles + cost
+        self.partial.append(self.cycles)
 
         if op is Op.JMP:
-            e(f"cyc[0] += {total + branch_extra}",
-              "return targets[0]")
-            self.j += 1
-            return 1
+            self.targets = 1
+            out = [f"cyc[0] += {total + branch_extra}", "return t0"]
 
-        if op in _COND_EXPR:
-            e(f"if {_COND_EXPR[op]}:",
-              f"    cyc[0] += {total + branch_extra}",
-              "    return targets[0]",
-              f"cyc[0] += {total}",
-              f"return idx + {_K}")
-            self.j += 1
-            return 1
+        elif op in _COND:
+            z, l, p = self.flag_exprs
+            self.targets = 1
+            out = [
+                f"if {_COND[op][1].format(z=z, l=l, p=p)}:",
+                f"    cyc[0] += {total + branch_extra}",
+                "    return t0",
+                f"cyc[0] += {total}",
+                f"return idx + {self.k}",
+            ]
 
-        if op is Op.CALL:
-            e("spc = gpr[15] - 1")
-            self.guard("spc < limit", self.ft('"stack overflow on call"'))
-            e("mem[spc] = targets[1]",
-              "gpr[15] = spc",
-              f"cyc[0] += {total}",
-              "return targets[0]")
-            self.j += 1
-            return 2
+        elif op is Op.CALL:
+            e(f"spc = {self.g(15)} - 1")
+            self.guard("spc < limit", "_FT", '"stack overflow on call"')
+            e("mem[spc] = t1",
+              f"{self.set_g(15)} = spc")
+            self.targets = 2
+            out = [f"cyc[0] += {total}", "return t0"]
 
-        if op is Op.RET:
-            e("spr = gpr[15]")
-            self.guard("spr >= top", self.ft('"stack underflow on ret"'))
+        elif op is Op.RET:
+            e(f"spr = {self.g(15)}")
+            self.guard("spr >= top", "_FT", '"stack underflow on ret"')
+            # The reference pops before it checks the return address.
             e("ra = mem[spr]",
-              "gpr[15] = spr + 1",
+              f"{self.set_g(15, early=True)} = spr + 1",
               "tr = a2i.get(ra)")
             self.guard(
                 "tr is None",
-                self.ft('f"return to non-instruction address {ra:#x}"'),
+                "_FT",
+                'f"return to non-instruction address {ra:#x}"',
             )
-            e(f"cyc[0] += {total}",
-              "return tr")
-            self.j += 1
-            return 0
+            out = [f"cyc[0] += {total}", "return tr"]
 
-        raise Unfusable
+        else:
+            raise Unfusable
+
+        self.j += 1
+        return out
+
+    def handler(self) -> list[str]:
+        """The run's one ``except FusedTrap`` clause: charge the cycles
+        of the members before the faulting one, repay the unexecuted
+        suffix and spill every cell written before the fault."""
+        rels = self.trap_rels
+        first, last = min(rels), max(rels)
+        out = ["except _FT as exc:", "    rel = exc.rel"]
+        charges = {self.partial[r] for r in rels}
+        if len(charges) > 1:
+            out.append(f"    cyc[0] += {tuple(self.partial[: last + 1])}[rel]")
+        elif charges != {0}:
+            out.append(f"    cyc[0] += {charges.pop()}")
+        if first != last:
+            out.append(f"    sl[0] += {self.k - 1} - rel")
+        elif self.k - 1 - first:
+            out.append(f"    sl[0] += {self.k - 1 - first}")
+        # Group the spills by the first fault that owes them; a cell first
+        # written after the last fault site is never spilled here.
+        groups: dict[int, list[str]] = {}
+        for stmt, at in self.spills.values():
+            if at <= last:
+                groups.setdefault(max(at, first), []).append(stmt)
+        for at in sorted(groups):
+            if at == first:
+                out += ["    " + stmt for stmt in groups[at]]
+            else:
+                out.append(f"    if rel >= {at}:")
+                out += ["        " + stmt for stmt in groups[at]]
+        out.append("    raise")
+        return out
 
 
 # -- factory assembly ------------------------------------------------------
@@ -789,12 +1139,12 @@ _FACTORY_SIG = (
     "limit, top, a2i, tail, targets, rank, size, halt):"
 )
 
-#: cost model -> {(run template bytes, terminator opcode, size==1):
-#: exec'd factory}.  Factories are position- and VM-independent, so the
-#: cache is process-global: every Machine, worker and rebind in the
-#: process shares compiled run bodies.  The model (a frozen dataclass
-#: whose hash walks every field) is paid once per load via the outer
-#: dict instead of once per run.
+#: cost model -> {(run template bytes, terminator opcode, size==1, exit
+#: mask or -1): exec'd factory}.  Factories are position- and
+#: VM-independent, so the cache is process-global: every Machine, worker
+#: and rebind in the process shares compiled run bodies.  The model (a
+#: frozen dataclass whose hash walks every field) is paid once per load
+#: via the outer dict instead of once per run.
 _FACTORIES: dict = {}
 
 #: number of run bodies actually exec-compiled (cache misses), kept for
@@ -816,51 +1166,89 @@ def clear_factory_cache() -> None:
 _MISS = object()
 
 
-def _assemble(em: _RunEmitter, open_ended: bool) -> str:
-    """Render the emitter's body into factory source.
-
-    *open_ended* runs (no terminator, no HALT) fall through: they charge
-    the constant total and advance past the run.
-    """
-    k = em.j
-    lines = [_FACTORY_SIG, "    def _fused(idx):"]
-    lines.append(f"        if sl[0] < {k}:")
-    lines.append("            return tail(idx)")
-    lines.append(f"        sl[0] -= {k}")
-    lines.extend("        " + ln for ln in em.lines)
-    if open_ended:
-        if em.cycles:
-            lines.append(f"        cyc[0] += {em.cycles}")
-        lines.append(f"        return idx + {k}")
+def _assemble(em: _RunEmitter, exits: list[str]) -> str:
+    """Render the emitter's body into factory source: budget check,
+    loads, body (inside the shared fault handler when the run has guard
+    sites), then — unless the run ends in HALT — spills and *exits*."""
+    lines = [_FACTORY_SIG]
+    if em.targets:
+        lines.append("    t0 = targets[0]")
+    if em.targets > 1:
+        lines.append("    t1 = targets[1]")
+    lines += [
+        "    def _fused(idx):",
+        f"        left = sl[0] - {em.k}",
+        "        if left < 0:",
+        "            return tail(idx)",
+        "        sl[0] = left",
+    ]
+    lines += ["        " + ln for ln in em.loads]
+    if em.trap_rels:
+        lines.append("        try:")
+        lines += ["            " + ln for ln in em.lines]
+        lines += ["        " + ln for ln in em.handler()]
+    else:
+        lines += ["        " + ln for ln in em.lines]
+    if not em.halted:
+        lines += ["        " + stmt for stmt, _at in em.spills.values()]
+        lines += ["        " + ln for ln in exits]
     lines.append("    return _fused")
-    return "\n".join(lines).replace(_K, str(k)) + "\n"
+    return "\n".join(lines) + "\n"
 
 
-def _compile_run(instrs, costs, start, k_members, term_i, size, branch_extra):
-    """Exec-compile the factory for one run; None if emission refuses.
+def _run_source(instrs, costs, start, k_members, term_i, size, branch_extra,
+                mask) -> str | None:
+    """Generate the factory source for one run; None if emission refuses.
+
+    *mask* is the run's exit mask: the flags live after its last
+    instruction.
+    """
+    end = start + k_members
+    writer = -1
+    for i in range(start, end):
+        if instrs[i].opcode in _FLAG_WRITERS:
+            writer = i - start
+    term = instrs[term_i] if term_i >= 0 else None
+    reads = _COND[term.opcode][0] if term is not None and term.opcode in _COND else 0
+    em = _RunEmitter(
+        size,
+        k_members + (term is not None),
+        _promoted(instrs, start, end + (term is not None)),
+        writer,
+        mask,
+        reads,
+    )
+    try:
+        for i in range(start, end):
+            em.instruction(instrs[i], costs[i])
+        if term is not None:
+            exits = em.terminator(term, costs[term_i], branch_extra)
+        else:
+            exits = [f"cyc[0] += {em.cycles}"] if em.cycles else []
+            exits.append(f"return idx + {em.k}")
+    except Unfusable:
+        return None
+    return _assemble(em, exits)
+
+
+def _compile_run(*run):
+    """Exec-compile the factory for one run (the arguments of
+    :func:`_run_source`); None if emission refuses.
 
     Covers the rare operand shapes the cheap fusability tables admit but
     the emitter has no template for: the None lands in ``_FACTORIES`` as
     a sentinel, so the shape is probed exactly once per unique run key.
     """
-    em = _RunEmitter(size)
-    try:
-        for i in range(start, start + k_members):
-            em.instruction(instrs[i], costs[i])
-        if term_i >= 0:
-            em.terminator(instrs[term_i], costs[term_i], branch_extra)
-        src = _assemble(em, term_i < 0 and not em.halted)
-    except Unfusable:
+    src = _run_source(*run)
+    if src is None:
         return None
     ns: dict = {}
     exec(compile(src, "<fused-run>", "exec"), _EXEC_GLOBALS, ns)
-    factory = ns["_factory"]
-    factory.__fused_source__ = src
     _COMPILED[0] += 1
-    return factory
+    return ns["_factory"]
 
 
-_TERMINATORS = frozenset(_COND_EXPR) | {Op.JMP, Op.CALL, Op.RET}
+_TERMINATORS = frozenset(_COND) | {Op.JMP, Op.CALL, Op.RET}
 
 #: collectives become straight-line code only in single-rank mode; with
 #: size > 1 they yield to the rank scheduler and stay on the slow path.
@@ -906,23 +1294,26 @@ def _vm_state(vm) -> tuple:
     )
 
 
-def _scan_span(vm, lo: int, hi: int, leaders) -> list:
+def _scan_span(vm, lo: int, hi: int, leaders, live) -> list:
     """Detect the fusable runs of instruction span ``[lo, hi)``.
 
-    Returns the span's *partition*: ``(rel_start, k_total, term_rel,
-    term_opcode)`` tuples plus the run's compiled factory, all relative
-    to *lo* and free of any per-load data — branch targets stay out (the
-    terminator's operand is resolved at instantiation time), so a
-    partition computed once for a segment template is valid for every
-    later placement of the same template.
+    *live* is the span's :func:`flag_liveness` (None when it has no
+    compare).  Returns the span's
+    *partition*: ``(rel_start, k_total, term_rel, term_opcode)`` tuples
+    plus the run's compiled factory, all relative to *lo* and free of
+    any per-load data — branch targets stay out (the terminator's
+    operand is resolved at instantiation time), so a partition computed
+    once for a segment template is valid for every later placement of
+    the same template.
 
     Run keys into the factory cache are the members' *raw text bytes*
-    plus the terminator's opcode.  Member encodings carry no positional
-    data — branches and calls never join the member stretch — so
-    identical bytes at any address decode to identical instructions, and
-    factories are shared across layouts, configurations, VMs and rebinds
-    process-wide.  A bytes slice hashes at C speed, which keeps the
-    per-load key cost negligible when a partition is not cached.
+    plus the terminator's opcode and, for a run containing a compare,
+    its exit mask.  Member encodings carry no positional data — branches
+    and calls never join the member stretch — so identical bytes at any
+    address decode to identical instructions, and factories are shared
+    across layouts, configurations, VMs and rebinds process-wide.  A
+    bytes slice hashes at C speed, which keeps the per-load key cost
+    negligible when a partition is not cached.
     """
     instrs = vm._instrs
     costs = vm._inst_costs
@@ -936,18 +1327,22 @@ def _scan_span(vm, lo: int, hi: int, leaders) -> list:
     members = _MEMBER_OPS
     mpi = _MPI_MEMBERS
     terms = _TERMINATORS
+    writers = _FLAG_WRITERS
     factories = _FACTORIES.setdefault(model, {})
     part: list = []
     i = lo
     while i < hi:
         start = i
         halted = False
+        writes = False
         while i < hi:
             if i in leaders and i > start:
                 break
             op = instrs[i].opcode
             if op not in members or (op in mpi and not size_one):
                 break
+            if op in writers:
+                writes = True
             i += 1
             if op is Op.HALT:
                 halted = True
@@ -966,17 +1361,21 @@ def _scan_span(vm, lo: int, hi: int, leaders) -> list:
         if k_total >= MIN_RUN:
             m_end = start + k_members
             term_op = instrs[term_i].opcode if term_i >= 0 else None
+            # The flags live after the run's last instruction; a run
+            # without a compare never computes or stores one.
+            mask = live[i - 1 - lo] if writes else -1
             key = (
                 text[addrs[start] : addrs[m_end] if m_end < n else len(text)],
                 term_op,
                 size_one,
+                mask,
             )
             factory = factories.get(key, _MISS)
             if factory is _MISS:
                 vm.fuse_misses += 1
                 factory = _compile_run(
                     instrs, costs, start, k_members, term_i, size,
-                    branch_extra,
+                    branch_extra, mask,
                 )
                 factories[key] = factory
             elif factory is not None:
@@ -1032,14 +1431,13 @@ def _instantiate(vm, fcode, covered, lo: int, part, state, halt, runs) -> None:
             runs.append((start, k_total))
 
 
-def build_fcode(vm, bounds, halt, runs) -> tuple[list, bytearray]:
+def build_fcode(vm, halt, runs) -> tuple[list, bytearray]:
     """Build the fused dispatch array for *vm*'s freshly loaded program.
 
-    ``bounds`` are the instruction indices that start a new segment (runs
-    never cross them: instrumented block boundaries are the natural
-    fusion seams).  Returns ``(fcode, covered)``: ``fcode`` is the list
-    the VM's fused loop indexes — a fused closure at every run head,
-    None everywhere else (interior entries single-step the reference
+    The whole program is one span: flag liveness sees every resolved
+    branch.  Returns ``(fcode, covered)``: ``fcode`` is the list the
+    VM's fused loop indexes — a fused closure at every run head, None
+    everywhere else (interior entries single-step the reference
     closures) — and ``covered[i]`` flags every instruction inside a
     fused run, so the loader may defer compiling its reference closure.
     """
@@ -1047,25 +1445,24 @@ def build_fcode(vm, bounds, halt, runs) -> tuple[list, bytearray]:
     n = len(instrs)
     fcode: list = [None] * n
     covered = bytearray(n)
-    state = _vm_state(vm)
     # Basic-block leaders: every branch/call target starts its own run,
     # so dynamic control transfers always land on a fused head instead
     # of single-stepping through a run interior.
     a2i = vm._addr2idx
     terms = _TERMINATORS
     leaders = set()
-    for ins in instrs:
+    targets = {}
+    for i, ins in enumerate(instrs):
         op = ins.opcode
         if op in terms and op is not Op.RET:
             t = a2i.get(ins.operands[0].value)
             if t is not None:
                 leaders.add(t)
-    edges = list(bounds) + [n]
-    for b in range(len(edges) - 1):
-        lo = edges[b]
-        part = _scan_span(vm, lo, edges[b + 1], leaders)
-        if part:
-            _instantiate(vm, fcode, covered, lo, part, state, halt, runs)
+                targets[i] = t
+    live = flag_liveness(instrs, 0, n, targets)
+    part = _scan_span(vm, 0, n, leaders, live)
+    if part:
+        _instantiate(vm, fcode, covered, 0, part, _vm_state(vm), halt, runs)
     return fcode, covered
 
 
@@ -1079,9 +1476,13 @@ def build_fcode_cached(vm, tiles, halt, runs) -> list:
     the template bytes, terminator *targets* stay outside the partition,
     and interior run leaders can only come from the segment's own
     branches (original branches target block starts — segment heads —
-    and snippet branches are intra-block).  So the scan runs once per
-    template, its result kept in ``record.partition``, and every later
-    load merely re-resolves targets and re-binds factories.
+    and snippet branches are intra-block).  Flag liveness is computed
+    over the template alone: an intra-block branch is an edge inside
+    it, and every other edge — including a branch back to the segment's
+    head, which another placement of the same bytes may aim elsewhere —
+    leaves it with all flags live.  So the scan runs once per template,
+    its result kept in ``record.partition``, and every later load merely
+    re-resolves targets and re-binds factories.
     """
     instrs = vm._instrs
     a2i = vm._addr2idx
@@ -1092,11 +1493,14 @@ def build_fcode_cached(vm, tiles, halt, runs) -> list:
         if part is None:
             hi = lo + len(record.instrs)
             leaders = set()
+            targets = {}
             for j in record.ctl:
                 t = a2i.get(instrs[lo + j].operands[0].value)
                 if t is not None and lo < t < hi:
                     leaders.add(t)
-            part = record.partition = _scan_span(vm, lo, hi, leaders)
+                    targets[lo + j] = t
+            live = flag_liveness(instrs, lo, hi, targets)
+            part = record.partition = _scan_span(vm, lo, hi, leaders, live)
         else:
             vm.fuse_hits += len(part)
         if part:

@@ -783,7 +783,7 @@ class VM:
             self._inst_costs = _static_costs(instrs, self.cost_model)
             covered = None
             if fuse_here:
-                fcode, covered = fuse.build_fcode(self, [0], _HALT, runs)
+                fcode, covered = fuse.build_fcode(self, _HALT, runs)
                 # A program with no fusable run gains nothing from the
                 # fused loop's extra None checks; keep the reference loop.
                 self._fcode = fcode if any(fcode) else None

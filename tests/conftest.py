@@ -3,10 +3,22 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, settings
 
 from repro.compiler import CompileOptions, compile_source
 from repro.telemetry import Telemetry
 from repro.vm import run_program
+
+#: The deep profile of the generative fused-vs-reference differential
+#: (tests/vm/test_fused_generative.py), selected in CI with
+#: ``--hypothesis-profile fused-deep``.  Without it, that test runs its
+#: own small derandomized settings.
+settings.register_profile(
+    "fused-deep",
+    max_examples=3000,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
 
 _telemetry_init = Telemetry.__init__
 
