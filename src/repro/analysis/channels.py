@@ -50,7 +50,7 @@ configuration — the foundation of the search guide's pruning
 
 from __future__ import annotations
 
-from repro.fpbits import ieee
+from repro.analysis.observer import _relation, _trunc
 from repro.fpbits.ieee import (
     bits_to_double,
     bits_to_single,
@@ -64,6 +64,7 @@ from repro.fpbits.replace import (
 )
 from repro.isa.opcodes import OPCODE_INFO, Op
 from repro.isa.operands import Imm, Mem, Reg, Xmm
+from repro.vm.fpops import FPD_BIN, FPD_UN, FPS_BIN, FPS_UN
 
 _M32 = 0xFFFFFFFF
 
@@ -74,41 +75,9 @@ _GPR = 32
 _MEM = 48
 
 # Candidate scalar arithmetic: the double semantics the guard runs and
-# the single semantics the replacement runs (same tables as the VM).
-_F64_BIN = {
-    Op.ADDSD: ieee.double_add,
-    Op.SUBSD: ieee.double_sub,
-    Op.MULSD: ieee.double_mul,
-    Op.DIVSD: ieee.double_div,
-    Op.MINSD: ieee.double_min,
-    Op.MAXSD: ieee.double_max,
-}
-_F64_UN = {
-    Op.SQRTSD: ieee.double_sqrt,
-    Op.ABSSD: ieee.double_abs,
-    Op.NEGSD: ieee.double_neg,
-    Op.SINSD: ieee.double_sin,
-    Op.COSSD: ieee.double_cos,
-    Op.EXPSD: ieee.double_exp,
-    Op.LOGSD: ieee.double_log,
-}
-_F32_BIN = {
-    Op.ADDSD: ieee.single_add,
-    Op.SUBSD: ieee.single_sub,
-    Op.MULSD: ieee.single_mul,
-    Op.DIVSD: ieee.single_div,
-    Op.MINSD: ieee.single_min,
-    Op.MAXSD: ieee.single_max,
-}
-_F32_UN = {
-    Op.SQRTSD: ieee.single_sqrt,
-    Op.ABSSD: ieee.single_abs,
-    Op.NEGSD: ieee.single_neg,
-    Op.SINSD: ieee.single_sin,
-    Op.COSSD: ieee.single_cos,
-    Op.EXPSD: ieee.single_exp,
-    Op.LOGSD: ieee.single_log,
-}
+# the single semantics the replacement runs (the VM's own tables).
+_F32_BIN = {op: FPS_BIN[OPCODE_INFO[op].single_equiv] for op in FPD_BIN}
+_F32_UN = {op: FPS_UN[OPCODE_INFO[op].single_equiv] for op in FPD_UN}
 
 #: integer ops computing on their operands: a diverged input register or
 #: memory word changes the result, which the model does not follow.
@@ -148,22 +117,6 @@ class Channel:
         self.out: dict[int, tuple] = {}   # output index -> overriding record
         self.unknown = False
         self.why = ""                     # why the verdict was lost
-
-
-def _relation(a: float, b: float) -> int:
-    """Three-way FP relation as the VM's compare derives flags."""
-    if a != a or b != b:
-        return 3
-    if a == b:
-        return 0
-    return 1 if a < b else 2
-
-
-def _trunc(v: float) -> int:
-    """CVTTSD2SI / CVTTSS2SI truncation semantics."""
-    if v != v or v >= 9.223372036854776e18 or v < -9.223372036854776e18:
-        return -(1 << 63)
-    return int(v)
 
 
 def _mem_gpr_locs(m: Mem) -> tuple:
@@ -298,9 +251,9 @@ class ChannelObserver:
         op = instr.opcode
         if op in _NEUTRAL:
             return None
-        if op in _F64_BIN:
+        if op in FPD_BIN:
             return self._wrap_scalar_bin(vm, instr, addr, closure)
-        if op in _F64_UN:
+        if op in FPD_UN:
             return self._wrap_scalar_un(vm, instr, addr, closure)
         if op is Op.UCOMISD:
             return self._wrap_ucomisd(vm, instr, addr, closure)
@@ -387,7 +340,7 @@ class ChannelObserver:
 
     def _wrap_scalar_bin(self, vm, instr, addr, closure):
         op = instr.opcode
-        fn64 = _F64_BIN[op]
+        fn64 = FPD_BIN[op]
         fn32 = _F32_BIN[op]
         xl = vm.xmm_lo
         channels = self.channels
@@ -486,7 +439,7 @@ class ChannelObserver:
 
     def _wrap_scalar_un(self, vm, instr, addr, closure):
         op = instr.opcode
-        fn64 = _F64_UN[op]
+        fn64 = FPD_UN[op]
         fn32 = _F32_UN[op]
         xl = vm.xmm_lo
         channels = self.channels

@@ -36,8 +36,9 @@ import math
 
 from repro.fpbits import ieee
 from repro.fpbits.ieee import bits_to_double, bits_to_single, single_to_bits
-from repro.isa.opcodes import Op
+from repro.isa.opcodes import OPCODE_INFO, Op
 from repro.isa.operands import Mem, Xmm
+from repro.vm.fpops import FPD_BIN, FPD_UN, FPS_BIN, FPS_UN, PD_BIN, PS_BIN
 
 _M32 = 0xFFFFFFFF
 _EXP_MASK = 0x7FF
@@ -51,29 +52,14 @@ F32_MIN_NORMAL = 1.1754943508222875e-38
 #: drop has to eat a meaningful fraction of them to matter).
 CANCEL_MIN_BITS = 10
 
-# float32 equivalents of the scalar-double arithmetic ops.
+# float32 equivalents of the double arithmetic ops (per lane for the
+# packed ones; SQRTPD's equivalent SQRTPS has no table of its own).
 _F32_BIN = {
-    Op.ADDSD: ieee.single_add,
-    Op.SUBSD: ieee.single_sub,
-    Op.MULSD: ieee.single_mul,
-    Op.DIVSD: ieee.single_div,
-    Op.MINSD: ieee.single_min,
-    Op.MAXSD: ieee.single_max,
-    Op.ADDPD: ieee.single_add,
-    Op.SUBPD: ieee.single_sub,
-    Op.MULPD: ieee.single_mul,
-    Op.DIVPD: ieee.single_div,
+    op: (FPS_BIN | PS_BIN)[OPCODE_INFO[op].single_equiv]
+    for op in (*FPD_BIN, *PD_BIN)
 }
-_F32_UN = {
-    Op.SQRTSD: ieee.single_sqrt,
-    Op.ABSSD: ieee.single_abs,
-    Op.NEGSD: ieee.single_neg,
-    Op.SINSD: ieee.single_sin,
-    Op.COSSD: ieee.single_cos,
-    Op.EXPSD: ieee.single_exp,
-    Op.LOGSD: ieee.single_log,
-    Op.SQRTPD: ieee.single_sqrt,
-}
+_F32_UN = {op: FPS_UN[OPCODE_INFO[op].single_equiv] for op in FPD_UN}
+_F32_UN[Op.SQRTPD] = ieee.single_sqrt
 
 _SCALAR_BIN = frozenset(
     (Op.ADDSD, Op.SUBSD, Op.MULSD, Op.DIVSD, Op.MINSD, Op.MAXSD)

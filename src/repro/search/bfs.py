@@ -310,19 +310,7 @@ class SearchEngine:
     def _push(self, item: _Item) -> None:
         if self.options.prioritize:
             self._seq += 1
-            guide = self._guide
-            if guide is not None:
-                # Predicted-replaceable items rank ahead of profile
-                # counts (tentpole: analysis seeds prioritization).
-                key = (
-                    -guide.replaceable_rank(self._addrs(item)),
-                    -self._weight(item),
-                    self._seq,
-                    item,
-                )
-            else:
-                key = (-self._weight(item), self._seq, item)
-            heapq.heappush(self._heap, key)
+            heapq.heappush(self._heap, self._item_key(item, self._seq))
         else:
             self._fifo.append(item)
 
@@ -337,62 +325,86 @@ class SearchEngine:
 
     # -- descent ------------------------------------------------------------------
 
-    def _descend(self, item: _Item) -> None:
-        opts = self.options
-        tel = self.telemetry
-        if item.is_group:
-            if len(item.nodes) > 1:
-                if tel.enabled:
-                    tel.emit("search.descend", label=item.label(), action="split")
-                mid = len(item.nodes) // 2
-                self._push(_Item(item.nodes[:mid], True))
-                self._push(_Item(item.nodes[mid:], True))
-            else:
-                self._descend(_Item(item.nodes, False))
-            return
-        node = item.nodes[0]
-        if node.level == LEVEL_INSN:
-            if tel.enabled:
-                tel.emit("search.descend", label=item.label(), action="stop")
-            return  # cannot subdivide an instruction
-        if _LEVEL_RANK[node.level] >= _LEVEL_RANK[opts.stop_level]:
-            if tel.enabled:
-                tel.emit("search.descend", label=item.label(), action="stop")
-            return  # descent capped by stop_level
-        children = node.children
-        if opts.partition and len(children) > opts.partition_threshold:
-            if tel.enabled:
-                tel.emit("search.descend", label=item.label(), action="partition")
-            mid = len(children) // 2
-            self._push(_Item(children[:mid], True))
-            self._push(_Item(children[mid:], True))
-        else:
-            if tel.enabled:
-                tel.emit("search.descend", label=item.label(), action="expand")
-            for child in children:
-                self._push(_Item([child], False))
-
-    # -- lattice descent ----------------------------------------------------------
-
-    def _lattice_split(self, item: _Item) -> list[_Item] | None:
-        """The sub-items a failed descent candidate breaks into, or None
-        when *item* cannot be subdivided (single instruction, stop_level
-        cap) and must stay at its current width.  Mirrors :meth:`_descend`
-        structurally — groups halve, aggregates partition or expand."""
+    def _split(self, item: _Item) -> tuple[str, list[_Item] | None]:
+        """How a failed *item* breaks up: its ``search.descend`` action
+        and the sub-items, None when it cannot be subdivided (a single
+        instruction, or the stop_level cap).  Groups halve; aggregates
+        partition when they have many children, else expand."""
         opts = self.options
         if item.is_group and len(item.nodes) > 1:
             mid = len(item.nodes) // 2
-            return [_Item(item.nodes[:mid], True), _Item(item.nodes[mid:], True)]
+            return "split", [
+                _Item(item.nodes[:mid], True), _Item(item.nodes[mid:], True)
+            ]
         node = item.nodes[0]
-        if node.level == LEVEL_INSN:
-            return None
-        if _LEVEL_RANK[node.level] >= _LEVEL_RANK[opts.stop_level]:
-            return None
+        if (
+            node.level == LEVEL_INSN
+            or _LEVEL_RANK[node.level] >= _LEVEL_RANK[opts.stop_level]
+        ):
+            return "stop", None
         children = node.children
         if opts.partition and len(children) > opts.partition_threshold:
             mid = len(children) // 2
-            return [_Item(children[:mid], True), _Item(children[mid:], True)]
-        return [_Item([child], False) for child in children]
+            return "partition", [
+                _Item(children[:mid], True), _Item(children[mid:], True)
+            ]
+        return "expand", [_Item([child], False) for child in children]
+
+    def _descend(self, item: _Item) -> None:
+        """Queue the sub-items of a failed *item* (see :meth:`_split`)."""
+        if item.is_group and len(item.nodes) == 1:
+            item = _Item(item.nodes, False)  # a lone sibling is its node
+        action, pieces = self._split(item)
+        tel = self.telemetry
+        if tel.enabled:
+            tel.emit("search.descend", label=item.label(), action=action)
+        for piece in pieces or ():
+            self._push(piece)
+
+    def _record(self, history: list, label: str, level: str, outcome,
+                wall: float, phase: str) -> bool:
+        """Record one evaluation *outcome* in *history* and as a
+        ``search.eval`` event; returns whether it passed."""
+        passed, cycles, trap, reason = outcome
+        history.append(
+            EvalRecord(
+                label, passed, cycles, trap,
+                wall_s=wall, phase=phase, reason=reason,
+            )
+        )
+        tel = self.telemetry
+        if tel.enabled:
+            tel.emit(
+                "search.eval",
+                label=label,
+                level=level,
+                passed=passed,
+                cycles=cycles,
+                trap=trap,
+                reason=reason,
+                wall_s=round(wall, 6),
+                phase=phase,
+            )
+        return passed
+
+    def _prune(self, history: list, item: _Item, phase: str, **extra) -> None:
+        """Record *item* as failed without evaluating it: the analysis
+        predicted the failure (*extra* joins the ``search.prune`` event)."""
+        self._pruned += 1
+        history.append(
+            EvalRecord(item.label(), False, phase=phase, reason=REASON_PRUNED)
+        )
+        tel = self.telemetry
+        if tel.enabled:
+            tel.count("analysis.pruned")
+            tel.emit(
+                "search.prune",
+                label=item.label(),
+                level=item.nodes[0].level,
+                **extra,
+            )
+
+    # -- lattice descent ----------------------------------------------------------
 
     def _lattice_descend(self, passing: list, history: list) -> list:
         """Third search phase (the precision-lattice tentpole): walk every
@@ -417,7 +429,6 @@ class SearchEngine:
         if len(narrow) < 2 or not passing:
             return [(item, policy) for item, policy in levels]
 
-        tel = self.telemetry
         guide = self._guide
         batch_size = max(1, self.options.workers)
 
@@ -432,7 +443,7 @@ class SearchEngine:
                     return [(item, p) for item, p in levels]
 
                 def split(entry) -> None:
-                    pieces = self._lattice_split(entry[0])
+                    _action, pieces = self._split(entry[0])
                     if pieces is None:
                         return  # keeps the width it verified at
                     pos = levels.index(entry)
@@ -449,21 +460,7 @@ class SearchEngine:
                         # Width seeding: the shadow run saw magnitudes
                         # this width cannot represent, so skip the
                         # evaluation and treat it as a failure.
-                        self._pruned += 1
-                        history.append(
-                            EvalRecord(
-                                entry[0].label(), False,
-                                phase=phase, reason=REASON_PRUNED,
-                            )
-                        )
-                        if tel.enabled:
-                            tel.count("analysis.pruned")
-                            tel.emit(
-                                "search.prune",
-                                label=entry[0].label(),
-                                level=entry[0].nodes[0].level,
-                                width=width.name,
-                            )
+                        self._prune(history, entry[0], phase, width=width.name)
                         split(entry)
                         continue
                     batch.append(entry)
@@ -480,26 +477,9 @@ class SearchEngine:
                 )
                 per_eval = (time.perf_counter() - batch_start) / len(batch)
                 for entry, outcome in zip(batch, outcomes):
-                    passed, cycles, trap, reason = outcome
-                    history.append(
-                        EvalRecord(
-                            entry[0].label(), passed, cycles, trap,
-                            wall_s=per_eval, phase=phase, reason=reason,
-                        )
-                    )
-                    if tel.enabled:
-                        tel.emit(
-                            "search.eval",
-                            label=entry[0].label(),
-                            level=entry[0].nodes[0].level,
-                            passed=passed,
-                            cycles=cycles,
-                            trap=trap,
-                            reason=reason,
-                            wall_s=round(per_eval, 6),
-                            phase=phase,
-                        )
-                    if passed:
+                    item = entry[0]
+                    if self._record(history, item.label(), item.nodes[0].level,
+                                    outcome, per_eval, phase):
                         entry[1] = policy
                     else:
                         split(entry)
@@ -621,12 +601,14 @@ class SearchEngine:
     # -- campaign journal (checkpoint/resume) -------------------------------------
 
     def _item_key(self, item: _Item, seq: int):
-        """The priority-heap key `_push` would build for *item* at *seq*.
+        """The priority-heap key of *item* pushed at *seq*.
 
-        Factored out so :meth:`_restore` reconstructs the exact ordering
-        a fresh run would have had: weights and analysis ranks are
-        recomputed (both are deterministic functions of the profile and
-        the report), only the sequence number is journaled.
+        :meth:`_push` and :meth:`_restore` share it, so a resumed run
+        has the exact ordering a fresh run would have had: weights and
+        analysis ranks are recomputed (both are deterministic functions
+        of the profile and the report), only the sequence number is
+        journaled.  Predicted-replaceable items rank ahead of profile
+        counts (analysis seeds prioritization).
         """
         guide = self._guide
         if guide is not None:
@@ -765,19 +747,7 @@ class SearchEngine:
                     # item's error exceeding the verification bound, so
                     # skip the evaluation and treat it as a failure
                     # (recorded + descended exactly like one).
-                    self._pruned += 1
-                    history.append(
-                        EvalRecord(
-                            item.label(), False, reason=REASON_PRUNED
-                        )
-                    )
-                    if tel.enabled:
-                        tel.count("analysis.pruned")
-                        tel.emit(
-                            "search.prune",
-                            label=item.label(),
-                            level=item.nodes[0].level,
-                        )
+                    self._prune(history, item, "bfs")
                     self._descend(item)
                     continue
                 items.append(item)
@@ -792,26 +762,8 @@ class SearchEngine:
             outcomes = self._evaluate_ordered(items, configs)
             per_eval = (time.perf_counter() - batch_start) / len(items)
             for item, outcome in zip(items, outcomes):
-                passed, cycles, trap, reason = outcome
-                history.append(
-                    EvalRecord(
-                        item.label(), passed, cycles, trap,
-                        wall_s=per_eval, reason=reason,
-                    )
-                )
-                if tel.enabled:
-                    tel.emit(
-                        "search.eval",
-                        label=item.label(),
-                        level=item.nodes[0].level,
-                        passed=passed,
-                        cycles=cycles,
-                        trap=trap,
-                        reason=reason,
-                        wall_s=round(per_eval, 6),
-                        phase="bfs",
-                    )
-                if passed:
+                if self._record(history, item.label(), item.nodes[0].level,
+                                outcome, per_eval, "bfs"):
                     passing.append(item)
                 else:
                     self._descend(item)
@@ -845,27 +797,11 @@ class SearchEngine:
         final_verified = False
         if passing:
             eval_start = time.perf_counter()
-            passed, cycles, trap, reason = self.evaluator.evaluate(final)
+            outcome = self.evaluator.evaluate(final)
             wall = time.perf_counter() - eval_start
-            history.append(
-                EvalRecord(
-                    "FINAL(union)", passed, cycles, trap,
-                    wall_s=wall, phase="final", reason=reason,
-                )
+            final_verified = self._record(
+                history, "FINAL(union)", "union", outcome, wall, "final"
             )
-            final_verified = passed
-            if tel.enabled:
-                tel.emit(
-                    "search.eval",
-                    label="FINAL(union)",
-                    level="union",
-                    passed=passed,
-                    cycles=cycles,
-                    trap=trap,
-                    reason=reason,
-                    wall_s=round(wall, 6),
-                    phase="final",
-                )
 
         profile = self.workload.profile()
         result = SearchResult(
@@ -935,27 +871,12 @@ class SearchEngine:
                 candidate.flags.update(item.flags())
             label = f"REFINE({len(items)} items)"
             eval_start = time.perf_counter()
-            passed, cycles, trap, reason = self.evaluator.evaluate(candidate)
+            outcome = self.evaluator.evaluate(candidate)
             wall = time.perf_counter() - eval_start
             budget[0] -= 1
-            history.append(
-                EvalRecord(
-                    label, passed, cycles, trap,
-                    wall_s=wall, phase="refine", reason=reason,
-                )
+            passed = self._record(
+                history, label, "union", outcome, wall, "refine"
             )
-            if tel.enabled:
-                tel.emit(
-                    "search.eval",
-                    label=label,
-                    level="union",
-                    passed=passed,
-                    cycles=cycles,
-                    trap=trap,
-                    reason=reason,
-                    wall_s=round(wall, 6),
-                    phase="refine",
-                )
             return passed, candidate
 
         kept = None

@@ -16,7 +16,6 @@ than single FLOPs, memory accesses are priced by bytes moved), so
 from repro.vm.errors import VmTrap, VmTimeout, CollectiveYield
 from repro.vm.machine import (
     VM,
-    CompiledSegmentCache,
     ExecResult,
     Machine,
     run_program,
@@ -25,7 +24,6 @@ from repro.vm.outputs import decode_outputs, outputs_close
 
 __all__ = [
     "VM",
-    "CompiledSegmentCache",
     "ExecResult",
     "Machine",
     "run_program",

@@ -18,10 +18,12 @@ The generated code is specialized three ways:
   after the budget check, if the run reads it before writing it, and
   written back once on every exit;
 * **flag liveness** — :func:`flag_liveness` computes, over the control
-  flow of the span being scanned, which flags some successor of each
-  run's exit may read.  The run's last compare computes only those plus
-  the ones its own conditional branch tests (which it tests as locals),
-  and stores only the former; an earlier compare computes nothing;
+  flow of the segment being scanned (one block template, or the whole
+  program when it loads without templates), which flags some successor
+  of each run's exit may read.  The run's last compare computes only
+  those plus the ones its own conditional branch tests (which it tests
+  as locals), and stores only the former; an earlier compare computes
+  nothing;
 * **inlined codecs** — scalar add/sub/mul, the single<->double
   conversions and the scalar compares decode their operands through
   :mod:`repro.fpbits.ieee`'s own ``struct.Struct`` methods instead of
@@ -48,8 +50,8 @@ exact wherever a conditional jump can read them —
   that every path overwrites before reading (docs/ISA.md: flags are
   observable only through conditional jumps).  The analysis is
   conservative: after a CALL or RET, at a branch target it cannot
-  resolve inside the span and on every edge leaving the span all flags
-  are live; after HALT or a fault none are;
+  resolve inside the segment and on every edge leaving the segment all
+  flags are live; after HALT or a fault none are;
 * cycles are accumulated as one constant-folded ``cyc[0] += TOTAL`` on
   fall-through; every fault charges exactly the partial sum of the
   instructions *before* the faulting one (the reference closures charge
@@ -83,10 +85,22 @@ Machine in the process.
 
 from __future__ import annotations
 
-from repro.fpbits import ieee, narrow
+from repro.fpbits import ieee
 from repro.isa.opcodes import Op, OPCODE_INFO, RED_MAX, RED_MIN, RED_SUM
 from repro.isa.operands import Imm, Mem, Reg, Xmm
 from repro.vm.errors import VmTrap
+from repro.vm.fpops import (
+    FPD_BIN,
+    FPD_UN,
+    FPN_BIN,
+    FPN_CODEC,
+    FPN_UN,
+    FPS_BIN,
+    FPS_UN,
+    HELPERS,
+    PD_BIN,
+    PS_BIN,
+)
 
 _M64 = 0xFFFFFFFFFFFFFFFF
 _M32 = 0xFFFFFFFF
@@ -148,24 +162,7 @@ _EXEC_GLOBALS = {
     "_pi": ieee._PACK_I.pack,
     "_uf": ieee._PACK_F.unpack,
 }
-for _name in (
-    "double_add", "double_sub", "double_mul", "double_div", "double_min",
-    "double_max", "double_sqrt", "double_abs", "double_neg", "double_sin",
-    "double_cos", "double_exp", "double_log",
-    "single_add", "single_sub", "single_mul", "single_div", "single_min",
-    "single_max", "single_sqrt", "single_abs", "single_neg", "single_sin",
-    "single_cos", "single_exp", "single_log",
-):
-    _EXEC_GLOBALS[_name] = getattr(ieee, _name)
-for _name in (
-    "bf16_add", "bf16_sub", "bf16_mul", "bf16_div", "bf16_min", "bf16_max",
-    "bf16_sqrt", "bf16_abs", "bf16_neg", "bf16_sin", "bf16_cos", "bf16_exp",
-    "bf16_log", "bits_to_bf16", "bf16_to_bits",
-    "f16_add", "f16_sub", "f16_mul", "f16_div", "f16_min", "f16_max",
-    "f16_sqrt", "f16_abs", "f16_neg", "f16_sin", "f16_cos", "f16_exp",
-    "f16_log", "bits_to_f16", "f16_to_bits",
-):
-    _EXEC_GLOBALS[_name] = getattr(narrow, _name)
+_EXEC_GLOBALS.update(HELPERS)
 
 
 def _dec64(v: str) -> str:
@@ -183,24 +180,6 @@ def _dec32(v: str) -> str:
     return f"_uf(_pi({v} & _M32))[0]"
 
 
-_FPD_BIN = {
-    Op.ADDSD: "double_add", Op.SUBSD: "double_sub", Op.MULSD: "double_mul",
-    Op.DIVSD: "double_div", Op.MINSD: "double_min", Op.MAXSD: "double_max",
-}
-_FPD_UN = {
-    Op.SQRTSD: "double_sqrt", Op.ABSSD: "double_abs", Op.NEGSD: "double_neg",
-    Op.SINSD: "double_sin", Op.COSSD: "double_cos", Op.EXPSD: "double_exp",
-    Op.LOGSD: "double_log",
-}
-_FPS_BIN = {
-    Op.ADDSS: "single_add", Op.SUBSS: "single_sub", Op.MULSS: "single_mul",
-    Op.DIVSS: "single_div", Op.MINSS: "single_min", Op.MAXSS: "single_max",
-}
-_FPS_UN = {
-    Op.SQRTSS: "single_sqrt", Op.ABSSS: "single_abs", Op.NEGSS: "single_neg",
-    Op.SINSS: "single_sin", Op.COSSS: "single_cos", Op.EXPSS: "single_exp",
-    Op.LOGSS: "single_log",
-}
 #: scalar ops whose codecs are inlined: the operator applied between the
 #: decoded operands (the helper computes exactly this in binary64).  A NaN
 #: result is re-derived by the helper itself: when both operands are NaN,
@@ -210,41 +189,6 @@ _FPS_UN = {
 _FP_INLINE = {
     Op.ADDSD: "+", Op.SUBSD: "-", Op.MULSD: "*",
     Op.ADDSS: "+", Op.SUBSS: "-", Op.MULSS: "*",
-}
-_FPN_BIN = {
-    Op.ADDBF: "bf16_add", Op.SUBBF: "bf16_sub", Op.MULBF: "bf16_mul",
-    Op.DIVBF: "bf16_div", Op.MINBF: "bf16_min", Op.MAXBF: "bf16_max",
-    Op.ADDHF: "f16_add", Op.SUBHF: "f16_sub", Op.MULHF: "f16_mul",
-    Op.DIVHF: "f16_div", Op.MINHF: "f16_min", Op.MAXHF: "f16_max",
-}
-_FPN_UN = {
-    Op.SQRTBF: "bf16_sqrt", Op.ABSBF: "bf16_abs", Op.NEGBF: "bf16_neg",
-    Op.SINBF: "bf16_sin", Op.COSBF: "bf16_cos", Op.EXPBF: "bf16_exp",
-    Op.LOGBF: "bf16_log",
-    Op.SQRTHF: "f16_sqrt", Op.ABSHF: "f16_abs", Op.NEGHF: "f16_neg",
-    Op.SINHF: "f16_sin", Op.COSHF: "f16_cos", Op.EXPHF: "f16_exp",
-    Op.LOGHF: "f16_log",
-}
-#: opcode -> (decode name, encode name) for narrow compare/convert.
-_FPN_CODEC_OPS = {
-    Op.UCOMIBF: ("bits_to_bf16", "bf16_to_bits"),
-    Op.CVTSI2BF: ("bits_to_bf16", "bf16_to_bits"),
-    Op.CVTTBF2SI: ("bits_to_bf16", "bf16_to_bits"),
-    Op.CVTSD2BF: ("bits_to_bf16", "bf16_to_bits"),
-    Op.CVTBF2SD: ("bits_to_bf16", "bf16_to_bits"),
-    Op.UCOMIHF: ("bits_to_f16", "f16_to_bits"),
-    Op.CVTSI2HF: ("bits_to_f16", "f16_to_bits"),
-    Op.CVTTHF2SI: ("bits_to_f16", "f16_to_bits"),
-    Op.CVTSD2HF: ("bits_to_f16", "f16_to_bits"),
-    Op.CVTHF2SD: ("bits_to_f16", "f16_to_bits"),
-}
-_PD_BIN = {
-    Op.ADDPD: "double_add", Op.SUBPD: "double_sub",
-    Op.MULPD: "double_mul", Op.DIVPD: "double_div",
-}
-_PS_BIN = {
-    Op.ADDPS: "single_add", Op.SUBPS: "single_sub",
-    Op.MULPS: "single_mul", Op.DIVPS: "single_div",
 }
 _INT_BIN_EXPR = {
     Op.ADD: "({d} + {s}) & _M64",
@@ -801,7 +745,7 @@ class _RunEmitter:
             else:
                 raise Unfusable
 
-        elif op in _FPD_BIN:
+        elif op in FPD_BIN:
             d = ops[0].index
             dv = self.x(d)
             sv = self.xsrc64(ops[1])
@@ -809,15 +753,15 @@ class _RunEmitter:
                 e(f"f{j} = {_dec64(dv)} {_FP_INLINE[op]} {_dec64(sv)}")
                 rhs = (
                     f"{_enc64(f'f{j}')} if f{j} == f{j} "
-                    f"else {_FPD_BIN[op]}({dv}, {sv})"
+                    f"else {FPD_BIN[op].__name__}({dv}, {sv})"
                 )
             else:
-                rhs = f"{_FPD_BIN[op]}({dv}, {sv})"
+                rhs = f"{FPD_BIN[op].__name__}({dv}, {sv})"
             e(f"{self.set_x(d)} = {rhs}")
 
-        elif op in _FPD_UN:
+        elif op in FPD_UN:
             sv = self.xsrc64(ops[1])
-            e(f"{self.set_x(ops[0].index)} = {_FPD_UN[op]}({sv})")
+            e(f"{self.set_x(ops[0].index)} = {FPD_UN[op].__name__}({sv})")
 
         elif op is Op.UCOMISD or op is Op.UCOMISS:
             sv = self.xsrc64(ops[1])
@@ -845,21 +789,21 @@ class _RunEmitter:
             sv = self.x(ops[1].index)
             e(f"{self.set_x(ops[0].index)} = {_enc64(_dec32(sv))}")
 
-        elif op in _FPN_BIN:
-            fn = _FPN_BIN[op]
+        elif op in FPN_BIN:
+            fn = FPN_BIN[op].__name__
             d = ops[0].index
             sv = self.xsrc64(ops[1])
             dv = self.once(self.x(d), f"v{j}n")
             e(f"{self.set_x(d)} = ({dv} & _HI32) | {fn}({dv} & 0xFFFF, {sv} & 0xFFFF)")
 
-        elif op in _FPN_UN:
+        elif op in FPN_UN:
             d = ops[0].index
             sv = self.xsrc64(ops[1])
             dv = self.x(d)
-            e(f"{self.set_x(d)} = ({dv} & _HI32) | {_FPN_UN[op]}({sv} & 0xFFFF)")
+            e(f"{self.set_x(d)} = ({dv} & _HI32) | {FPN_UN[op].__name__}({sv} & 0xFFFF)")
 
         elif op is Op.UCOMIBF or op is Op.UCOMIHF:
-            dec = _FPN_CODEC_OPS[op][0]
+            dec = FPN_CODEC[op][0].__name__
             sv = self.xsrc64(ops[1])
             if need:
                 self.fp_compare(
@@ -869,26 +813,26 @@ class _RunEmitter:
                 )
 
         elif op is Op.CVTSI2BF or op is Op.CVTSI2HF:
-            enc = _FPN_CODEC_OPS[op][1]
+            enc = FPN_CODEC[op][1].__name__
             d = ops[0].index
             v = self.g(ops[1].index)
             dv = self.x(d)
             e(f"{self.set_x(d)} = ({dv} & _HI32) | {enc}(float(_s64({v})))")
 
         elif op is Op.CVTTBF2SI or op is Op.CVTTHF2SI:
-            dec = _FPN_CODEC_OPS[op][0]
+            dec = FPN_CODEC[op][0].__name__
             e(f"f{j} = {dec}({self.x(ops[1].index)} & 0xFFFF)")
             self.truncate(ops[0].index)
 
         elif op is Op.CVTSD2BF or op is Op.CVTSD2HF:
-            enc = _FPN_CODEC_OPS[op][1]
+            enc = FPN_CODEC[op][1].__name__
             d = ops[0].index
             dv = self.x(d)
             sv = self.x(ops[1].index)
             e(f"{self.set_x(d)} = ({dv} & _HI32) | {enc}({_dec64(sv)})")
 
         elif op is Op.CVTBF2SD or op is Op.CVTHF2SD:
-            dec = _FPN_CODEC_OPS[op][0]
+            dec = FPN_CODEC[op][0].__name__
             sv = self.x(ops[1].index)
             e(f"{self.set_x(ops[0].index)} = {_enc64(f'{dec}({sv} & 0xFFFF)')}")
 
@@ -899,8 +843,8 @@ class _RunEmitter:
             v = self.x(ops[1].index)
             e(f"{self.set_g(ops[0].index)} = {v}")
 
-        elif op in _PD_BIN:
-            fn = _PD_BIN[op]
+        elif op in PD_BIN:
+            fn = PD_BIN[op].__name__
             d = ops[0].index
             lo, hi = self.xsrc128(ops[1])
             e(f"lo{j} = {lo}",
@@ -938,11 +882,11 @@ class _RunEmitter:
             else:
                 raise Unfusable
 
-        elif op in _FPS_BIN:
+        elif op in FPS_BIN:
             d = ops[0].index
             sv = self.xsrc64(ops[1])
             dv = self.once(self.x(d), f"v{j}d")
-            helper = f"{_FPS_BIN[op]}({dv} & _M32, {sv} & _M32)"
+            helper = f"{FPS_BIN[op].__name__}({dv} & _M32, {sv} & _M32)"
             if op in _FP_INLINE:
                 e(f"f{j} = {_dec32(dv)} {_FP_INLINE[op]} {_dec32(sv)}")
                 rhs = f"(single_to_bits(f{j}) if f{j} == f{j} else {helper})"
@@ -950,11 +894,11 @@ class _RunEmitter:
                 rhs = helper
             e(f"{self.set_x(d)} = ({dv} & _HI32) | {rhs}")
 
-        elif op in _FPS_UN:
+        elif op in FPS_UN:
             d = ops[0].index
             sv = self.xsrc64(ops[1])
             dv = self.x(d)
-            e(f"{self.set_x(d)} = ({dv} & _HI32) | {_FPS_UN[op]}({sv} & _M32)")
+            e(f"{self.set_x(d)} = ({dv} & _HI32) | {FPS_UN[op].__name__}({sv} & _M32)")
 
         elif op is Op.CVTSI2SS:
             d = ops[0].index
@@ -962,8 +906,8 @@ class _RunEmitter:
             dv = self.x(d)
             e(f"{self.set_x(d)} = ({dv} & _HI32) | single_to_bits(float(_s64({v})))")
 
-        elif op in _PS_BIN:
-            fn = _PS_BIN[op]
+        elif op in PS_BIN:
+            fn = PS_BIN[op].__name__
             d = ops[0].index
             lo, hi = self.xsrc128(ops[1])
             e(f"lo{j} = {lo}",
@@ -1273,25 +1217,17 @@ _MEMBER_OPS = (
         )
     )
     | frozenset(_INT_BIN_EXPR)
-    | frozenset(_FPD_BIN)
-    | frozenset(_FPD_UN)
-    | frozenset(_FPS_BIN)
-    | frozenset(_FPS_UN)
-    | frozenset(_FPN_BIN)
-    | frozenset(_FPN_UN)
-    | frozenset(_FPN_CODEC_OPS)
-    | frozenset(_PD_BIN)
-    | frozenset(_PS_BIN)
+    | frozenset(FPD_BIN)
+    | frozenset(FPD_UN)
+    | frozenset(FPS_BIN)
+    | frozenset(FPS_UN)
+    | frozenset(FPN_BIN)
+    | frozenset(FPN_UN)
+    | frozenset(FPN_CODEC)
+    | frozenset(PD_BIN)
+    | frozenset(PS_BIN)
     | _MPI_MEMBERS
 )
-
-
-def _vm_state(vm) -> tuple:
-    return (
-        vm.gpr, vm.mem, vm.xmm_lo, vm.xmm_hi, vm.flags, vm.outputs,
-        vm.rng, vm._cyc, vm._sl, vm.stack_limit, len(vm.mem),
-        vm._addr2idx, vm._fused_tail,
-    )
 
 
 def _scan_span(vm, lo: int, hi: int, leaders, live) -> list:
@@ -1399,95 +1335,43 @@ def _scan_span(vm, lo: int, hi: int, leaders, live) -> list:
     return part
 
 
-def _instantiate(vm, fcode, covered, lo: int, part, state, halt, runs) -> None:
-    """Bind one span's partition to this load: resolve the terminator
-    targets from the patched text and call each run's factory.  *runs*
-    collects each run's ``(head, length)``; None when the VM does not
-    count."""
-    instrs = vm._instrs
-    addrs = vm._instr_addrs
-    n = len(instrs)
-    rank = vm.rank
-    size = vm.size
-    for rel, k_total, term_rel, term_op, factory in part:
-        start = lo + rel
-        targets: tuple = ()
-        if term_rel >= 0:
-            ti = lo + term_rel
-            if term_op is Op.CALL:
-                targets = (
-                    vm._branch_index(instrs[ti].operands[0], addrs[ti]),
-                    addrs[ti + 1] if ti + 1 < n else -1,
-                )
-            elif term_op is not Op.RET:
-                targets = (
-                    vm._branch_index(instrs[ti].operands[0], addrs[ti]),
-                )
-        fcode[start] = factory(*state, targets, rank, size, halt)
-        if covered is not None:
-            for c in range(start, start + k_total):
-                covered[c] = 1
-        if runs is not None:
-            runs.append((start, k_total))
-
-
-def build_fcode(vm, halt, runs) -> tuple[list, bytearray]:
+def build_fcode(vm, tiles, halt, runs) -> list:
     """Build the fused dispatch array for *vm*'s freshly loaded program.
 
-    The whole program is one span: flag liveness sees every resolved
-    branch.  Returns ``(fcode, covered)``: ``fcode`` is the list the
-    VM's fused loop indexes — a fused closure at every run head, None
-    everywhere else (interior entries single-step the reference
-    closures) — and ``covered[i]`` flags every instruction inside a
-    fused run, so the loader may defer compiling its reference closure.
+    ``tiles`` is the load's ``(record, lo)`` tiling: one segment record
+    per block template, or one for the whole program (see
+    ``repro.vm.machine``), each with the index of its first instruction.
+    Returns the list the VM's fused loop indexes: a fused closure at
+    every run head, None elsewhere (interior entries single-step the
+    reference closures).  *runs* collects each run's ``(head,
+    length)``; None when the VM does not count.
+
+    A segment's run partition depends only on its own instructions:
+    member operands are final in the template bytes, terminator
+    *targets* stay outside the partition, and interior run leaders —
+    every branch or call target starts a run, so transfers land on a
+    fused head — can only come from the segment's own branches
+    (original branches target block starts, snippet branches are
+    intra-block).  Flag liveness sees only the segment too: every edge
+    leaving it has all flags live, a branch back to its own head
+    included, since another placement of the same bytes may aim it
+    elsewhere.  For the whole-program segment that is whole-program
+    liveness, with a branch to instruction 0 counted as leaving.  So the
+    scan runs once per record, kept in ``record.partition``, and a later
+    load of a template only re-resolves targets and re-binds factories.
     """
     instrs = vm._instrs
+    addrs = vm._instr_addrs
+    a2i = vm._addr2idx
     n = len(instrs)
     fcode: list = [None] * n
-    covered = bytearray(n)
-    # Basic-block leaders: every branch/call target starts its own run,
-    # so dynamic control transfers always land on a fused head instead
-    # of single-stepping through a run interior.
-    a2i = vm._addr2idx
-    terms = _TERMINATORS
-    leaders = set()
-    targets = {}
-    for i, ins in enumerate(instrs):
-        op = ins.opcode
-        if op in terms and op is not Op.RET:
-            t = a2i.get(ins.operands[0].value)
-            if t is not None:
-                leaders.add(t)
-                targets[i] = t
-    live = flag_liveness(instrs, 0, n, targets)
-    part = _scan_span(vm, 0, n, leaders, live)
-    if part:
-        _instantiate(vm, fcode, covered, 0, part, _vm_state(vm), halt, runs)
-    return fcode, covered
-
-
-def build_fcode_cached(vm, tiles, halt, runs) -> list:
-    """Segment-path variant of :func:`build_fcode` with memoized runs.
-
-    ``tiles`` is the load's ``(record, lo)`` tiling: each segment's
-    compiled-segment record (see ``repro.vm.machine``) and the index of
-    its first instruction.  A segment template's run partition depends
-    only on its own instruction sequence: member operands are final in
-    the template bytes, terminator *targets* stay outside the partition,
-    and interior run leaders can only come from the segment's own
-    branches (original branches target block starts — segment heads —
-    and snippet branches are intra-block).  Flag liveness is computed
-    over the template alone: an intra-block branch is an edge inside
-    it, and every other edge — including a branch back to the segment's
-    head, which another placement of the same bytes may aim elsewhere —
-    leaves it with all flags live.  So the scan runs once per template,
-    its result kept in ``record.partition``, and every later load merely
-    re-resolves targets and re-binds factories.
-    """
-    instrs = vm._instrs
-    a2i = vm._addr2idx
-    fcode: list = [None] * len(instrs)
-    state = _vm_state(vm)
+    state = (
+        vm.gpr, vm.mem, vm.xmm_lo, vm.xmm_hi, vm.flags, vm.outputs,
+        vm.rng, vm._cyc, vm._sl, vm.stack_limit, len(vm.mem),
+        vm._addr2idx, vm._fused_tail,
+    )
+    rank = vm.rank
+    size = vm.size
     for record, lo in tiles:
         part = record.partition
         if part is None:
@@ -1503,6 +1387,23 @@ def build_fcode_cached(vm, tiles, halt, runs) -> list:
             part = record.partition = _scan_span(vm, lo, hi, leaders, live)
         else:
             vm.fuse_hits += len(part)
-        if part:
-            _instantiate(vm, fcode, None, lo, part, state, halt, runs)
+        # Bind the partition to this load: resolve each terminator's
+        # target from the patched text and call the run's factory.
+        for rel, k_total, term_rel, term_op, factory in part:
+            start = lo + rel
+            dests: tuple = ()
+            if term_rel >= 0:
+                ti = lo + term_rel
+                if term_op is Op.CALL:
+                    dests = (
+                        vm._branch_index(instrs[ti].operands[0], addrs[ti]),
+                        addrs[ti + 1] if ti + 1 < n else -1,
+                    )
+                elif term_op is not Op.RET:
+                    dests = (
+                        vm._branch_index(instrs[ti].operands[0], addrs[ti]),
+                    )
+            fcode[start] = factory(*state, dests, rank, size, halt)
+            if runs is not None:
+                runs.append((start, k_total))
     return fcode

@@ -20,7 +20,7 @@ import struct
 from dataclasses import dataclass, field
 
 from repro.binary.model import Program
-from repro.fpbits import ieee, narrow
+from repro.fpbits import ieee
 from repro.fpbits.ieee import (
     bits_to_double,
     bits_to_single,
@@ -41,6 +41,17 @@ from repro.telemetry import NULL_TELEMETRY
 from repro.vm import fuse
 from repro.vm.costs import DEFAULT_COST_MODEL, CostModel
 from repro.vm.errors import CollectiveYield, VmTimeout, VmTrap
+from repro.vm.fpops import (
+    FPD_BIN,
+    FPD_UN,
+    FPN_BIN,
+    FPN_CODEC,
+    FPN_UN,
+    FPS_BIN,
+    FPS_UN,
+    PD_BIN,
+    PS_BIN,
+)
 
 #: escape hatch: set REPRO_NO_FUSE=1 to force the per-instruction
 #: reference loop everywhere (used by the dispatch microbenchmark and
@@ -66,12 +77,12 @@ _HALT = _Halt()
 
 
 class _PendingTrap(VmTrap):
-    """Execution fault raised inside a position-independent cached closure.
+    """Execution fault raised inside a position-independent closure.
 
-    Cached closures are shared between programs, so they cannot embed the
-    faulting instruction's text address; :meth:`VM.resume` stamps the
-    current program's address on before the trap escapes (the resulting
-    message is identical to an uncached VM's)."""
+    A segment record's closures are shared between the programs a VM
+    loads, so they cannot embed the faulting instruction's text address;
+    :meth:`VM.resume` stamps the current program's address on before the
+    trap escapes."""
 
     def __init__(self, message: str) -> None:
         super().__init__(message)
@@ -103,98 +114,6 @@ class ExecResult:
 
         return decode_outputs(self.outputs)
 
-
-# Scalar double binary ops: dst.lo = fn(dst.lo, src64).
-_FPD_BIN = {
-    Op.ADDSD: ieee.double_add,
-    Op.SUBSD: ieee.double_sub,
-    Op.MULSD: ieee.double_mul,
-    Op.DIVSD: ieee.double_div,
-    Op.MINSD: ieee.double_min,
-    Op.MAXSD: ieee.double_max,
-}
-# Scalar double unary ops: dst.lo = fn(src64).
-_FPD_UN = {
-    Op.SQRTSD: ieee.double_sqrt,
-    Op.ABSSD: ieee.double_abs,
-    Op.NEGSD: ieee.double_neg,
-    Op.SINSD: ieee.double_sin,
-    Op.COSSD: ieee.double_cos,
-    Op.EXPSD: ieee.double_exp,
-    Op.LOGSD: ieee.double_log,
-}
-# Scalar single binary ops on 32-bit patterns.
-_FPS_BIN = {
-    Op.ADDSS: ieee.single_add,
-    Op.SUBSS: ieee.single_sub,
-    Op.MULSS: ieee.single_mul,
-    Op.DIVSS: ieee.single_div,
-    Op.MINSS: ieee.single_min,
-    Op.MAXSS: ieee.single_max,
-}
-_FPS_UN = {
-    Op.SQRTSS: ieee.single_sqrt,
-    Op.ABSSS: ieee.single_abs,
-    Op.NEGSS: ieee.single_neg,
-    Op.SINSS: ieee.single_sin,
-    Op.COSSS: ieee.single_cos,
-    Op.EXPSS: ieee.single_exp,
-    Op.LOGSS: ieee.single_log,
-}
-# Scalar narrow (bfloat16 / binary16) binary ops on 16-bit patterns.
-# Same slot discipline as the SS family: the result is written into the
-# low 32 bits (16-bit pattern zero-extended) and the upper 32 bits are
-# preserved, which is what keeps the per-width replacement sentinels
-# alive in the high word.
-_FPN_BIN = {
-    Op.ADDBF: narrow.bf16_add,
-    Op.SUBBF: narrow.bf16_sub,
-    Op.MULBF: narrow.bf16_mul,
-    Op.DIVBF: narrow.bf16_div,
-    Op.MINBF: narrow.bf16_min,
-    Op.MAXBF: narrow.bf16_max,
-    Op.ADDHF: narrow.f16_add,
-    Op.SUBHF: narrow.f16_sub,
-    Op.MULHF: narrow.f16_mul,
-    Op.DIVHF: narrow.f16_div,
-    Op.MINHF: narrow.f16_min,
-    Op.MAXHF: narrow.f16_max,
-}
-_FPN_UN = {
-    Op.SQRTBF: narrow.bf16_sqrt,
-    Op.ABSBF: narrow.bf16_abs,
-    Op.NEGBF: narrow.bf16_neg,
-    Op.SINBF: narrow.bf16_sin,
-    Op.COSBF: narrow.bf16_cos,
-    Op.EXPBF: narrow.bf16_exp,
-    Op.LOGBF: narrow.bf16_log,
-    Op.SQRTHF: narrow.f16_sqrt,
-    Op.ABSHF: narrow.f16_abs,
-    Op.NEGHF: narrow.f16_neg,
-    Op.SINHF: narrow.f16_sin,
-    Op.COSHF: narrow.f16_cos,
-    Op.EXPHF: narrow.f16_exp,
-    Op.LOGHF: narrow.f16_log,
-}
-# Narrow decode/encode pairs for the compare and convert handlers.
-_FPN_CODEC = {
-    "bf": (narrow.bits_to_bf16, narrow.bf16_to_bits),
-    "hf": (narrow.bits_to_f16, narrow.f16_to_bits),
-}
-# Packed double: applied to each 64-bit lane.
-_PD_BIN = {
-    Op.ADDPD: ieee.double_add,
-    Op.SUBPD: ieee.double_sub,
-    Op.MULPD: ieee.double_mul,
-    Op.DIVPD: ieee.double_div,
-}
-# Packed single: applied to each 32-bit half of each lane.
-_PS_BIN = {
-    Op.ADDPS: ieee.single_add,
-    Op.SUBPS: ieee.single_sub,
-    Op.MULPS: ieee.single_mul,
-    Op.DIVPS: ieee.single_div,
-}
 
 _INT_BIN_PLAIN = {
     Op.ADD: lambda a, b: (a + b) & _M64,
@@ -264,9 +183,9 @@ def _harvest_blocks(program: Program) -> list[Instruction] | None:
     Programs assembled by :class:`~repro.asm.builder.AsmBuilder` carry
     their decoded instructions in ``fn.blocks`` — the loader reuses them
     instead of decoding the text again.  The harvest is verified against
-    the text layout (every address in sequence, total length matching),
-    falling back to a fresh decode on any mismatch, so hand-built or
-    CFG-less programs behave exactly as before.
+    the text layout (every address in sequence, total length matching);
+    on any mismatch the loader decodes the text (:func:`_decode`), so
+    hand-built or CFG-less programs behave exactly as before.
     """
     fns = program.functions
     if not fns:
@@ -285,10 +204,22 @@ def _harvest_blocks(program: Program) -> list[Instruction] | None:
     return out if offset == len(program.text) else None
 
 
-#: records a :class:`CompiledSegmentCache` holds before it flushes
-#: wholesale: the bound of :class:`~repro.instrument.cache.InstrumentCache`'s
-#: default ``max_templates``, so the caches of a long-lived worker's VM
-#: stay as bounded as the template cache that feeds them.
+def _decode(text: bytes) -> list[Instruction]:
+    """Every instruction of *text*, decoded in layout order."""
+    out: list[Instruction] = []
+    offset = 0
+    n = len(text)
+    while offset < n:
+        instr, size = decode_instruction(text, offset)
+        out.append(instr)
+        offset += size
+    return out
+
+
+#: template records a VM keeps before it flushes them wholesale: the
+#: bound of :class:`~repro.instrument.cache.InstrumentCache`'s default
+#: ``max_templates``, so the records of a long-lived worker's VM stay as
+#: bounded as the template cache that feeds them.
 SEGMENT_CACHE_MAX = 65536
 
 #: control transfers (jmp / jcc / call).  Each takes exactly one
@@ -302,26 +233,29 @@ _I64 = struct.Struct("<q")
 
 
 class _SegmentRecord:
-    """Everything the VM derives from one block template, built once.
+    """Everything the VM derives from one segment, built once.
 
-    ``instrs`` are the template's instructions exactly as decoded
-    (template-relative addresses, label payloads zeroed), ``offs`` their
-    offsets and ``costs`` their static costs.  ``ctl`` lists the slots of
-    the control transfers: their closures embed resolved target indices
-    and return addresses, which depend on where the segment landed, so
-    every load reads their targets from the patched text and rebuilds
-    them.  Every other instruction advances ``idx + 1`` wherever it sits,
-    so its slot in ``closures`` is compiled once and reused verbatim — or
-    holds a lazy stand-in until its first dispatch (see :meth:`VM._lazy`).
-    ``partition`` is the fused-run partition (see
-    :func:`repro.vm.fuse.build_fcode_cached`), None until scanned;
-    ``ready`` turns True once every slot outside ``ctl`` is filled.
+    A segment is a block template — keyed by its *unpatched* bytes,
+    which two occurrences share exactly up to control-transfer targets —
+    or, for a program loaded without templates, the whole program, whose
+    record serves one load only.  ``instrs`` are its instructions as
+    given (segment-relative addresses, zeroed label payloads), ``offs``
+    their offsets and ``costs`` their static costs.  ``ctl`` lists the
+    slots of the control transfers: their closures embed resolved target
+    indices and return addresses, which depend on where the segment
+    landed, so every load reads their targets from the patched text and
+    rebuilds them.  Every other instruction advances ``idx + 1`` wherever
+    it sits, so its slot in ``closures`` is compiled once and reused
+    verbatim — or holds a lazy stand-in until its first dispatch (see
+    :meth:`VM._lazy`).  ``partition`` is the fused-run partition (see
+    :func:`repro.vm.fuse.build_fcode`), None until scanned; ``ready``
+    turns True once every slot outside ``ctl`` is filled.
     """
 
     __slots__ = ("instrs", "offs", "costs", "ctl", "closures", "partition",
                  "ready")
 
-    def __init__(self, instrs: tuple, model: CostModel) -> None:
+    def __init__(self, instrs, model: CostModel) -> None:
         self.instrs = instrs
         self.offs = tuple([instr.addr for instr in instrs])
         self.costs = _static_costs(instrs, model)
@@ -331,43 +265,6 @@ class _SegmentRecord:
         self.closures: list = [None] * len(instrs)
         self.partition = None
         self.ready = False
-
-
-class CompiledSegmentCache:
-    """Per-template VM records keyed by a segment's *unpatched* bytes.
-
-    The instrumentation cache hands the VM each block template it
-    assembled: the code bytes (relocation payloads still zeroed) and the
-    instructions they decode to.  The bytes are a sound content key: two
-    occurrences hold the same instruction sequence, and the only operands
-    that differ after patching are the targets of control transfers,
-    which every load reads from the patched text.  A miss builds the
-    record from the template's instructions; nothing is decoded.
-
-    Closures capture one VM's state arrays by reference, so a cache is
-    bound to a single VM for its whole life (:class:`Machine` enforces
-    this).  ``hits``/``misses`` count segment-level lookups.  The cache
-    flushes wholesale once it holds :data:`SEGMENT_CACHE_MAX` records.
-    """
-
-    def __init__(self, cost_model: CostModel | None = None) -> None:
-        self.cost_model = cost_model or DEFAULT_COST_MODEL
-        self.hits = 0
-        self.misses = 0
-        self._records: dict[bytes, _SegmentRecord] = {}
-
-    def lookup(self, code: bytes, instrs: tuple) -> _SegmentRecord:
-        records = self._records
-        record = records.get(code)
-        if record is None:
-            self.misses += 1
-            record = _SegmentRecord(instrs, self.cost_model)
-            if len(records) >= SEGMENT_CACHE_MAX:
-                records.clear()
-            records[code] = record
-        else:
-            self.hits += 1
-        return record
 
 
 class VM:
@@ -398,14 +295,19 @@ class VM:
         costs are byte-identical with telemetry on or off), emits a
         ``vm.trap`` event on any hard fault, and :meth:`publish` reports
         the per-opcode execution/cycle census as a ``vm.opcodes`` event.
+    segments:
+        Optional template tiling of *program*'s text from the
+        instrumentation cache (``InstrumentedProgram.segments``).  The
+        VM keeps one record per template and reuses it on later loads
+        (see :meth:`_load`); without it the program loads as one
+        whole-program segment.
     observer:
         Optional execution observer (see :mod:`repro.analysis`): an
         object whose ``wrap(vm, index, instr, addr, closure)`` may
         return a replacement closure for instructions it wants to watch
-        (or None to leave the instruction alone).  Wrappers are applied
-        *after* compilation, outside the shared segment cache — a VM
-        with an observer always compiles cold so cached closures stay
-        pristine, and never fuses (the only deopt left).  Detached-is-free:
+        (or None to leave the instruction alone).  Wrappers go only into
+        the load's own dispatch array, never into a segment record, and
+        an observed VM never fuses (the only deopt left).  Detached-is-free:
         with ``observer=None`` the hook is a single None check at load
         time.  Observers must not mutate architectural state;
         outputs, cycle counts, step counts and trap addresses are
@@ -424,7 +326,6 @@ class VM:
         profile: bool = False,
         cost_model: CostModel | None = None,
         telemetry=None,
-        segment_cache: CompiledSegmentCache | None = None,
         segments=None,
         observer=None,
         fused: bool = True,
@@ -433,11 +334,6 @@ class VM:
             raise ValueError("size must be >= 1")
         if not 0 <= rank < size:
             raise ValueError("rank out of range")
-        if observer is not None:
-            # Observer wrappers must never leak into the shared closure
-            # cache; an observed VM always compiles cold.
-            segment_cache = None
-            segments = None
         self._observer = observer
         self.program = program
         self.rank = rank
@@ -468,13 +364,17 @@ class VM:
         self._fcode = None
         self.fuse_hits = 0
         self.fuse_misses = 0
+        #: template bytes -> record; closures capture this VM's state
+        #: arrays, so records live and die with the VM.
+        self._records: dict[bytes, _SegmentRecord] = {}
+        self.compile_hits = 0
+        self.compile_misses = 0
 
         self._data_image0 = list(program.data_image)
         self._stack_zero = [0] * stack_words
-        self._segment_cache = segment_cache
         self._instrs: list[Instruction] = []
-        #: text address of each instruction (``_instrs[i].addr`` may be
-        #: segment-relative when the instruction came out of the cache)
+        #: text address of each instruction (``_instrs[i].addr`` is
+        #: segment-relative when the instruction came from a template)
         self._instr_addrs: list[int] = []
         self._addr2idx: dict[int, int] = {}
         #: static (fall-through) cost per instruction, used by the opcode
@@ -742,12 +642,15 @@ class VM:
     def _load(self, program: Program, segments=None) -> None:
         """(Re)compile *program* into the closure array.
 
-        When *segments* (the instrumentation cache's template tiling) and
-        a :class:`CompiledSegmentCache` are both present, each segment's
-        record is fetched from the cache and tiled in bulk; only control
-        transfers are rebuilt, with targets read from the patched text.
-        Otherwise every instruction is decoded and compiled fresh,
-        exactly as the original single-program VM did.
+        *segments* is the instrumentation cache's template tiling of the
+        text: ``(code, instructions, base)`` triples.  Each template's
+        record comes from this VM's table, built on a miss from the
+        template's instructions (nothing is decoded) and reused verbatim
+        on later loads.  Without *segments* the program is one
+        whole-program segment ``(text, instructions, 0)`` whose record
+        serves this load only.  Either way the records are tiled in bulk,
+        control transfers are rebuilt with targets read from the patched
+        text, and the rest of the load is one path.
         """
         self.program = program
         instrs = self._instrs
@@ -756,98 +659,85 @@ class VM:
         instrs.clear()
         addrs.clear()
         a2i.clear()  # in place: cached ret closures captured this dict
-        cache = self._segment_cache
         text = program.text
+        model = self.cost_model
         fuse_here = self._fused and self._observer is None
         #: (head, length) of every fused run, recorded only when counting.
         runs = [] if self._counting else None
         self._fcode = None
-        if segments is None or cache is None:
-            harvested = _harvest_blocks(program)
-            if harvested is not None:
-                # The linker just decoded these instructions; reuse them
-                # instead of decoding the text a second time.
-                for instr in harvested:
-                    a2i[instr.addr] = len(instrs)
-                    instrs.append(instr)
-                    addrs.append(instr.addr)
-            else:
-                offset = 0
-                n = len(text)
-                while offset < n:
-                    instr, size = decode_instruction(text, offset)
-                    a2i[offset] = len(instrs)
-                    instrs.append(instr)
-                    addrs.append(offset)
-                    offset += size
-            self._inst_costs = _static_costs(instrs, self.cost_model)
-            covered = None
-            if fuse_here:
-                fcode, covered = fuse.build_fcode(self, _HALT, runs)
-                # A program with no fusable run gains nothing from the
-                # fused loop's extra None checks; keep the reference loop.
-                self._fcode = fcode if any(fcode) else None
-            build = self._build
-            if self._fcode is not None and runs is None:
-                # Instructions inside fused runs compile their reference
-                # closure lazily — only deopt paths (mid-run resume,
-                # budget tail) ever dispatch through them.  A counting VM
-                # compiles eagerly: a shim replaces itself in _code,
-                # which would drop the counter wrapped around it.
-                lazy = self._lazy()
-                self._code = [
-                    lazy if covered[i] else build(i)
-                    for i in range(len(instrs))
-                ]
-            else:
-                self._code = [build(i) for i in range(len(instrs))]
-        else:
-            tiles: list = []  # (record, first instruction index)
-            costs: list[int] = []
-            lookup = cache.lookup
-            expect = 0
-            for seg_bytes, seg_instrs, base in segments:
-                if base != expect:
-                    raise ValueError("segments do not tile the text section")
-                expect += len(seg_bytes)
-                record = lookup(seg_bytes, seg_instrs)
-                tiles.append((record, len(instrs)))
-                instrs.extend(record.instrs)
-                addrs.extend([base + off for off in record.offs])
-                costs.extend(record.costs)
-            if expect != len(text):
+        whole = segments is None
+        if whole:
+            segments = ((text, _harvest_blocks(program) or _decode(text), 0),)
+        records = self._records
+        tiles: list = []  # (record, first instruction index)
+        costs: list[int] = []
+        expect = 0
+        for seg_bytes, seg_instrs, base in segments:
+            if base != expect:
                 raise ValueError("segments do not tile the text section")
-            a2i.update(zip(addrs, range(len(addrs))))
-            self._inst_costs = costs
-            # Control transfers carry a zeroed target in the template;
-            # read the patched 8-byte immediate instead of decoding.
-            unpack = _I64.unpack_from
-            transfers: list[int] = []
-            for record, lo in tiles:
-                for j in record.ctl:
-                    i = lo + j
-                    target = (Imm(unpack(text, addrs[i] + 4)[0]),)
-                    instrs[i] = Instruction(instrs[i].opcode, target, addrs[i])
-                    transfers.append(i)
-            # Fused superinstruction dispatch (see repro.vm.fuse).
-            # Observed VMs never fuse: wrappers must see every dispatch.
-            if fuse_here:
-                fcode = fuse.build_fcode_cached(self, tiles, _HALT, runs)
-                self._fcode = fcode if any(fcode) else None
-            lazy = fuse_here and runs is None
-            for record, lo in tiles:
-                if not record.ready:
-                    self._fill(record, lo, lazy)
-            code: list = []
-            for record, _lo in tiles:
-                code.extend(record.closures)
-            build = self._build
-            for i in transfers:
+            expect += len(seg_bytes)
+            record = None if whole else records.get(seg_bytes)
+            if record is None:
+                record = _SegmentRecord(seg_instrs, model)
+                if not whole:
+                    self.compile_misses += 1
+                    if len(records) >= SEGMENT_CACHE_MAX:
+                        records.clear()
+                    records[seg_bytes] = record
+            else:
+                self.compile_hits += 1
+            tiles.append((record, len(instrs)))
+            instrs.extend(record.instrs)
+            # At base 0 (the whole program) the offsets are the addresses;
+            # reusing them spares one int object per instruction.
+            addrs.extend(
+                [base + off for off in record.offs] if base else record.offs
+            )
+            costs.extend(record.costs)
+        if expect != len(text):
+            raise ValueError("segments do not tile the text section")
+        a2i.update(zip(addrs, range(len(addrs))))
+        self._inst_costs = costs
+        # Control transfers carry a zeroed target in a template; read the
+        # patched 8-byte immediate instead of decoding.  A whole-program
+        # segment's instructions already hold theirs.
+        unpack = _I64.unpack_from
+        transfers: list[int] = []
+        for record, lo in tiles:
+            for j in record.ctl:
+                i = lo + j
+                target = unpack(text, addrs[i] + 4)[0]
+                instr = instrs[i]
+                if instr.operands[0].value != target:
+                    instrs[i] = Instruction(instr.opcode, (Imm(target),), addrs[i])
+                transfers.append(i)
+        # Fused superinstruction dispatch (see repro.vm.fuse).  Observed
+        # VMs never fuse: wrappers must see every dispatch.
+        if fuse_here:
+            fcode = fuse.build_fcode(self, tiles, _HALT, runs)
+            # A program with no fusable run gains nothing from the fused
+            # loop's extra None checks; keep the reference loop.
+            self._fcode = fcode if any(fcode) else None
+        # Fused-run members compile lazily (see _fill); a counting VM
+        # compiles eagerly, since a stand-in replaces itself in _code and
+        # would drop the counter wrapped around it.
+        lazy = fuse_here and runs is None
+        shared = self._lazy() if lazy and whole else None
+        for record, lo in tiles:
+            if not record.ready:
+                self._fill(record, lo, lazy, shared)
+        code: list = []
+        for record, _lo in tiles:
+            code.extend(record.closures)
+        # Transfers compile at every load, except those a whole-program
+        # load left to the shared stand-in.
+        build = self._build
+        for i in transfers:
+            if code[i] is None:
                 code[i] = build(i)
-            self._code = code
+        self._code = code
         observer = self._observer
         if observer is not None:
-            code = self._code
             for i, instr in enumerate(instrs):
                 wrapped = observer.wrap(self, i, instr, addrs[i], code[i])
                 if wrapped is not None:
@@ -856,21 +746,27 @@ class VM:
             self._install_counters(runs)
         self._entry_idx = a2i[program.entry]
 
-    def _fill(self, record: _SegmentRecord, lo: int, lazy: bool) -> None:
+    def _fill(self, record: _SegmentRecord, lo: int, lazy: bool,
+              shared) -> None:
         """Fill a new record's closure slots from its placement at *lo*.
 
         With *lazy* (a fused, non-counting VM), each slot a fused run
-        covers gets a stand-in that compiles on first dispatch; every
-        other slot outside the control transfers compiles now, so no
-        load-time error is deferred.
+        covers gets a stand-in that compiles on first dispatch — only
+        deopt paths (mid-run resume, budget tail) ever dispatch there.
+        A record that serves one load gets the *shared* position-
+        independent stand-in, control transfers included; a template
+        record gets one per slot outside ``ctl``, which keeps its closure
+        in the record for later loads.  Every other slot outside the
+        control transfers compiles now, so no load-time error is
+        deferred.
         """
         closures = record.closures
         ctl = set(record.ctl)
         if lazy and record.partition:
             for rel, k_total, *_ in record.partition:
                 for j in range(rel, rel + k_total):
-                    if j not in ctl:
-                        closures[j] = self._lazy(closures, j)
+                    if shared or j not in ctl:
+                        closures[j] = shared or self._lazy(closures, j)
         build = self._build
         for j, closure in enumerate(closures):
             if closure is None and j not in ctl:
@@ -887,8 +783,8 @@ class VM:
         the budget tail counts nothing; HALT closes its run, so every
         member ran; a trapping run has repaid its unexecuted suffix to
         ``sl``, so exactly ``left - sl[0]`` members ran, the faulting
-        one included.  The wrappers live only in this VM's own arrays,
-        never in the shared segment cache.
+        one included.  The wrappers live only in this load's own arrays,
+        never in a segment record.
         """
         counts = self._counts = [0] * len(self._instrs)
         entries = self._entries = [0] * len(self._instrs)
@@ -927,13 +823,13 @@ class VM:
     def _lazy(self, store: list | None = None, slot: int = 0):
         """Deferred compile: a stand-in closure that builds the reference
         closure of the instruction it is dispatched at and replaces
-        itself in ``_code`` — and, for a cached segment, in *slot* of the
-        record's closure list *store*, so later loads reuse the closure.
-        Only instructions covered by a fused run get one, and fusion
-        already validated their shape, so the deferral never hides a
-        load-time error.  The stand-in takes its position from the
-        dispatch index, so one serves every covered instruction of a
-        cold load."""
+        itself in ``_code`` — and, for a template record, in *slot* of
+        the record's closure list *store*, so later loads reuse the
+        closure.  Only instructions covered by a fused run get one, and
+        fusion already validated their shape, so the deferral never
+        hides a load-time error.  The stand-in takes its position from
+        the dispatch index, so without a *store* one serves every
+        covered instruction of a whole-program load."""
 
         # Defaults rather than free variables: a stand-in then costs one
         # function and one tuple, and a new segment gets one per member.
@@ -1384,8 +1280,8 @@ class VM:
                 return idx + 1
             return h_movapdm
 
-        if op in _FPD_BIN:
-            fn = _FPD_BIN[op]
+        if op in FPD_BIN:
+            fn = FPD_BIN[op]
             d = ops[0].index
             if isinstance(ops[1], Xmm):
                 s = ops[1].index
@@ -1401,8 +1297,8 @@ class VM:
                 return idx + 1
             return h_fpdxm
 
-        if op in _FPD_UN:
-            fn = _FPD_UN[op]
+        if op in FPD_UN:
+            fn = FPD_UN[op]
             d = ops[0].index
             srcf = self._xsrc64(ops[1], iaddr)
             def h_fpdun(idx, cyc=cyc, cost=cost, xl=xl, d=d, srcf=srcf, fn=fn):
@@ -1486,8 +1382,8 @@ class VM:
             return h_movqrx
 
         # ---- packed double -----------------------------------------------------
-        if op in _PD_BIN:
-            fn = _PD_BIN[op]
+        if op in PD_BIN:
+            fn = PD_BIN[op]
             d = ops[0].index
             read2 = self._xsrc128(ops[1], iaddr)
             def h_pd(idx, cyc=cyc, cost=cost, xl=xl, xh=xh, d=d, read2=read2, fn=fn):
@@ -1541,8 +1437,8 @@ class VM:
                 return idx + 1
             return h_movssmx
 
-        if op in _FPS_BIN:
-            fn = _FPS_BIN[op]
+        if op in FPS_BIN:
+            fn = FPS_BIN[op]
             d = ops[0].index
             srcf = self._xsrc64(ops[1], iaddr)
             def h_fps(idx, cyc=cyc, cost=cost, xl=xl, d=d, srcf=srcf, fn=fn):
@@ -1552,8 +1448,8 @@ class VM:
                 return idx + 1
             return h_fps
 
-        if op in _FPS_UN:
-            fn = _FPS_UN[op]
+        if op in FPS_UN:
+            fn = FPS_UN[op]
             d = ops[0].index
             srcf = self._xsrc64(ops[1], iaddr)
             def h_fpsun(idx, cyc=cyc, cost=cost, xl=xl, d=d, srcf=srcf, fn=fn):
@@ -1601,8 +1497,8 @@ class VM:
             return h_cvttss2si
 
         # ---- scalar narrow (bfloat16 / binary16) -------------------------------
-        if op in _FPN_BIN:
-            fn = _FPN_BIN[op]
+        if op in FPN_BIN:
+            fn = FPN_BIN[op]
             d = ops[0].index
             srcf = self._xsrc64(ops[1], iaddr)
             def h_fpn(idx, cyc=cyc, cost=cost, xl=xl, d=d, srcf=srcf, fn=fn):
@@ -1612,8 +1508,8 @@ class VM:
                 return idx + 1
             return h_fpn
 
-        if op in _FPN_UN:
-            fn = _FPN_UN[op]
+        if op in FPN_UN:
+            fn = FPN_UN[op]
             d = ops[0].index
             srcf = self._xsrc64(ops[1], iaddr)
             def h_fpnun(idx, cyc=cyc, cost=cost, xl=xl, d=d, srcf=srcf, fn=fn):
@@ -1623,7 +1519,7 @@ class VM:
             return h_fpnun
 
         if op is Op.UCOMIBF or op is Op.UCOMIHF:
-            dec = _FPN_CODEC["bf" if op is Op.UCOMIBF else "hf"][0]
+            dec = FPN_CODEC[op][0]
             d = ops[0].index
             srcf = self._xsrc64(ops[1], iaddr)
             def h_ucomin(idx, cyc=cyc, cost=cost, xl=xl, flags=flags, d=d,
@@ -1641,7 +1537,7 @@ class VM:
             return h_ucomin
 
         if op is Op.CVTSI2BF or op is Op.CVTSI2HF:
-            enc = _FPN_CODEC["bf" if op is Op.CVTSI2BF else "hf"][1]
+            enc = FPN_CODEC[op][1]
             d = ops[0].index
             s = ops[1].index
             def h_cvtsi2n(idx, cyc=cyc, cost=cost, xl=xl, gpr=gpr, d=d, s=s, enc=enc):
@@ -1651,7 +1547,7 @@ class VM:
             return h_cvtsi2n
 
         if op is Op.CVTTBF2SI or op is Op.CVTTHF2SI:
-            dec = _FPN_CODEC["bf" if op is Op.CVTTBF2SI else "hf"][0]
+            dec = FPN_CODEC[op][0]
             d = ops[0].index
             s = ops[1].index
             def h_cvttn2si(idx, cyc=cyc, cost=cost, xl=xl, gpr=gpr, d=d, s=s, dec=dec):
@@ -1665,7 +1561,7 @@ class VM:
             return h_cvttn2si
 
         if op is Op.CVTSD2BF or op is Op.CVTSD2HF:
-            enc = _FPN_CODEC["bf" if op is Op.CVTSD2BF else "hf"][1]
+            enc = FPN_CODEC[op][1]
             d = ops[0].index
             s = ops[1].index
             def h_cvtsd2n(idx, cyc=cyc, cost=cost, xl=xl, d=d, s=s, enc=enc):
@@ -1675,7 +1571,7 @@ class VM:
             return h_cvtsd2n
 
         if op is Op.CVTBF2SD or op is Op.CVTHF2SD:
-            dec = _FPN_CODEC["bf" if op is Op.CVTBF2SD else "hf"][0]
+            dec = FPN_CODEC[op][0]
             d = ops[0].index
             s = ops[1].index
             def h_cvtn2sd(idx, cyc=cyc, cost=cost, xl=xl, d=d, s=s, dec=dec):
@@ -1685,8 +1581,8 @@ class VM:
             return h_cvtn2sd
 
         # ---- packed single -----------------------------------------------------
-        if op in _PS_BIN:
-            fn = _PS_BIN[op]
+        if op in PS_BIN:
+            fn = PS_BIN[op]
             d = ops[0].index
             read2 = self._xsrc128(ops[1], iaddr)
             def h_ps(idx, cyc=cyc, cost=cost, xl=xl, xh=xh, d=d, read2=read2, fn=fn):
@@ -1842,12 +1738,12 @@ _COND_TABLE = {
 class Machine:
     """Persistent single-rank executor amortizing closure compilation.
 
-    A Machine owns at most one live :class:`VM` plus the
-    :class:`CompiledSegmentCache` bound to it.  :meth:`run` reuses the
-    VM's state arrays and cached closures whenever the next program has
-    the same data image as the current one — always true across the
-    instrumented variants of a single workload, which is the search's hot
-    path — and otherwise starts a fresh VM and cache.  State is fully
+    A Machine owns at most one live :class:`VM`, and with it the VM's
+    segment records.  :meth:`run` reuses the VM's state arrays and
+    records whenever the next program has the same data image as the
+    current one — always true across the instrumented variants of a
+    single workload, which is the search's hot path — and otherwise
+    starts a fresh VM.  State is fully
     reset between runs, so results (outputs, cycles, steps) are identical
     to a fresh :func:`run_program` call; the differential tests assert
     this bit-for-bit.
@@ -1874,15 +1770,14 @@ class Machine:
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.runs = 0
         self._vm: VM | None = None
-        self._cache: CompiledSegmentCache | None = None
 
     @property
     def compile_cache_hits(self) -> int:
-        return self._cache.hits if self._cache is not None else 0
+        return self._vm.compile_hits if self._vm is not None else 0
 
     @property
     def compile_cache_misses(self) -> int:
-        return self._cache.misses if self._cache is not None else 0
+        return self._vm.compile_misses if self._vm is not None else 0
 
     @property
     def fuse_cache_hits(self) -> int:
@@ -1899,21 +1794,19 @@ class Machine:
         (``InstrumentedProgram.segments``); pass ``None`` to load without
         closure reuse (the VM and its state arrays are still recycled).
         """
-        cache = self._cache
         vm = self._vm
         if vm is not None and program.data_image == vm._data_image0:
-            before = (cache.hits, cache.misses, vm.fuse_hits, vm.fuse_misses)
+            before = (vm.compile_hits, vm.compile_misses,
+                      vm.fuse_hits, vm.fuse_misses)
             vm.rebind(program, segments)
         else:
             before = (0, 0, 0, 0)
-            cache = self._cache = CompiledSegmentCache(self.cost_model)
             vm = self._vm = VM(
                 program,
                 stack_words=self.stack_words,
                 seed=self.seed,
                 max_steps=self.max_steps,
                 cost_model=self.cost_model,
-                segment_cache=cache,
                 segments=segments,
             )
         self.runs += 1
@@ -1922,8 +1815,8 @@ class Machine:
         finally:
             t = self.telemetry
             if t.enabled:
-                t.count("vm.compile_cache_hits", cache.hits - before[0])
-                t.count("vm.compile_cache_misses", cache.misses - before[1])
+                t.count("vm.compile_cache_hits", vm.compile_hits - before[0])
+                t.count("vm.compile_cache_misses", vm.compile_misses - before[1])
                 t.count("vm.fuse_cache_hits", vm.fuse_hits - before[2])
                 t.count("vm.fuse_cache_misses", vm.fuse_misses - before[3])
 

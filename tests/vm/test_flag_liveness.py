@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
+import repro.vm.machine as vm_machine
 from repro.config import Config, build_tree
 from repro.instrument import InstrumentCache, instrument
 from repro.isa import Imm, Instruction, Op, Reg, Xmm
-from repro.vm import Machine
+from repro.vm import VM, Machine, fuse
 from repro.vm.fuse import _ALL_FLAGS, _LT, _PF, _ZF, _run_source, flag_liveness
 from repro.workloads import make_nas
 
@@ -143,3 +144,28 @@ class TestSnippetCheckSource:
             lo = hi
         assert checks > 0
         assert dead * 2 > checks, (dead, checks)
+
+
+class TestLoadScope:
+    def test_a_load_without_templates_keeps_whole_program_liveness(
+        self, monkeypatch
+    ):
+        # VM(program) loads one whole-program segment, so its liveness
+        # sees across every template edge; a load from the templates is
+        # conservative at each edge.  The scopes show in the factories
+        # compiled: fewer exit masks store a flag.
+        workload = make_nas("cg", "T")
+        program = workload.program
+        built = instrument(
+            program,
+            Config.all_single(build_tree(program)),
+            cache=InstrumentCache(program),
+        )
+        monkeypatch.setattr(vm_machine, "_NO_FUSE", False)
+        storing = []
+        for segments in (None, built.segments):
+            monkeypatch.setattr(fuse, "_FACTORIES", {})
+            VM(built.program, segments=segments, **workload.vm_params())
+            keys = [key for by_key in fuse._FACTORIES.values() for key in by_key]
+            storing.append(sum(1 for *_run, mask in keys if mask > 0))
+        assert storing == [8, 15]

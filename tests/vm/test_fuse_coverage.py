@@ -26,10 +26,13 @@ from itertools import product
 import pytest
 
 from repro.asm import AsmBuilder, LabelRef
+from repro.fpbits import ieee, narrow
 from repro.isa import Imm, Mem, Op, Reg, Xmm
 from repro.isa.opcodes import OPCODE_INFO
 from repro.vm import VM
+from repro.vm import fuse
 from repro.vm.errors import VmTrap
+from repro.vm.fpops import HELPERS
 from repro.vm.fuse import _MEMBER_OPS, _TERMINATORS
 
 
@@ -44,6 +47,16 @@ def test_every_opcode_is_claimed_by_the_fuser():
 
 def test_member_and_terminator_sets_are_disjoint():
     assert not (_MEMBER_OPS & _TERMINATORS)
+
+
+def test_fused_source_names_each_helper_by_its_module_attribute():
+    # Fused runs call a helper by its __name__, resolved in the factory
+    # globals; the reference closures call the function object itself.
+    # The two agree only if every name is the helper's attribute name.
+    for name, fn in HELPERS.items():
+        module = ieee if fn.__module__ == ieee.__name__ else narrow
+        assert getattr(module, name) is fn, name
+        assert fuse._EXEC_GLOBALS[name] is fn, name
 
 
 _LETTER_OPERANDS = {

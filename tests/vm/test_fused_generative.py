@@ -23,11 +23,11 @@ chunks covering every terminator kind:
 
 Each program runs with a step budget that sometimes expires mid-run, on
 the fused path and on the reference loop (``fused=False``), plain and
-with ``profile=True``, and once more as an instrumented build on the
-segment path (a :class:`Machine` fed cached templates) against the
-reference loop.  That build is all-single, so the rewriter's snippets
-run, unless the program names a snippet scratch register (the rewriter
-refuses to replace such an instruction; those programs go all-double).
+with ``profile=True``, and once more as an instrumented build loaded
+from its cached templates (a :class:`Machine`) against the reference
+loop.  That build is all-single, so the rewriter's snippets run, unless
+the program names a snippet scratch register (the rewriter refuses to
+replace such an instruction; those programs go all-double).
 Outputs, cycles, steps, the trap (type, message, address),
 ``gpr``/``xmm_lo``/``xmm_hi``/``mem`` after HALT or the trap, and the
 execution census must all be identical.  Flags are not compared:
@@ -340,11 +340,11 @@ _warm_arithmetic_helpers()
 
 
 def assert_fused_matches_reference(program, scratch, max_steps):
-    """The cold path (``VM(program)``) against ``fused=False``, plain and
-    counting; then the segment path (a :class:`Machine` loading cached
-    templates, twice) against the reference loop, on an all-single build
-    — all-double when the program names scratch registers, which the
-    rewriter refuses to replace."""
+    """A whole-program load (``VM(program)``) against ``fused=False``,
+    plain and counting; then a load from cached templates (a
+    :class:`Machine`, twice) against the reference loop, on an
+    all-single build — all-double when the program names scratch
+    registers, which the rewriter refuses to replace."""
     kw = {"stack_words": _STACK_WORDS, "max_steps": max_steps}
     for profile in (False, True):
         fused = VM(program, profile=profile, **kw)

@@ -12,7 +12,7 @@ import pytest
 import repro.vm.machine as vm_machine
 from repro.config import Config, Policy, build_tree
 from repro.instrument import InstrumentCache, instrument
-from repro.vm import VM, CompiledSegmentCache, Machine, run_program
+from repro.vm import VM, Machine, run_program
 from repro.vm.errors import VmTrap
 from repro.workloads import make_nas
 from tests.conftest import compile_src
@@ -74,10 +74,7 @@ def _reference_dispatches(program, **params):
 def _fused_runs(built, **params):
     """Instruction index -> (head, length) of the fused run covering it
     on the segment path; empty when fusion is disabled process-wide."""
-    vm = VM(
-        built.program, profile=True, segment_cache=CompiledSegmentCache(),
-        segments=built.segments, **params,
-    )
+    vm = VM(built.program, profile=True, segments=built.segments, **params)
     return {i: (h, k) for h, k in vm._runs for i in range(h, h + k)}
 
 
@@ -292,4 +289,4 @@ class TestSegmentLoads:
             assert warm.outputs == ref.outputs
             assert warm.cycles == ref.cycles
             assert warm.steps == ref.steps
-            assert len(machine._cache._records) <= bound
+            assert len(machine._vm._records) <= bound

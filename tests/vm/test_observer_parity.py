@@ -13,8 +13,10 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import ChainedObserver, ChannelObserver, ShadowObserver
+from repro.config import Config, build_tree
+from repro.instrument import InstrumentCache, instrument
 from repro.vm.errors import VmTrap
-from repro.vm.machine import run_program
+from repro.vm.machine import VM, run_program
 from repro.workloads import BENCHMARKS, make_workload
 from tests.conftest import compile_src
 
@@ -72,3 +74,48 @@ def test_profile_counts_identical(bench):
         **workload.vm_params(),
     )
     assert observed.exec_counts == plain.exec_counts
+
+
+class _Dispatches:
+    """Observer recording the text address of every dispatch."""
+
+    def __init__(self):
+        self.addrs = []
+
+    def wrap(self, vm, index, instr, addr, closure):
+        addrs = self.addrs
+
+        def traced(idx):
+            addrs.append(addr)
+            return closure(idx)
+
+        return traced
+
+
+@pytest.mark.parametrize("bench", ("cg", "ep"))
+def test_segment_loads_dispatch_like_whole_program_loads(bench):
+    """An observed VM loaded from an instrumented build's templates sees
+    exactly the run a whole-program load of the build sees — on a first
+    load, and on a rebind whose records the first load filled (wrappers
+    go into the load's own dispatch array, never into a record)."""
+    workload = make_workload(bench, "T")
+    program = workload.program
+    built = instrument(
+        program,
+        Config.all_single(build_tree(program)),
+        cache=InstrumentCache(program),
+    )
+    observer = _Dispatches()
+    whole = VM(built.program, observer=observer, **workload.vm_params()).run()
+    expected = (observer.addrs, whole.outputs, whole.cycles, whole.steps)
+    observer = _Dispatches()
+    vm = VM(
+        built.program, segments=built.segments, observer=observer,
+        **workload.vm_params(),
+    )
+    for _load in range(2):
+        observer.addrs.clear()
+        got = vm.run()
+        assert (observer.addrs, got.outputs, got.cycles, got.steps) == expected
+        vm.rebind(built.program, built.segments)
+    assert vm.compile_hits > 0
