@@ -1,9 +1,11 @@
 """Incremental evaluation substrate: warm vs cold search throughput.
 
 Runs the same instruction-level BFS search twice — once with the
-incremental caches disabled (every config pays full instrumentation and
-VM compilation, the pre-substrate behaviour) and once with them enabled
-— and reports configs/second for each, plus their ratio.  The two
+search's incremental caches disabled (every config loads into a fresh
+VM, and instrumentation reuses only the block templates that
+``instrument()``'s per-program cache kept from earlier configs of the
+same search) and once with them enabled — and reports configs/second
+for each, plus their ratio.  The two
 searches must agree bit-for-bit on everything but wall time: same
 candidate verdicts, same cycle counts, same final configuration.
 

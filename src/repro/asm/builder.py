@@ -1,9 +1,11 @@
 """Programmatic assembler: emit instructions, resolve labels, lay out a Program.
 
-The builder is the single point where code becomes bytes.  Both the
-mini-language compiler and the instrumentation rewriter funnel through it,
-so layout rules (function extents, label resolution, debug info) live in
-exactly one place.
+The builder is where compiled code becomes bytes: the mini-language
+compiler and hand-assembled programs funnel through it, so their layout
+rules (function extents, label resolution, debug info) live in one
+place.  Instrumented builds are laid out from relocatable block
+templates instead (:mod:`repro.instrument.cache`), which patch label
+immediates exactly as :meth:`AsmBuilder.link` resolves them.
 
 Labels
 ------
@@ -152,30 +154,6 @@ class AsmBuilder:
         """Return a unique local label name."""
         self._label_counter += 1
         return f".{stem}{self._label_counter}"
-
-    # -- replay (caching clients) -------------------------------------------
-
-    def checkpoint(self) -> int:
-        """Position marker in the current function's item stream."""
-        if self._current is None:
-            raise AsmError("checkpoint outside a function")
-        return len(self._current.items)
-
-    def emitted_since(self, pos: int) -> list:
-        """The instructions and label marks appended after *pos*.
-
-        The returned items are shared, not copied: linking never mutates
-        them, so a caller may cache the list and :meth:`replay` it into a
-        later build of the same program.
-        """
-        return self._current.items[pos:]
-
-    def replay(self, items: list) -> None:
-        """Append previously captured items verbatim (label names included,
-        so they must be deterministic for the emission site)."""
-        if self._current is None:
-            raise AsmError("replay outside a function")
-        self._current.items.extend(items)
 
     # -- link ---------------------------------------------------------------
 

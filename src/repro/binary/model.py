@@ -81,6 +81,10 @@ class Program:
     debug_lines: dict[int, int] = field(default_factory=dict)
     #: human-readable name, used in reports
     name: str = "a.out"
+    #: the instrumentation cache's template tiling of ``text``, ordered
+    #: (template bytes, template instructions, base address) triples the
+    #: VM loads without decoding; None on compiled and decoded programs
+    segments: tuple | None = field(default=None, compare=False, repr=False)
 
     def decode_all(self) -> list[Instruction]:
         """Decode the whole text section in address order."""
@@ -97,10 +101,10 @@ class Program:
     def ensure_cfg(self) -> "Program":
         """Build per-function basic blocks if not yet present.
 
-        Programs assembled by the incremental instrumentation cache defer
-        CFG construction (the evaluation pipeline never needs blocks);
-        consumers that do — the configuration generator, the disassembler
-        — call this first.  Idempotent and cheap when blocks exist.
+        Instrumented programs defer CFG construction (the evaluation
+        pipeline never needs blocks); consumers that do — the
+        configuration generator, the disassembler — call this first.
+        Idempotent and cheap when blocks exist.
         """
         if any(not fn.blocks and fn.entry < fn.end for fn in self.functions):
             from repro.binary.cfg import build_cfg

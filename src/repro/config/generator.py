@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from repro.binary.model import Program
 from repro.config.model import (
-    Config,
     ConfigNode,
     LEVEL_BLOCK,
     LEVEL_FUNCTION,
@@ -81,8 +80,3 @@ def build_tree(program: Program) -> ProgramTree:
     return ProgramTree(
         program_name=program.name, roots=roots, by_id=by_id, by_addr=by_addr
     )
-
-
-def initial_config(program: Program) -> Config:
-    """All-double configuration over a freshly built tree."""
-    return Config.all_double(build_tree(program))

@@ -33,10 +33,6 @@ class Policy(str, Enum):
     BF16 = "b"
     HALF = "h"
 
-    @classmethod
-    def from_flag(cls, flag: str) -> "Policy":
-        return cls(flag)
-
     @property
     def is_narrow(self) -> bool:
         """True for any replacement policy (anything below double)."""
@@ -64,14 +60,6 @@ LEVEL_MODULE = "module"
 LEVEL_FUNCTION = "function"
 LEVEL_BLOCK = "block"
 LEVEL_INSN = "instruction"
-
-_LEVEL_PREFIX = {
-    LEVEL_MODULE: "MODL",
-    LEVEL_FUNCTION: "FUNC",
-    LEVEL_BLOCK: "BBLK",
-    LEVEL_INSN: "INSN",
-}
-
 
 @dataclass(slots=True)
 class ConfigNode:
@@ -225,10 +213,6 @@ class Config:
 
     # -- metrics ------------------------------------------------------------------
 
-    def has_any_single(self) -> bool:
-        """True if any candidate resolves to a narrow (replaced) policy."""
-        return any(p.is_narrow for p in self.instruction_policies().values())
-
     def static_replaced_fraction(self) -> float:
         """Fraction of candidate instructions resolved narrow (static %)."""
         policies = self.instruction_policies()
@@ -266,6 +250,3 @@ class Config:
             counts[p.value] = counts.get(p.value, 0) + 1
         return f"<Config {len(self.flags)} flags {counts}>"
 
-
-def level_prefix(level: str) -> str:
-    return _LEVEL_PREFIX[level]

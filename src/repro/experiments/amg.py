@@ -53,7 +53,3 @@ def run(klass: str = "A") -> dict:
         "_raw_overhead": analysis_overhead,
         "_raw_speedup": speedup,
     }
-
-
-#: Paper values for comparison.
-PAPER = {"analysis_overhead": 1.2, "manual_speedup": 175.48 / 95.25}

@@ -207,14 +207,6 @@ def single_max(a: int, b: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _safe_unary(fn, x: float) -> float:
-    try:
-        r = fn(x)
-    except (ValueError, OverflowError):
-        return math.nan if (x != x or x < 0.0 or fn in (math.log,)) else math.inf
-    return r
-
-
 def double_sin(a: int) -> int:
     x = bits_to_double(a)
     if x != x or math.isinf(x):

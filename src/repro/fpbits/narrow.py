@@ -37,8 +37,6 @@ BITS16_MASK = 0xFFFF
 _PACK_E = struct.Struct("<e")
 _PACK_H = struct.Struct("<H")
 
-_POS_INF_BF = 0x7F80
-_NEG_INF_BF = 0xFF80
 _NAN_BF = 0x7FC0
 
 _POS_INF_HF = 0x7C00

@@ -15,28 +15,32 @@ A block's emitted code is a pure function of
 
 * the block's own instruction sequence (fixed for the lifetime of the
   cache, which is bound to one original program),
-* the policies of the block's own candidates (``rewrite`` resolves every
-  candidate with ``policies.get(addr, Policy.DOUBLE)``),
+* the policies of the block's own candidates (``_emit_instruction``
+  resolves every candidate with ``policies.get(addr, Policy.DOUBLE)``),
 * the mode switches ``(snippet_all, wrap_moves, streamline,
   optimize_checks)`` plus the configuration's live narrow width tuple
   (a program-global fact: guard chains in *every* block test one
   sentinel per live width, so it keys templates like a mode switch),
 
-because the redundant-check analysis (`compute_precleaned`) is strictly
+because the redundant-check analysis (``block_precleaned``) is strictly
 intra-block — its clean set is empty at block entry.  Label *names* never
 reach the byte stream (a ``LabelRef`` encodes as a zeroed ``Imm`` slot
 resolved at layout time), so templates are position-independent byte
 strings plus a relocation table.
 
-Byte identity with the cold path
---------------------------------
-Templates are built by the very same ``_emit_instruction`` /
-snippet-emitter code the :class:`~repro.asm.builder.AsmBuilder` path
-runs, blocks are laid out in the same order, and relocations write the
-same 8-byte little-endian immediates ``AsmBuilder.link`` would resolve —
-so the assembled text is byte-for-byte identical to an uncached
-``rewrite`` of the same configuration (the differential tests in
-``tests/instrument/test_incremental_cache.py`` enforce this).
+Byte identity with an independent layout
+----------------------------------------
+Blocks are laid out in program order, and relocations write the same
+8-byte little-endian immediates ``AsmBuilder.link`` resolves for a label,
+so a cached build is byte-for-byte the program the assembler links from
+the same ``_emit_instruction`` stream.  The test suite keeps that link as
+its layout oracle (``tests/instrument/layout_oracle.py``), and
+``tests/instrument/test_incremental_cache.py`` compares every field of
+cached builds, and their statistics, with it.
+
+The assembled :class:`Program` carries the tiling it was laid out from
+(``Program.segments``), so the VM loads it from the templates'
+instructions without decoding.
 """
 
 from __future__ import annotations
@@ -51,7 +55,10 @@ from repro.instrument.rewriter import _addr_label, _emit_instruction
 from repro.instrument.snippets import DEFAULT_WIDTHS, SnippetStats
 from repro.isa.encode import encode_canonical
 from repro.isa.instruction import Instruction
-from repro.isa.operands import Imm, KIND_IMM, KIND_MEM, KIND_REG, KIND_XMM
+from repro.isa.operands import (
+    KIND_IMM, KIND_MEM, KIND_REG, KIND_XMM, Imm, Mem, Reg, Xmm,
+)
+from repro.isa.registers import SNIPPET_GPRS, SNIPPET_XMMS
 
 _M64 = 0xFFFFFFFFFFFFFFFF
 
@@ -62,29 +69,22 @@ _REL_FUNC = 2
 
 
 class _TemplateBuilder:
-    """Minimal stand-in for :class:`AsmBuilder` during template capture.
+    """The builder ``_emit_instruction`` writes one block into.
 
-    Records the emitted instruction stream and label marks of one block;
-    performs no layout.  Fresh labels are template-local — their names
-    never encode, so a per-template counter preserves byte identity with
-    the builder's global counter.
+    Records the emitted instruction stream and label marks; performs no
+    layout.
     """
 
-    __slots__ = ("items", "_counter")
+    __slots__ = ("items",)
 
     def __init__(self) -> None:
         self.items: list = []  # (opcode, operands, line) | label str
-        self._counter = 0
 
     def emit(self, opcode, *operands, line: int = 0) -> None:
         self.items.append((opcode, operands, line))
 
     def mark(self, label: str) -> None:
         self.items.append(label)
-
-    def fresh_label(self, stem: str = "L") -> str:
-        self._counter += 1
-        return f".{stem}{self._counter}"
 
 
 def _operand_width(operand) -> int:
@@ -99,6 +99,21 @@ def _operand_width(operand) -> int:
 
 
 _ZERO = Imm(0)
+
+
+def _scratch_registers_unused(program: Program) -> bool:
+    """True if no instruction in *program* touches the snippet-reserved
+    registers (R12/R13, X14/X15) — compiler output never does."""
+    for instr in program.decode_all():
+        for operand in instr.operands:
+            if isinstance(operand, Reg) and operand.index in SNIPPET_GPRS:
+                return False
+            if isinstance(operand, Xmm) and operand.index in SNIPPET_XMMS:
+                return False
+            if isinstance(operand, Mem):
+                if operand.base in SNIPPET_GPRS or operand.index in SNIPPET_GPRS:
+                    return False
+    return True
 
 
 def _zero_labels(operands: tuple, offset: int, labelled: list) -> tuple:
@@ -146,8 +161,7 @@ def build_block_template(
     instr_pool: dict,
     widths: tuple = DEFAULT_WIDTHS,
 ) -> BlockTemplate:
-    """Instrument one block into a relocatable template (the cold path of
-    the cache; byte-compatible with the AsmBuilder-based rewriter).
+    """Instrument one block into a relocatable template (a cache miss).
 
     *instr_pool* maps (encoding, template offset) to the decoded-form
     instruction first built for it.  Re-instrumenting a block under
@@ -225,10 +239,6 @@ class CachedRewrite:
 
     program: Program
     stats: SnippetStats
-    #: ordered (template code bytes, template instructions, base address)
-    #: triples tiling the text; the VM's compiled-segment cache keys on the
-    #: (unpatched) code bytes and takes the instructions as decoded
-    segments: tuple
     block_hits: int
     block_misses: int
 
@@ -240,7 +250,9 @@ class InstrumentCache:
     the mixed-precision executable for a policy map by assembling cached
     block templates, building only the templates whose policy slice has
     not been seen before.  Thread the same instance through every
-    evaluation of a search (``repro.search.evaluator`` does).
+    evaluation of a search (``repro.search.evaluator`` does); a call of
+    :func:`~repro.instrument.engine.instrument` without one takes the
+    instance its module-level FIFO holds for the program.
     """
 
     def __init__(self, program: Program, max_templates: int = 65536) -> None:
@@ -272,16 +284,16 @@ class InstrumentCache:
             )
             for fn in program.functions
         ]
-        # Modules exactly as the rewriter's builder.module() calls register
-        # them: unique function modules in first-appearance order.
+        # Modules exactly as AsmBuilder.module() registers them: unique
+        # function modules in first-appearance order.
         modules: list[str] = []
         for fn in program.functions:
             if fn.module not in modules:
                 modules.append(fn.module)
         self._modules = modules or ["main"]
 
-        # Reproduce the data section exactly as the builder lays it out
-        # (same per-symbol concatenation, same drift assertion).
+        # Reproduce the data section exactly as AsmBuilder.global_() lays
+        # it out (per-symbol concatenation at unchanged addresses).
         image: list[int] = []
         for symbol in sorted(program.globals.values(), key=lambda s: s.addr):
             if symbol.addr != len(image):
@@ -294,8 +306,6 @@ class InstrumentCache:
     def scratch_registers_unused(self) -> bool:
         """Cached result of the streamline-safety scan."""
         if self._scratch_ok is None:
-            from repro.instrument.engine import _scratch_registers_unused
-
             self._scratch_ok = _scratch_registers_unused(self.program)
         return self._scratch_ok
 
@@ -380,16 +390,16 @@ class InstrumentCache:
             modules=list(self._modules),
             debug_lines=debug_lines,
             name=self.program.name,
+            segments=tuple(
+                (template.code, template.instrs, base)
+                for template, base in order
+            ),
         )
         self.hits += hits
         self.misses += misses
         return CachedRewrite(
             program=new_program,
             stats=stats,
-            segments=tuple(
-                (template.code, template.instrs, base)
-                for template, base in order
-            ),
             block_hits=hits,
             block_misses=misses,
         )

@@ -19,22 +19,10 @@ The analysis is deliberately conservative:
 
 from __future__ import annotations
 
-from repro.binary.model import Program
 from repro.config.model import Policy
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op, OPCODE_INFO
 from repro.isa.operands import Mem, Xmm
-
-
-def compute_precleaned(
-    program: Program, policies: dict[int, Policy]
-) -> dict[int, frozenset[int]]:
-    """Map candidate address -> XMM registers statically clean there."""
-    out: dict[int, frozenset[int]] = {}
-    for fn in program.functions:
-        for block in fn.blocks:
-            block_precleaned(block.instructions, policies, out)
-    return out
 
 
 def block_precleaned(
@@ -42,7 +30,8 @@ def block_precleaned(
     policies: dict[int, Policy],
     out: dict[int, frozenset[int]] | None = None,
 ) -> dict[int, frozenset[int]]:
-    """The per-block body of :func:`compute_precleaned`.
+    """Map each double-policy candidate address of one basic block to the
+    XMM registers statically clean there (added to *out*).
 
     The clean set is empty at block entry and never crosses block
     boundaries, so the result for one block depends only on that block's

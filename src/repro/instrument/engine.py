@@ -30,8 +30,7 @@ from dataclasses import dataclass
 
 from repro.binary.model import Program
 from repro.config.model import Config, Policy
-from repro.instrument.dataflow import compute_precleaned
-from repro.instrument.rewriter import rewrite
+from repro.instrument.cache import InstrumentCache
 from repro.instrument.snippets import SnippetError, SnippetStats, live_widths
 from repro.telemetry import NULL_TELEMETRY
 
@@ -42,19 +41,17 @@ class InstrumentError(Exception):
 
 @dataclass(slots=True)
 class InstrumentedProgram:
-    """Result of instrumenting one program under one configuration."""
+    """Result of instrumenting one program under one configuration.
+
+    ``program`` carries the template tiling it was assembled from
+    (``Program.segments``), so every consumer loads it decode-free.
+    """
 
     program: Program
     original: Program
     config: Config
     stats: SnippetStats
     snippeted: bool
-    #: ordered (template bytes, template instructions, base address)
-    #: triples tiling the text when the program came out of an
-    #: :class:`InstrumentCache`; the VM's compiled-segment cache keys on
-    #: the bytes and loads the instructions without decoding them.
-    #: ``None`` on the cold path.
-    segments: tuple | None = None
 
     @property
     def growth(self) -> float:
@@ -62,22 +59,22 @@ class InstrumentedProgram:
         return len(self.program.text) / max(1, len(self.original.text))
 
 
-def _scratch_registers_unused(program: Program) -> bool:
-    """True if no instruction in *program* touches the snippet-reserved
-    registers (R12/R13, X14/X15) — compiler output never does."""
-    from repro.isa.operands import Mem, Reg, Xmm
-    from repro.isa.registers import SNIPPET_GPRS, SNIPPET_XMMS
+#: id(original program) -> the InstrumentCache serving calls that pass
+#: none.  A cache holds a strong reference to its program, which pins the
+#: id (and, like any cache, assumes the program no longer changes); the
+#: FIFO cap bounds memory when many distinct programs flow through one
+#: process.
+_CACHES: dict[int, InstrumentCache] = {}
+_CACHES_MAX = 8
 
-    for instr in program.decode_all():
-        for operand in instr.operands:
-            if isinstance(operand, Reg) and operand.index in SNIPPET_GPRS:
-                return False
-            if isinstance(operand, Xmm) and operand.index in SNIPPET_XMMS:
-                return False
-            if isinstance(operand, Mem):
-                if operand.base in SNIPPET_GPRS or operand.index in SNIPPET_GPRS:
-                    return False
-    return True
+
+def _cache_for(program: Program) -> InstrumentCache:
+    cache = _CACHES.get(id(program))
+    if cache is None:
+        if len(_CACHES) >= _CACHES_MAX:
+            _CACHES.pop(next(iter(_CACHES)))
+        cache = _CACHES[id(program)] = InstrumentCache(program)
+    return cache
 
 
 def instrument(
@@ -98,71 +95,52 @@ def instrument(
     program provably never uses those registers; the engine verifies this
     statically and raises otherwise.
 
-    *cache* may be an :class:`~repro.instrument.cache.InstrumentCache`
-    bound to *program*; block templates are then reused across calls and
-    only blocks whose policy slice changed are re-snippeted.  The output
-    is byte-identical to the uncached path.  *policies* short-circuits
-    ``config.instruction_policies()`` when the caller already has the
-    resolved map (the evaluators do).
+    Every build is assembled from an
+    :class:`~repro.instrument.cache.InstrumentCache`'s block templates.
+    *cache* may be one bound to *program*, threaded through a search so
+    that only blocks whose policy slice changed are re-snippeted; its
+    block hits and misses are reported to *telemetry*.  Without one, the
+    call takes the cache that :data:`_CACHES` holds for *program*.
+    *policies* short-circuits ``config.instruction_policies()`` when the
+    caller already has the resolved map (the evaluators do).
     """
     if mode not in ("auto", "all", "none"):
         raise InstrumentError(f"unknown mode {mode!r}")
-    if cache is not None and cache.program is not program:
+    reported = cache is not None
+    if not reported:
+        cache = _cache_for(program)
+    elif cache.program is not program:
         raise InstrumentError("instrument cache is bound to a different program")
-    if streamline:
-        scratch_free = (
-            cache.scratch_registers_unused()
-            if cache is not None
-            else _scratch_registers_unused(program)
+    if streamline and not cache.scratch_registers_unused():
+        raise InstrumentError(
+            "streamline requested but the program uses snippet-reserved "
+            "registers; save/restore cannot be elided safely"
         )
-        if not scratch_free:
-            raise InstrumentError(
-                "streamline requested but the program uses snippet-reserved "
-                "registers; save/restore cannot be elided safely"
-            )
     if policies is None:
         policies = config.instruction_policies()
     has_narrow = any(p.is_narrow for p in policies.values())
     snippet_all = mode == "all" or (mode == "auto" and has_narrow)
-    widths = live_widths(policies)
 
     telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-    segments = None
-    if cache is not None:
-        try:
-            cached = cache.instrument(
-                policies, snippet_all,
-                wrap_moves=(mode == "all"), streamline=streamline,
-                optimize_checks=optimize_checks, widths=widths,
-            )
-        except SnippetError as exc:
-            raise InstrumentError(str(exc)) from exc
-        new_program = cached.program
-        stats = cached.stats
-        segments = cached.segments
+    try:
+        cached = cache.instrument(
+            policies, snippet_all,
+            wrap_moves=(mode == "all"), streamline=streamline,
+            optimize_checks=optimize_checks, widths=live_widths(policies),
+        )
+    except SnippetError as exc:
+        raise InstrumentError(str(exc)) from exc
+    new_program = cached.program
+    stats = cached.stats
+    if reported:
         telemetry.count("instr.block_cache_hits", cached.block_hits)
         telemetry.count("instr.block_cache_misses", cached.block_misses)
-    else:
-        precleaned = None
-        if optimize_checks and snippet_all:
-            precleaned = compute_precleaned(program, policies)
-
-        stats = SnippetStats()
-        try:
-            new_program = rewrite(
-                program, policies, snippet_all, stats, precleaned,
-                wrap_moves=(mode == "all"), streamline=streamline,
-                widths=widths,
-            )
-        except SnippetError as exc:
-            raise InstrumentError(str(exc)) from exc
     result = InstrumentedProgram(
         program=new_program,
         original=program,
         config=config,
         stats=stats,
         snippeted=snippet_all,
-        segments=segments,
     )
     if telemetry.enabled:
         telemetry.emit(

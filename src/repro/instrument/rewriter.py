@@ -1,14 +1,17 @@
-"""Basic-block patching and binary rewriting (paper Section 2.4, Figure 7).
+"""The per-instruction splice of basic-block patching (paper Section 2.4,
+Figure 7).
 
-For every function, every basic block is walked instruction by
-instruction.  Each floating-point candidate conceptually splits its block
-into *before / instruction / after*; the snippet code is spliced where
-the instruction was and the surrounding edges re-point to it.  Because
-the splice is inline, re-linearizing the patched CFG is exactly the
-original layout with snippets expanded in place — which is what this
-rewriter emits through the :class:`~repro.asm.builder.AsmBuilder`.
+Each floating-point candidate conceptually splits its block into
+*before / instruction / after*; the snippet code is spliced where the
+instruction was and the surrounding edges re-point to it.  Because the
+splice is inline, re-linearizing the patched CFG is exactly the original
+layout with snippets expanded in place.  :func:`_emit_instruction` emits
+one original instruction's share of that layout into a *builder* (any
+object with ``emit(opcode, *operands, line=)`` and ``mark(label)``);
+:class:`~repro.instrument.cache.InstrumentCache` drives it once per
+basic block to build the block templates it lays out.
 
-Every original instruction address becomes a label in the new program;
+Every original instruction address becomes a label (:func:`_addr_label`);
 branch operands are rewritten from absolute addresses to those labels, so
 control flow survives arbitrary code growth.  Call targets resolve to
 function-entry labels, and return addresses need no fix-up at all: the
@@ -17,9 +20,8 @@ rewritten ``call`` pushes the *new* return address at run time.
 
 from __future__ import annotations
 
-from repro.asm.builder import AsmBuilder, LabelRef
-from repro.binary.model import Program
-from repro.config.model import Config, Policy
+from repro.asm.builder import LabelRef
+from repro.config.model import Policy
 from repro.instrument.snippets import (
     DEFAULT_WIDTHS,
     POLICY_WIDTHS,
@@ -28,145 +30,16 @@ from repro.instrument.snippets import (
     emit_move_guard,
     emit_single_snippet,
 )
-from repro.isa.opcodes import Op
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import OPCODE_INFO
-from repro.isa.operands import Imm
+from repro.isa.opcodes import OPCODE_INFO, Op
 
 
 def _addr_label(addr: int) -> str:
     return f".A{addr:x}"
 
 
-#: id(original program) -> (program, {site key: (items, stats delta)}).
-#: One instruction's emission is a pure function of (instruction identity,
-#: its policy, its precleaned set, the mode switches) — the same facts the
-#: block-template cache keys on — so the expansion captured on first
-#: emission is replayed verbatim on every later rewrite of the same
-#: program.  Snippet labels are site-scoped (see ``_Emitter.fresh``), so
-#: replayed and freshly generated labels can never collide.  The strong
-#: program reference pins the id; the FIFO cap bounds memory when many
-#: distinct programs flow through one process.
-_REPLAY: dict[int, tuple[Program, dict]] = {}
-_REPLAY_MAX = 8
-
-
-
-def _replay_sites(program: Program) -> dict:
-    entry = _REPLAY.get(id(program))
-    if entry is None:
-        if len(_REPLAY) >= _REPLAY_MAX:
-            _REPLAY.pop(next(iter(_REPLAY)))
-        entry = (program, {})
-        _REPLAY[id(program)] = entry
-    return entry[1]
-
-
-def rewrite(
-    program: Program,
-    policies: dict[int, Policy],
-    snippet_all: bool,
-    stats: SnippetStats,
-    precleaned: dict[int, frozenset[int]] | None = None,
-    wrap_moves: bool = False,
-    streamline: bool = False,
-    widths: tuple = DEFAULT_WIDTHS,
-) -> Program:
-    """Produce a new executable implementing *policies* over *program*.
-
-    ``policies`` maps candidate addresses to their resolved precision.
-    When *snippet_all* is true, every candidate not marked IGNORE gets a
-    snippet (narrow policy -> replacement snippet at that width, DOUBLE ->
-    guard snippet); when false, the program is copied verbatim (used to
-    round-trip layout).  ``precleaned`` optionally maps an instruction
-    address to XMM registers proven clean there (redundant-check
-    elimination).  ``widths`` is the configuration's live narrow width
-    tuple (see :func:`repro.instrument.snippets.live_widths`).
-    """
-    builder = AsmBuilder(program.name + "+instr")
-
-    # Reproduce the data section exactly (same addresses).
-    for symbol in sorted(program.globals.values(), key=lambda s: s.addr):
-        init = program.data_image[symbol.addr : symbol.addr + symbol.words]
-        addr = builder.global_(symbol.name, symbol.words, init)
-        if addr != symbol.addr:
-            raise AssertionError("data layout drifted during rewrite")
-
-    entry_names = {fn.entry: fn.name for fn in program.functions}
-    entry_name = entry_names.get(program.entry)
-    if entry_name is None:
-        raise ValueError("program entry is not a function entry")
-    precleaned = precleaned or {}
-
-    sites = _replay_sites(program)
-    variant = (snippet_all, wrap_moves, streamline, widths)
-    for fn in program.functions:
-        builder.module(fn.module)
-        builder.func(fn.name)
-        for block in fn.blocks:
-            snippets_before = stats.replaced_single + stats.wrapped_double
-            for instr in block.instructions:
-                addr = instr.addr
-                builder.mark(_addr_label(addr))
-                key = (addr, policies.get(addr), precleaned.get(addr), variant)
-                hit = sites.get(key)
-                if hit is not None:
-                    builder.replay(hit[0])
-                    d_rs, d_wd, d_ig, d_cp, d_ce, d_cs, d_si, d_se, mn = hit[1]
-                    stats.replaced_single += d_rs
-                    stats.wrapped_double += d_wd
-                    stats.ignored += d_ig
-                    stats.copied += d_cp
-                    stats.checks_emitted += d_ce
-                    stats.checks_skipped += d_cs
-                    stats.snippet_instructions += d_si
-                    stats.saves_elided += d_se
-                    if mn is not None:
-                        stats.by_opcode[mn] = stats.by_opcode.get(mn, 0) + 1
-                    continue
-                pos = builder.checkpoint()
-                b_rs = stats.replaced_single
-                b_wd = stats.wrapped_double
-                b_ig = stats.ignored
-                b_cp = stats.copied
-                b_ce = stats.checks_emitted
-                b_cs = stats.checks_skipped
-                b_si = stats.snippet_instructions
-                b_se = stats.saves_elided
-                _emit_instruction(
-                    builder, instr, entry_names, policies, snippet_all, stats,
-                    precleaned.get(addr, frozenset()), wrap_moves,
-                    streamline, widths,
-                )
-                d_rs = stats.replaced_single - b_rs
-                # by_opcode moves in lockstep with replaced_single (only
-                # emit_single_snippet touches either), so the mnemonic is
-                # the whole dict delta.
-                sites[key] = (
-                    builder.emitted_since(pos),
-                    (
-                        d_rs,
-                        stats.wrapped_double - b_wd,
-                        stats.ignored - b_ig,
-                        stats.copied - b_cp,
-                        stats.checks_emitted - b_ce,
-                        stats.checks_skipped - b_cs,
-                        stats.snippet_instructions - b_si,
-                        stats.saves_elided - b_se,
-                        OPCODE_INFO[instr.opcode].mnemonic if d_rs else None,
-                    ),
-                )
-            if stats.replaced_single + stats.wrapped_double > snippets_before:
-                stats.blocks_split += 1
-        builder.endfunc()
-
-    new_program = builder.link(entry=entry_name)
-    new_program.name = program.name
-    return new_program
-
-
 def _emit_instruction(
-    builder: AsmBuilder,
+    builder,
     instr: Instruction,
     entry_names: dict[int, str],
     policies: dict[int, Policy],

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.asm.builder import AsmBuilder, LabelRef
+from repro.asm.builder import LabelRef
 from repro.config.model import Policy
 from repro.fpbits.replace import REPLACED_FLAG, REPLACED_FLAG_SHIFTED, WIDTH_CODECS
 from repro.isa.instruction import Instruction
@@ -120,6 +120,10 @@ class SnippetStats:
 class _Emitter:
     """Counts instructions emitted through the builder on behalf of snippets.
 
+    A *builder* is anything with ``emit(opcode, *operands, line=)`` and
+    ``mark(label)``: the block-template builder of
+    :mod:`repro.instrument.cache`, or an :class:`~repro.asm.builder.AsmBuilder`.
+
     With *streamline* set (paper Section 2.5: "reduce the runtime overhead
     by streamlining the machine code that is emitted"), the scratch
     save/restore pushes are elided — legal only when the whole program
@@ -129,7 +133,7 @@ class _Emitter:
 
     def __init__(
         self,
-        builder: AsmBuilder,
+        builder,
         stats: SnippetStats,
         streamline: bool = False,
         addr: int = 0,
@@ -155,10 +159,10 @@ class _Emitter:
 
     def fresh(self, stem: str) -> str:
         # Labels are scoped by the snippeted instruction's original
-        # address: deterministic across re-emissions of the same site, so
-        # a cached emission (rewriter replay cache, block templates) can
-        # be replayed verbatim without colliding with labels generated
-        # fresh for other sites.  Names never reach the byte stream.
+        # address: deterministic across re-emissions of the same site,
+        # and unique within a function, so an AsmBuilder can link the
+        # same emission a block template captures.  Names never reach
+        # the byte stream.
         self._counter += 1
         return f".{stem}{self.addr:x}x{self._counter}"
 
@@ -370,7 +374,7 @@ def _emit_packed_flag_fix(e: _Emitter, reg: int, line: int) -> None:
 
 
 def emit_single_snippet(
-    builder: AsmBuilder,
+    builder,
     instr: Instruction,
     stats: SnippetStats,
     precleaned: frozenset[int] = frozenset(),
@@ -441,7 +445,7 @@ def emit_single_snippet(
 
 
 def emit_move_guard(
-    builder: AsmBuilder,
+    builder,
     instr: Instruction,
     stats: SnippetStats,
     streamline: bool = False,
@@ -481,7 +485,7 @@ def emit_move_guard(
 
 
 def emit_double_snippet(
-    builder: AsmBuilder,
+    builder,
     instr: Instruction,
     stats: SnippetStats,
     precleaned: frozenset[int] = frozenset(),

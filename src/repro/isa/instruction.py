@@ -7,10 +7,10 @@ that the same logical instruction can be relocated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as _dc_replace
+from dataclasses import dataclass
 
 from repro.isa.opcodes import Op, OPCODE_INFO
-from repro.isa.operands import Imm, Mem, Operand, operand_letter
+from repro.isa.operands import Imm, Operand, operand_letter
 
 
 class IsaError(Exception):
@@ -38,15 +38,6 @@ class Instruction:
     def info(self):
         return OPCODE_INFO[self.opcode]
 
-    def with_addr(self, addr: int) -> "Instruction":
-        return _dc_replace(self, addr=addr)
-
-    def with_operands(self, operands: tuple[Operand, ...]) -> "Instruction":
-        return _dc_replace(self, operands=operands)
-
-    def with_opcode(self, opcode: Op) -> "Instruction":
-        return _dc_replace(self, opcode=opcode)
-
     # -- queries used by analyses -------------------------------------------
 
     @property
@@ -62,9 +53,6 @@ class Instruction:
             if isinstance(op0, Imm):
                 return op0.value
         return None
-
-    def mem_operands(self) -> tuple[int, ...]:
-        return tuple(i for i, o in enumerate(self.operands) if isinstance(o, Mem))
 
     def render(self) -> str:
         """Instruction text in Intel operand order (destination first),

@@ -46,8 +46,6 @@ XMM_BY_NAME = {name: i for i, name in enumerate(XMM_NAMES)}
 GPR_BY_NAME["sp"] = 15
 GPR_BY_NAME["fp"] = 14
 
-RETURN_GPR = 0
-RETURN_XMM = 0
 FRAME_POINTER = 14
 STACK_POINTER = 15
 
@@ -59,8 +57,6 @@ SNIPPET_XMMS = (14, 15)
 COMPILER_GPR_TEMPS = tuple(range(1, 11))
 COMPILER_XMM_TEMPS = tuple(range(0, 12))
 COMPILER_SCRATCH_GPR = 11
-COMPILER_SCRATCH_XMM = 12
-COMPILER_SCRATCH_XMM2 = 13
 
 
 def gpr_name(index: int) -> str:

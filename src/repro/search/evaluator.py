@@ -112,7 +112,7 @@ class IncrementalState:
     def run(self, workload, instrumented):
         """Execute an instrumented build exactly as ``workload.run`` would."""
         if self.machine is not None:
-            return self.machine.run(instrumented.program, instrumented.segments)
+            return self.machine.run(instrumented.program)
         return workload.run(instrumented.program)
 
 

@@ -683,6 +683,7 @@ class _RunEmitter:
         elif op is Op.PUSH:
             e(f"sp{j} = {self.g(15)} - 1")
             self.guard(f"sp{j} < limit", "_FT", '"stack overflow"')
+            self.guard(f"sp{j} >= top", "_FT", '"stack underflow"')
             sv = self.src64(ops[0])
             e(f"mem[sp{j}] = {sv}",
               f"{self.set_g(15)} = sp{j}")
@@ -697,6 +698,7 @@ class _RunEmitter:
             x = ops[0].index
             e(f"sp{j} = {self.g(15)} - 2")
             self.guard(f"sp{j} < limit", "_FT", '"stack overflow"')
+            self.guard(f"sp{j} + 1 >= top", "_FT", '"stack underflow"')
             e(f"mem[sp{j}] = {self.x(x)}",
               f"mem[sp{j} + 1] = xh[{x}]",
               f"{self.set_g(15)} = sp{j}")
@@ -1016,6 +1018,7 @@ class _RunEmitter:
         elif op is Op.CALL:
             e(f"spc = {self.g(15)} - 1")
             self.guard("spc < limit", "_FT", '"stack overflow on call"')
+            self.guard("spc >= top", "_FT", '"stack underflow on call"')
             e("mem[spc] = t1",
               f"{self.set_g(15)} = spc")
             self.targets = 2
@@ -1368,7 +1371,7 @@ def build_fcode(vm, tiles, halt, runs) -> list:
     state = (
         vm.gpr, vm.mem, vm.xmm_lo, vm.xmm_hi, vm.flags, vm.outputs,
         vm.rng, vm._cyc, vm._sl, vm.stack_limit, len(vm.mem),
-        vm._addr2idx, vm._fused_tail,
+        vm._addr2idx, vm._tail,
     )
     rank = vm.rank
     size = vm.size

@@ -14,8 +14,10 @@ deterministic stand-in for the paper's wall-clock measurements.
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
+import weakref
 
 from dataclasses import dataclass, field
 
@@ -91,10 +93,6 @@ class _PendingTrap(VmTrap):
 
 def _s64(v: int) -> int:
     return v - 0x10000000000000000 if v & _SIGN64 else v
-
-
-def _u64(v: int) -> int:
-    return v & _M64
 
 
 @dataclass(slots=True)
@@ -180,12 +178,13 @@ def _static_costs(instrs, model: CostModel) -> list[int]:
 def _harvest_blocks(program: Program) -> list[Instruction] | None:
     """The program's instructions from its CFG blocks, or None.
 
-    Programs assembled by :class:`~repro.asm.builder.AsmBuilder` carry
-    their decoded instructions in ``fn.blocks`` — the loader reuses them
-    instead of decoding the text again.  The harvest is verified against
-    the text layout (every address in sequence, total length matching);
-    on any mismatch the loader decodes the text (:func:`_decode`), so
-    hand-built or CFG-less programs behave exactly as before.
+    A program loaded without a template tiling is one whole-program
+    segment.  Programs assembled by :class:`~repro.asm.builder.AsmBuilder`
+    (compiled ones) carry their decoded instructions in ``fn.blocks`` —
+    the loader reuses them instead of decoding the text again.  The
+    harvest is verified against the text layout (every address in
+    sequence, total length matching); on any mismatch, or for a program
+    without blocks, the loader decodes the text (:func:`_decode`).
     """
     fns = program.functions
     if not fns:
@@ -273,7 +272,11 @@ class VM:
     Parameters
     ----------
     program:
-        The program to run.
+        The program to run.  An instrumented build loads from the
+        template tiling it carries (``Program.segments``); the VM keeps
+        one record per template and reuses it on later loads (see
+        :meth:`_load`).  Any other program loads as one whole-program
+        segment.
     stack_words:
         Stack size in 64-bit cells, placed above the data image.
     seed:
@@ -295,12 +298,6 @@ class VM:
         costs are byte-identical with telemetry on or off), emits a
         ``vm.trap`` event on any hard fault, and :meth:`publish` reports
         the per-opcode execution/cycle census as a ``vm.opcodes`` event.
-    segments:
-        Optional template tiling of *program*'s text from the
-        instrumentation cache (``InstrumentedProgram.segments``).  The
-        VM keeps one record per template and reuses it on later loads
-        (see :meth:`_load`); without it the program loads as one
-        whole-program segment.
     observer:
         Optional execution observer (see :mod:`repro.analysis`): an
         object whose ``wrap(vm, index, instr, addr, closure)`` may
@@ -326,7 +323,6 @@ class VM:
         profile: bool = False,
         cost_model: CostModel | None = None,
         telemetry=None,
-        segments=None,
         observer=None,
         fused: bool = True,
     ) -> None:
@@ -383,7 +379,12 @@ class VM:
         #: execution counters; only a counting VM fills them in
         self._counts = self._entries = self._runs = ()
         self._code: list = []
-        self._load(program, segments)
+        # Closures kept beside the state (lazy stand-ins, the fused runs'
+        # budget tail) reach the VM through a weak proxy, so a VM nobody
+        # holds is freed at once instead of by the cyclic collector.
+        self._weak = weakref.proxy(self)
+        self._tail = functools.partial(VM._fused_tail, self._weak)
+        self._load(program)
 
     # -- public API -----------------------------------------------------------
 
@@ -610,7 +611,7 @@ class VM:
             opcodes=self.opcode_stats(),
         )
 
-    def rebind(self, program: Program, segments=None) -> None:
+    def rebind(self, program: Program) -> None:
         """Reset all architectural state in place and load *program*.
 
         Cached closures captured the state arrays (``mem``, ``gpr``,
@@ -635,22 +636,23 @@ class VM:
         self._cyc[0] = 0
         self.steps = 0
         self.finished = False
-        self._load(program, segments)
+        self._load(program)
 
     # -- compilation -----------------------------------------------------------
 
-    def _load(self, program: Program, segments=None) -> None:
+    def _load(self, program: Program) -> None:
         """(Re)compile *program* into the closure array.
 
-        *segments* is the instrumentation cache's template tiling of the
-        text: ``(code, instructions, base)`` triples.  Each template's
-        record comes from this VM's table, built on a miss from the
-        template's instructions (nothing is decoded) and reused verbatim
-        on later loads.  Without *segments* the program is one
-        whole-program segment ``(text, instructions, 0)`` whose record
-        serves this load only.  Either way the records are tiled in bulk,
-        control transfers are rebuilt with targets read from the patched
-        text, and the rest of the load is one path.
+        An instrumented build carries the template tiling it was
+        assembled from (``Program.segments``): ``(code, instructions,
+        base)`` triples.  Each template's record comes from this VM's
+        table, built on a miss from the template's instructions (nothing
+        is decoded) and reused verbatim on later loads.  A program
+        without a tiling is one whole-program segment ``(text,
+        instructions, 0)`` whose record serves this load only.  Either way
+        the records are tiled in bulk, control transfers are rebuilt with
+        targets read from the patched text, and the rest of the load is
+        one path.
         """
         self.program = program
         instrs = self._instrs
@@ -665,6 +667,7 @@ class VM:
         #: (head, length) of every fused run, recorded only when counting.
         runs = [] if self._counting else None
         self._fcode = None
+        segments = program.segments
         whole = segments is None
         if whole:
             segments = ((text, _harvest_blocks(program) or _decode(text), 0),)
@@ -833,7 +836,7 @@ class VM:
 
         # Defaults rather than free variables: a stand-in then costs one
         # function and one tuple, and a new segment gets one per member.
-        def shim(idx, vm=self, store=store, slot=slot):
+        def shim(idx, vm=self._weak, store=store, slot=slot):
             closure = vm._code[idx] = vm._build(idx)
             if store is not None:
                 store[slot] = closure
@@ -987,11 +990,14 @@ class VM:
                 self._instr_addrs[i + 1] if i + 1 < len(self._instrs) else -1
             )
             limit = self.stack_limit
+            top = len(mem)
             def h_call(idx, cyc=cyc, cost=cost, target=target, gpr=gpr, mem=mem,
-                       next_addr=next_addr, limit=limit):
+                       next_addr=next_addr, limit=limit, top=top):
                 sp = gpr[15] - 1
                 if sp < limit:
                     raise _PendingTrap("stack overflow on call")
+                if sp >= top:
+                    raise _PendingTrap("stack underflow on call")
                 mem[sp] = next_addr
                 gpr[15] = sp
                 cyc[0] += cost
@@ -1176,10 +1182,14 @@ class VM:
         if op is Op.PUSH:
             srcf = self._src64(ops[0], iaddr)
             limit = self.stack_limit
-            def h_push(idx, cyc=cyc, cost=cost, gpr=gpr, mem=mem, srcf=srcf, limit=limit):
+            top = len(mem)
+            def h_push(idx, cyc=cyc, cost=cost, gpr=gpr, mem=mem, srcf=srcf,
+                       limit=limit, top=top):
                 sp = gpr[15] - 1
                 if sp < limit:
                     raise _PendingTrap("stack overflow")
+                if sp >= top:
+                    raise _PendingTrap("stack underflow")
                 mem[sp] = srcf()
                 gpr[15] = sp
                 cyc[0] += cost
@@ -1202,11 +1212,14 @@ class VM:
         if op is Op.PUSHX:
             x = ops[0].index
             limit = self.stack_limit
+            top = len(mem)
             def h_pushx(idx, cyc=cyc, cost=cost, gpr=gpr, mem=mem, xl=xl, xh=xh,
-                        x=x, limit=limit):
+                        x=x, limit=limit, top=top):
                 sp = gpr[15] - 2
                 if sp < limit:
                     raise _PendingTrap("stack overflow")
+                if sp + 1 >= top:
+                    raise _PendingTrap("stack underflow")
                 mem[sp] = xl[x]
                 mem[sp + 1] = xh[x]
                 gpr[15] = sp
@@ -1787,18 +1800,19 @@ class Machine:
     def fuse_cache_misses(self) -> int:
         return self._vm.fuse_misses if self._vm is not None else 0
 
-    def run(self, program: Program, segments=None) -> ExecResult:
+    def run(self, program: Program) -> ExecResult:
         """Execute *program* to HALT, like :func:`run_program`.
 
-        *segments* is the template tiling from the instrumentation cache
-        (``InstrumentedProgram.segments``); pass ``None`` to load without
-        closure reuse (the VM and its state arrays are still recycled).
+        An instrumented build reuses the records of its templates that
+        earlier loads built; a program without a template tiling loads
+        whole, with no closure reuse (the VM and its state arrays are
+        still recycled).
         """
         vm = self._vm
         if vm is not None and program.data_image == vm._data_image0:
             before = (vm.compile_hits, vm.compile_misses,
                       vm.fuse_hits, vm.fuse_misses)
-            vm.rebind(program, segments)
+            vm.rebind(program)
         else:
             before = (0, 0, 0, 0)
             vm = self._vm = VM(
@@ -1807,7 +1821,6 @@ class Machine:
                 seed=self.seed,
                 max_steps=self.max_steps,
                 cost_model=self.cost_model,
-                segments=segments,
             )
         self.runs += 1
         try:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -43,6 +45,13 @@ def run_src(source: str, real_type: str = "f64", **run_kwargs):
 
 def compile_src(source: str, real_type: str = "f64", **opts):
     return compile_source(source, CompileOptions(real_type=real_type, **opts))
+
+
+def untiled(program):
+    """*program* without the template tiling an instrumented build
+    carries: the VM loads it as one whole-program segment, from its text
+    rather than from the templates."""
+    return dataclasses.replace(program, segments=None)
 
 
 @pytest.fixture

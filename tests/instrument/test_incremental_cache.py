@@ -1,22 +1,28 @@
 """Differential tests for the incremental instrumentation cache.
 
 The cache is only allowed to be faster — never different.  For every
-NAS workload, under both ``optimize_checks`` settings, the program a
-cache-backed ``instrument()`` assembles must be byte-identical to the
-cold rewriter's output, and executing it must reproduce outputs, cycle
-counts, and step counts bit-for-bit.
+NAS workload, under every mode and both ``optimize_checks`` and
+``streamline`` settings, the program a cache-backed ``instrument()``
+assembles must equal, field for field, the assembler's link of the same
+splice (:mod:`tests.instrument.layout_oracle`), with identical
+statistics, and executing it must reproduce outputs, cycle counts, and
+step counts bit-for-bit.
 """
+
+import dataclasses
 
 import pytest
 
 from repro.config import Config, Policy, build_tree
 from repro.config.model import LEVEL_FUNCTION
-from repro.instrument import InstrumentCache, InstrumentError, instrument
+from repro.instrument import InstrumentCache, InstrumentError, engine, instrument
+from repro.instrument import cache as cache_module
 from repro.isa import decode_instruction
 from repro.isa.opcodes import NARROW_FAMILIES
 from repro.vm import run_program
 from repro.workloads import make_nas
 from tests.conftest import compile_src
+from tests.instrument import layout_oracle
 
 NAS = ["cg", "bt", "ep", "ft", "lu", "mg", "sp"]
 
@@ -39,23 +45,32 @@ def test_cached_instrument_is_byte_identical(bench, optimize_checks):
     program = workload.program
     tree = build_tree(program)
     cache = InstrumentCache(program)
-    for config in _configs(tree):
-        cold = instrument(program, config, optimize_checks=optimize_checks)
-        warm = instrument(
-            program, config, optimize_checks=optimize_checks, cache=cache
-        )
-        assert warm.program.text == cold.program.text
-        assert warm.program.entry == cold.program.entry
-        assert warm.program.data_image == cold.program.data_image
-        assert warm.program.debug_lines == cold.program.debug_lines
-        assert warm.stats.replaced_single == cold.stats.replaced_single
-        assert warm.stats.checks_skipped == cold.stats.checks_skipped
+    configs = list(_configs(tree)) + [_lattice_config(tree, program)]
+    streamlines = (
+        (False, True)
+        if cache_module._scratch_registers_unused(program)
+        else (False,)
+    )
+    for k, config in enumerate(configs):
+        for mode in ("auto", "all", "none"):
+            for streamline in streamlines:
+                opts = dict(mode=mode, optimize_checks=optimize_checks,
+                            streamline=streamline)
+                where = (k, opts)
+                oracle, stats = layout_oracle.rewrite(program, config, **opts)
+                built = instrument(program, config, cache=cache, **opts)
+                assert layout_oracle.fields(built.program) == (
+                    layout_oracle.fields(oracle)
+                ), where
+                assert dataclasses.asdict(built.stats) == dataclasses.asdict(
+                    stats
+                ), where
 
-        ran_cold = workload.run(cold.program)
-        ran_warm = workload.run(warm.program)
-        assert ran_warm.outputs == ran_cold.outputs
-        assert ran_warm.cycles == ran_cold.cycles
-        assert ran_warm.steps == ran_cold.steps
+                ran_oracle = workload.run(oracle)
+                ran = workload.run(built.program)
+                assert ran.outputs == ran_oracle.outputs, where
+                assert ran.cycles == ran_oracle.cycles, where
+                assert ran.steps == ran_oracle.steps, where
 
 
 def test_repeat_instrument_hits_every_block():
@@ -108,9 +123,9 @@ def test_segments_tile_the_text_section():
     tree = build_tree(workload.program)
     cache = InstrumentCache(workload.program)
     result = instrument(workload.program, Config.all_single(tree), cache=cache)
-    assert result.segments is not None
+    assert result.program.segments is not None
     expect = 0
-    for seg_bytes, _instrs, base in result.segments:
+    for seg_bytes, _instrs, base in result.program.segments:
         assert base == expect
         expect += len(seg_bytes)
     assert expect == len(result.program.text)
@@ -153,7 +168,7 @@ def test_template_instructions_equal_a_decode_of_their_bytes(bench):
     builds.append((_lattice_config(tree, program), "auto"))
     for config, mode in builds:
         built = instrument(program, config, mode=mode, cache=cache)
-        for code, instrs, _base in built.segments:
+        for code, instrs, _base in built.program.segments:
             assert instrs == _decode_all(code)
     assert cache.misses > 0
 
@@ -171,41 +186,38 @@ def test_cached_program_runs_without_cfg():
     assert any(fn.blocks for fn in result.program.functions)
 
 
-def test_replay_cache_is_byte_identical_and_stat_exact():
-    # The rewriter memoizes each instruction site's expansion and replays
-    # it on later rewrites of the same program (rewriter._REPLAY).  A
-    # replayed rewrite must be indistinguishable from a fresh one: same
-    # bytes, same debug info, same statistics to the last counter.
-    import dataclasses
-
-    from repro.instrument import rewriter
-
-    workload = make_nas("mg", "T")
-    program = workload.program
-    tree = build_tree(program)
-    rewriter._REPLAY.clear()
-    for config in _configs(tree):
-        fresh = instrument(program, config)     # populates the site cache
-        replayed = instrument(program, config)  # replays every site
-        assert replayed.program.text == fresh.program.text
-        assert replayed.program.entry == fresh.program.entry
-        assert replayed.program.debug_lines == fresh.program.debug_lines
-        assert dataclasses.asdict(replayed.stats) == dataclasses.asdict(
-            fresh.stats
-        )
-
-
-def test_replay_cache_evicts_fifo_and_pins_programs():
-    from repro.instrument import rewriter
-
-    rewriter._REPLAY.clear()
+def test_cacheless_calls_share_a_bounded_fifo_of_caches(monkeypatch):
+    # instrument() without a cache takes one from a module FIFO keyed by
+    # program identity.  Each entry's cache holds its program, so the
+    # id() key cannot be recycled by a newly allocated program.
+    monkeypatch.setattr(engine, "_CACHES", {})
     programs = [make_nas(bench, "T").program for bench in NAS] + [
         make_nas(bench, "S").program for bench in ("cg", "ep")
     ]
+    assert len(programs) > engine._CACHES_MAX
     for program in programs:
         instrument(program, Config.all_double(build_tree(program)))
-    assert len(rewriter._REPLAY) <= rewriter._REPLAY_MAX
-    # Each surviving entry holds a strong reference to its program, so
-    # the id() key cannot be recycled by a newly allocated program.
-    for key, (pinned, _sites) in rewriter._REPLAY.items():
-        assert id(pinned) == key
+        assert engine._CACHES[id(program)].program is program
+    assert len(engine._CACHES) == engine._CACHES_MAX
+    for key, cache in engine._CACHES.items():
+        assert id(cache.program) == key
+    assert id(programs[0]) not in engine._CACHES  # first in, first out
+
+
+def test_a_repeat_cacheless_call_builds_no_template(monkeypatch):
+    monkeypatch.setattr(engine, "_CACHES", {})
+    program = make_nas("mg", "T").program
+    config = Config.all_single(build_tree(program))
+    first = instrument(program, config)
+    cache = engine._CACHES[id(program)]
+    assert cache.misses > 0
+
+    def no_build(*_args):
+        raise AssertionError("a repeat call built a block template")
+
+    monkeypatch.setattr(cache_module, "build_block_template", no_build)
+    again = instrument(program, config)
+    assert again.program == first.program
+    assert again.program.segments == first.program.segments
+    assert dataclasses.asdict(again.stats) == dataclasses.asdict(first.stats)
+    assert cache.hits == cache.misses

@@ -37,7 +37,7 @@ class TestReservations:
     def test_compiled_code_respects_reservations(self):
         """No compiler output may ever touch the snippet registers — the
         invariant that makes streamlined instrumentation legal."""
-        from repro.instrument.engine import _scratch_registers_unused
+        from repro.instrument.cache import _scratch_registers_unused
         from repro.workloads import make_nas, make_workload
 
         for name in ("ep", "cg", "ft", "mg", "bt", "lu", "sp"):

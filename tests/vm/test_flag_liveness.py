@@ -19,6 +19,7 @@ from repro.isa import Imm, Instruction, Op, Reg, Xmm
 from repro.vm import VM, Machine, fuse
 from repro.vm.fuse import _ALL_FLAGS, _LT, _PF, _ZF, _run_source, flag_liveness
 from repro.workloads import make_nas
+from tests.conftest import untiled
 
 
 def _live(*code, targets=None):
@@ -120,11 +121,11 @@ class TestSnippetCheckSource:
             cache=InstrumentCache(program),
         )
         machine = Machine(**workload.vm_params())
-        machine.run(built.program, built.segments)
+        machine.run(built.program)
         vm = machine._vm
         dead = checks = 0
         lo = 0
-        for code, instrs, _base in built.segments:
+        for code, instrs, _base in built.program.segments:
             hi = lo + len(instrs)
             targets = {}
             for j, instr in enumerate(instrs):
@@ -163,9 +164,9 @@ class TestLoadScope:
         )
         monkeypatch.setattr(vm_machine, "_NO_FUSE", False)
         storing = []
-        for segments in (None, built.segments):
+        for loaded in (untiled(built.program), built.program):
             monkeypatch.setattr(fuse, "_FACTORIES", {})
-            VM(built.program, segments=segments, **workload.vm_params())
+            VM(loaded, **workload.vm_params())
             keys = [key for by_key in fuse._FACTORIES.values() for key in by_key]
             storing.append(sum(1 for *_run, mask in keys if mask > 0))
         assert storing == [8, 15]

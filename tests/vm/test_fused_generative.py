@@ -46,6 +46,7 @@ from itertools import count, product
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repro.vm.machine as vm_machine
 from repro.asm import AsmBuilder, LabelRef
 from repro.config import Config, build_tree
 from repro.instrument import InstrumentCache, instrument
@@ -55,6 +56,7 @@ from repro.isa.registers import SNIPPET_GPRS, SNIPPET_XMMS
 from repro.vm import VM, Machine
 from repro.vm.errors import VmTrap
 from repro.vm.fuse import _COND, _EXEC_GLOBALS, _FLAG_WRITERS, _MEMBER_OPS
+from tests.conftest import untiled
 
 _GPRS = (0, 1, 2, 3, 12, 13, 15)
 _XMMS = (0, 1, 2, 3, 14, 15)
@@ -295,12 +297,6 @@ _budgets = st.one_of(st.just(3000), st.just(3000), st.integers(0, 40))
 
 
 def _state(vm, trap) -> dict:
-    if trap[0] == "crash":
-        # The reference loop checks a push only against the stack's
-        # limit below, so a stack pointer moved past the top ends it in
-        # an IndexError.  Both paths must fail alike; the state after a
-        # crash is not part of the contract.
-        return {"trap": trap}
     return {
         "trap": trap,
         "outputs": list(vm.outputs),
@@ -318,8 +314,6 @@ def _outcome(run) -> tuple:
         run()
     except VmTrap as exc:
         return type(exc).__name__, str(exc), exc.addr
-    except IndexError as exc:
-        return "crash", type(exc).__name__
     return ("halt",)
 
 
@@ -351,17 +345,17 @@ def assert_fused_matches_reference(program, scratch, max_steps):
         ref = VM(program, fused=False, profile=profile, **kw)
         got = _state(fused, _outcome(fused.run))
         assert got == _state(ref, _outcome(ref.run)), f"profile={profile}"
-        if profile and got["trap"][0] != "crash":
+        if profile:
             assert fused.instruction_stats() == ref.instruction_stats()
 
     tree = build_tree(program)
     config = Config.all_double(tree) if scratch else Config.all_single(tree)
     built = instrument(program, config, cache=InstrumentCache(program))
-    ref = VM(built.program, fused=False, **kw)
+    ref = VM(untiled(built.program), fused=False, **kw)
     expected = _state(ref, _outcome(ref.run))
     machine = Machine(**kw)
     for load in range(2):  # the second load reuses the cached partitions
-        trap = _outcome(lambda: machine.run(built.program, built.segments))
+        trap = _outcome(lambda: machine.run(built.program))
         assert _state(machine._vm, trap) == expected, f"segment load {load}"
 
 
@@ -421,20 +415,28 @@ def test_two_nan_arithmetic_matches_a_warm_reference():
         assert VM(program).run() == ref, op.name
 
 
-def test_a_push_past_the_stack_top_crashes_both_paths_alike():
-    # The reference loop checks a push only against the limit below, so
-    # a stack pointer shifted past the top fails with IndexError there;
-    # the fused run must fail the same way.
-    b = AsmBuilder()
-    b.func("_start")
-    b.emit(Op.SHL, Reg(15), Imm(19))
-    b.emit(Op.CALL, LabelRef("f"))
-    b.emit(Op.HALT)
-    b.endfunc()
-    b.func("f")
-    b.emit(Op.RET)
-    b.endfunc()
-    program = b.link()
-    for fused in (True, False):
-        vm = VM(program, fused=fused)
-        assert _outcome(vm.run) == ("crash", "IndexError")
+def test_a_stack_access_past_the_top_traps_both_paths_alike():
+    # A push, pushx or call that moves the stack pointer above the
+    # stack's top traps as an underflow, with the same message, address
+    # and state on the fused path and the reference loop.
+    for op, operand in ((Op.PUSH, Reg(0)), (Op.PUSHX, Xmm(0)),
+                        (Op.CALL, LabelRef("f"))):
+        b = AsmBuilder()
+        b.func("_start")
+        b.emit(Op.SHL, Reg(15), Imm(19))
+        b.emit(op, operand)
+        b.emit(Op.HALT)
+        b.endfunc()
+        b.func("f")
+        b.emit(Op.RET)
+        b.endfunc()
+        program = b.link()
+        fused = VM(program)
+        assert vm_machine._NO_FUSE or fused._fcode[0] is not None, op.name
+        ref = VM(program, fused=False)
+        got = _state(fused, _outcome(fused.run))
+        assert got == _state(ref, _outcome(ref.run)), op.name
+        message = "stack underflow" + (" on call" if op is Op.CALL else "")
+        assert got["trap"] == (
+            "VmTrap", f"{message} (at text address 0xe)", 0xE
+        ), op.name

@@ -27,6 +27,7 @@ from repro.telemetry import ListSink, Telemetry
 from repro.vm import VM, Machine
 from repro.vm.errors import VmTimeout, VmTrap
 from repro.workloads import make_nas
+from tests.conftest import untiled
 
 
 def _loop_program(n):
@@ -256,8 +257,8 @@ class TestSegmentPartitionCache:
         for config in (Config.all_double(tree), Config.all_single(tree)):
             built = instrument(workload.program, config, cache=cache)
             for _ in range(2):  # second run rebinds through the partitions
-                warm = machine.run(built.program, built.segments)
-                ref = VM(built.program, fused=False, **params).run()
+                warm = machine.run(built.program)
+                ref = VM(untiled(built.program), fused=False, **params).run()
                 assert warm.outputs == ref.outputs
                 assert warm.cycles == ref.cycles
                 assert warm.steps == ref.steps

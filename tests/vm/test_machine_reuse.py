@@ -7,6 +7,9 @@ addresses — must match a fresh ``run_program`` exactly, no matter how
 many runs the machine has already absorbed.
 """
 
+import gc
+import weakref
+
 import pytest
 
 import repro.vm.machine as vm_machine
@@ -15,7 +18,7 @@ from repro.instrument import InstrumentCache, instrument
 from repro.vm import VM, Machine, run_program
 from repro.vm.errors import VmTrap
 from repro.workloads import make_nas
-from tests.conftest import compile_src
+from tests.conftest import compile_src, untiled
 
 TRAP_SRC = """
 var a: real[4] = [1.0, 2.0, 3.0, 4.0];
@@ -74,7 +77,7 @@ def _reference_dispatches(program, **params):
 def _fused_runs(built, **params):
     """Instruction index -> (head, length) of the fused run covering it
     on the segment path; empty when fusion is disabled process-wide."""
-    vm = VM(built.program, profile=True, segments=built.segments, **params)
+    vm = VM(built.program, profile=True, **params)
     return {i: (h, k) for h, k in vm._runs for i in range(h, h + k)}
 
 
@@ -85,8 +88,8 @@ def _assert_segment_trap_parity(built, **params):
     machine = Machine(**params)
     for _ in range(2):
         with pytest.raises(VmTrap) as warm:
-            machine.run(built.program, built.segments)
-        ref = VM(built.program, fused=False, **params)
+            machine.run(built.program)
+        ref = VM(untiled(built.program), fused=False, **params)
         with pytest.raises(VmTrap) as cold:
             ref.run()
         assert str(warm.value) == str(cold.value)
@@ -124,7 +127,7 @@ class TestReuse:
         ]
         for config in configs:
             built = instrument(workload.program, config, cache=cache)
-            warm = machine.run(built.program, built.segments)
+            warm = machine.run(built.program)
             cold = workload.run(built.program)
             assert warm.outputs == cold.outputs
             assert warm.cycles == cold.cycles
@@ -201,7 +204,7 @@ class TestSegmentLoads:
             cache=InstrumentCache(workload.program),
         )
         trace = _reference_dispatches(
-            built.program, **{**params, "max_steps": 3000}
+            untiled(built.program), **{**params, "max_steps": 3000}
         )
         runs = _fused_runs(built, **params)
         # Budget b stops the run before dispatch trace[b].  Inside a run,
@@ -228,7 +231,7 @@ class TestSegmentLoads:
     def test_memory_trap_inside_a_fused_run(self):
         built = _trapping_build(cache=True)
         params = {"stack_words": 256, "max_steps": 100_000}
-        trace = _reference_dispatches(built.program, **params)
+        trace = _reference_dispatches(untiled(built.program), **params)
         fault = trace[-1]
         if not vm_machine._NO_FUSE:
             head, length = _fused_runs(built, **params)[fault]
@@ -255,7 +258,9 @@ class TestSegmentLoads:
             ),
         ]
         builds = [instrument(workload.program, c, cache=cache) for c in configs]
-        refs = [VM(b.program, fused=False, **params).run() for b in builds]
+        refs = [
+            VM(untiled(b.program), fused=False, **params).run() for b in builds
+        ]
 
         def no_decode(*_args):
             raise AssertionError("a segment load decoded an instruction")
@@ -263,10 +268,51 @@ class TestSegmentLoads:
         monkeypatch.setattr(vm_machine, "decode_instruction", no_decode)
         machine = Machine(**params)
         for built, ref in zip(builds + builds, refs + refs):
-            warm = machine.run(built.program, built.segments)
+            warm = machine.run(built.program)
             assert warm.outputs == ref.outputs
             assert warm.cycles == ref.cycles
             assert warm.steps == ref.steps
+
+    def test_a_cacheless_build_loads_from_its_tiling(self, monkeypatch):
+        # instrument() without a cache still returns a build carrying its
+        # template tiling, so a fresh VM loads it neither decoding the
+        # text nor harvesting CFG blocks, fused or not.
+        workload = make_nas("sp", "T")
+        params = workload.vm_params()
+        built = instrument(
+            workload.program, Config.all_single(build_tree(workload.program))
+        )
+        ref = VM(untiled(built.program), fused=False, **params).run()
+
+        def no_decode(*_args):
+            raise AssertionError("a cacheless build was not loaded from its tiling")
+
+        for name in ("decode_instruction", "_decode", "_harvest_blocks"):
+            monkeypatch.setattr(vm_machine, name, no_decode)
+        for fused in (True, False):
+            got = run_program(built.program, fused=fused, **params)
+            assert (got.outputs, got.cycles, got.steps) == (
+                ref.outputs, ref.cycles, ref.steps
+            ), f"fused={fused}"
+
+    def test_a_dropped_vm_is_freed_without_the_cyclic_collector(self):
+        # A load from templates gives each fused-run member a lazy
+        # stand-in kept in the VM's records; the stand-ins and the fused
+        # runs' budget tail reach the VM weakly, so a VM nobody holds is
+        # freed by reference counting.
+        workload = make_nas("cg", "T")
+        built = instrument(
+            workload.program, Config.all_single(build_tree(workload.program))
+        )
+        vm = VM(built.program, **workload.vm_params())
+        vm.run()
+        dropped = weakref.ref(vm)
+        gc.disable()
+        try:
+            del vm
+            assert dropped() is None
+        finally:
+            gc.enable()
 
     def test_segment_cache_flushes_at_its_bound(self, monkeypatch):
         bound = 4
@@ -283,9 +329,9 @@ class TestSegmentLoads:
         ]
         for config in configs + configs:
             built = instrument(workload.program, config, cache=cache)
-            assert len(built.segments) > bound
-            warm = machine.run(built.program, built.segments)
-            ref = VM(built.program, fused=False, **params).run()
+            assert len(built.program.segments) > bound
+            warm = machine.run(built.program)
+            ref = VM(untiled(built.program), fused=False, **params).run()
             assert warm.outputs == ref.outputs
             assert warm.cycles == ref.cycles
             assert warm.steps == ref.steps

@@ -18,7 +18,7 @@ from repro.instrument import InstrumentCache, instrument
 from repro.vm.errors import VmTrap
 from repro.vm.machine import VM, run_program
 from repro.workloads import BENCHMARKS, make_workload
-from tests.conftest import compile_src
+from tests.conftest import compile_src, untiled
 
 OBSERVERS = {
     "shadow": ShadowObserver,
@@ -106,16 +106,15 @@ def test_segment_loads_dispatch_like_whole_program_loads(bench):
         cache=InstrumentCache(program),
     )
     observer = _Dispatches()
-    whole = VM(built.program, observer=observer, **workload.vm_params()).run()
+    whole = VM(
+        untiled(built.program), observer=observer, **workload.vm_params()
+    ).run()
     expected = (observer.addrs, whole.outputs, whole.cycles, whole.steps)
     observer = _Dispatches()
-    vm = VM(
-        built.program, segments=built.segments, observer=observer,
-        **workload.vm_params(),
-    )
+    vm = VM(built.program, observer=observer, **workload.vm_params())
     for _load in range(2):
         observer.addrs.clear()
         got = vm.run()
         assert (observer.addrs, got.outputs, got.cycles, got.steps) == expected
-        vm.rebind(built.program, built.segments)
+        vm.rebind(built.program)
     assert vm.compile_hits > 0
