@@ -1,13 +1,15 @@
 """Incremental evaluation substrate: warm vs cold search throughput.
 
-Runs the same instruction-level BFS search twice — once with the
-search's incremental caches disabled (every config loads into a fresh
-VM, and instrumentation reuses only the block templates that
-``instrument()``'s per-program cache kept from earlier configs of the
-same search) and once with them enabled — and reports configs/second
-for each, plus their ratio.  The two
-searches must agree bit-for-bit on everything but wall time: same
-candidate verdicts, same cycle counts, same final configuration.
+Runs the same instruction-level BFS search twice — once on a cold
+executor that loads every config into a fresh VM (instrumentation still
+reuses the search's block templates; the VM reuses no closure or
+segment record across loads) and once on the default executor, whose
+persistent VM reuses them — and reports configs/second for each, plus
+their ratio.  The front dedups in both legs, so both execute the same
+configs; the two searches must agree bit-for-bit on everything but wall
+time: same candidate verdicts, same cycle counts, same final
+configuration.  A full collection runs before each timed search, so
+neither leg's garbage is collected inside the other's timing.
 
 Besides the human-readable table this writes a machine-readable
 ``BENCH_search.json`` under ``results/`` so future PRs have a perf
@@ -27,6 +29,7 @@ Standalone usage (CI uses this form)::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -34,23 +37,42 @@ import time
 from conftest import emit, full_scale, merge_json_rows
 
 from repro.search import SearchEngine, SearchOptions
+from repro.search.evaluator import IncrementalState, InlineExecutor
 from repro.vm.machine import VM
 from repro.workloads import make_nas
 
 
-def _timed_search(bench: str, klass: str, incremental: bool):
+class FreshVmExecutor(InlineExecutor):
+    """The cold leg's executor: ``execute_config`` without a persistent
+    VM, so ``IncrementalState.run`` runs each build through
+    ``workload.run`` on a fresh VM."""
+
+    def evaluate_batch(self, jobs: list) -> list:
+        if jobs and self._state is None:
+            self._state = IncrementalState(self.workload)
+            self._state.machine = None
+        return super().evaluate_batch(jobs)
+
+
+def _timed_search(bench: str, klass: str, executor=None):
     """One instruction-level search; returns (result, wall_seconds).
 
-    The workload is rebuilt fresh each time (no shared instrumentation
-    state) and the baseline/profile runs — identical in both modes —
-    are excluded from the timed region.
+    *executor* is the executor class the front runs configs on, built
+    for the search's workload (None: the default executor).  The
+    workload is rebuilt fresh each time (no shared instrumentation
+    state); the baseline/profile runs — identical in both legs — and a
+    full collection happen before the timed region.
     """
     workload = make_nas(bench, klass)
     workload.baseline()
     workload.profile()
-    options = SearchOptions(stop_level="instruction", incremental=incremental)
+    options = SearchOptions(stop_level="instruction")
+    gc.collect()
     start = time.perf_counter()
-    result = SearchEngine(workload, options).run()
+    result = SearchEngine(
+        workload, options,
+        executor=executor(workload) if executor is not None else None,
+    ).run()
     return result, time.perf_counter() - start
 
 
@@ -59,10 +81,10 @@ def measure(bench: str = "cg", klass: str = "T", repeats: int = 3) -> dict:
     cold_res, cold_wall = None, float("inf")
     warm_res, warm_wall = None, float("inf")
     for _ in range(repeats):
-        res, wall = _timed_search(bench, klass, incremental=False)
+        res, wall = _timed_search(bench, klass, FreshVmExecutor)
         if wall < cold_wall:
             cold_res, cold_wall = res, wall
-        res, wall = _timed_search(bench, klass, incremental=True)
+        res, wall = _timed_search(bench, klass)
         if wall < warm_wall:
             warm_res, warm_wall = res, wall
 
@@ -72,11 +94,12 @@ def measure(bench: str = "cg", klass: str = "T", repeats: int = 3) -> dict:
     assert cold_res.dynamic_pct == warm_res.dynamic_pct
     assert [(r.label, r.passed, r.cycles) for r in cold_res.history] == [
         (r.label, r.passed, r.cycles) for r in warm_res.history
-    ], "incremental caches changed a search outcome"
+    ], "the persistent VM changed a search outcome"
+    assert cold_res.configs_tested == warm_res.configs_tested
 
-    # Both modes resolve the same configs; the warm path just answers
-    # some from the semantic cache.  Throughput is configs resolved per
-    # second, so the two numbers divide the same numerator.
+    # Throughput is configs resolved per second (executed ones plus
+    # those the front answers from its caches), so the two numbers
+    # divide the same numerator.
     configs = len(cold_res.history)
     return {
         "benchmark": f"{bench}.{klass}",

@@ -27,8 +27,8 @@ from repro.binary.cfg import build_cfg
 from repro.binary.model import FunctionInfo, GlobalSymbol, Program
 from repro.isa.encode import encode_body, encode_instruction
 from repro.isa.instruction import Instruction, validate_signature
-from repro.isa.opcodes import Op, OPCODE_INFO
-from repro.isa.operands import Imm, KIND_IMM, KIND_MEM, Operand
+from repro.isa.opcodes import Op
+from repro.isa.operands import Imm, KIND_IMM, KIND_MEM
 
 
 class AsmError(Exception):

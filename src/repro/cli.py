@@ -333,7 +333,6 @@ def cmd_search(args) -> int:
                 stop_level=args.stop_level,
                 workers=args.workers,
                 refine=args.refine,
-                incremental=not args.no_incremental,
                 analysis=args.analysis,
                 cluster=args.cluster or "",
                 lease_timeout=args.lease_timeout,
@@ -595,7 +594,6 @@ def _submit_options(args) -> dict:
         "stop_level": args.stop_level,
         "workers": args.workers,
         "refine": args.refine,
-        "incremental": not args.no_incremental,
         "analysis": args.analysis,
         "lattice": args.lattice,
     }
@@ -954,10 +952,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--refine", action="store_true",
                    help="second search phase when the union fails")
-    p.add_argument("--no-incremental", action="store_true",
-                   help="disable the incremental evaluation caches "
-                        "(block-template instrumentation reuse, persistent "
-                        "VM); results are identical, only slower")
     p.add_argument("--campaign", metavar="DIR",
                    help="run as a durable campaign: journal the frontier "
                         "after every batch and record outcomes in "
@@ -1020,8 +1014,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default 4)")
     p.add_argument("--refine", action="store_true",
                    help="second search phase when the union fails")
-    p.add_argument("--no-incremental", action="store_true",
-                   help="disable the incremental evaluation caches")
     p.add_argument("--campaign", metavar="DIR",
                    help="journal the frontier + persist outcomes in DIR "
                         "(see `search --campaign`)")
@@ -1082,8 +1074,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default 4)")
     p.add_argument("--refine", action="store_true",
                    help="second search phase when the union fails")
-    p.add_argument("--no-incremental", action="store_true",
-                   help="disable the incremental evaluation caches")
     p.add_argument("--tenant", default="default",
                    help="tenant name for quotas and fair-share "
                         "(default 'default')")

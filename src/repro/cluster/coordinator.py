@@ -62,7 +62,10 @@ workers never re-execute configs the store already decided, because the
 front filters decided configs out before tasks are ever created.
 Cancelling a job aborts only its channel: its queued tasks are dropped,
 its leases are released from the quota ledger, and every other channel
-keeps running untouched.
+keeps running untouched.  A worker whose evaluation raises reports
+``error``, and its channel is aborted the same way, with a
+:class:`ClusterError` carrying the worker's message: an inline or
+fork-pool search raises there too.
 """
 
 from __future__ import annotations
@@ -596,11 +599,17 @@ class _Coordinator:
                 self._complete(worker, message)
                 await send_frame_async(writer, {"type": OK})
             elif kind == ERROR:
-                # The worker survived but its evaluation blew up
-                # (instrumentation bug, unpicklable trap, ...): treat it
-                # like a crash of that one task — requeue elsewhere.
-                worker.leases.pop(message.get("task"), None)
-                self._task_lost(message.get("task"), "worker_error")
+                # The worker survived but its evaluation raised: fail the
+                # task's batch with the worker's report, as an inline or
+                # fork-pool search raises (evaluations are deterministic,
+                # so a retry would raise again), then drop the channel's
+                # other tasks as a cancel does; the first abort wins.
+                task = worker.leases.pop(message.get("task"), None)
+                if task is not None and not task.done:
+                    self.channels[task.job].batch.abort(ClusterError(
+                        f"worker {worker.wid}: {message.get('message')}"
+                    ))
+                    self._abort_channel(task.job, "evaluation error")
                 await send_frame_async(writer, {"type": OK})
             elif kind == HEARTBEAT:
                 self.event(
@@ -782,7 +791,6 @@ class BaseLeaseEvaluator:
         job_id: str,
         workload,
         telemetry=None,
-        incremental: bool = True,
         retry: RetryPolicy | None = None,
         tenant: str = "",
         quantum: float = 1.0,
@@ -807,7 +815,6 @@ class BaseLeaseEvaluator:
             "workload": name,
             "klass": klass,
             "workload_id": workload_id(workload),
-            "incremental": incremental,
         }
         coord.call(coord.open_channel(
             job_id, tenant, quantum, retry or RetryPolicy(), info,
@@ -904,7 +911,6 @@ class ClusterEvaluator(BaseLeaseEvaluator):
         workload,
         bind: str = "127.0.0.1:0",
         telemetry=None,
-        incremental: bool = True,
         retry: RetryPolicy | None = None,
         lease_timeout: float = 30.0,
     ) -> None:
@@ -913,8 +919,8 @@ class ClusterEvaluator(BaseLeaseEvaluator):
         coord.serve(bind, "repro-cluster")
         try:
             super().__init__(
-                coord, "", workload, telemetry=telemetry,
-                incremental=incremental, retry=retry, events=events,
+                coord, "", workload, telemetry=telemetry, retry=retry,
+                events=events,
             )
         except BaseException:
             coord.close()

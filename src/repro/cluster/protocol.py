@@ -18,8 +18,7 @@ Message flow (worker-initiated request/response, except one-way frames)::
     lease {}                    ->    (no task ready: the lease is parked
                                        and answered the moment one is)
                                 <- task {task, job, flags, digest,
-                                         workload, klass, workload_id,
-                                         incremental}
+                                         workload, klass, workload_id}
                                    | wait {delay: 0} (parked for a whole
                                                       sweep interval: a
                                                       keepalive, lease
@@ -33,7 +32,11 @@ Message flow (worker-initiated request/response, except one-way frames)::
                                        trace tagged with the worker id)
     result {task, outcome}      ->
                                 <- ok {}
-    error {task, message}       ->
+    error {task, message}       ->    (the evaluation raised: the
+                                       coordinator aborts the task's
+                                       batch with a ClusterError carrying
+                                       the message, as an inline search
+                                       raises; nothing is requeued)
                                 <- ok {}
     heartbeat {}                ->    (one-way: never answered, sent by
                                        the worker's heartbeat thread to

@@ -7,9 +7,10 @@ outcome.  A lease with no task ready is parked on the coordinator and
 answered when one is, so an idle worker blocks instead of polling.
 Each ``task`` frame names its own ``workload``/``klass``/
 ``workload_id``, so one worker serves every campaign on the coordinator.
-Workloads (and their incremental VM state) are rebuilt *locally* on
-first use and cached per ``workload_id`` — programs are compiled
-deterministically, so the coordinator only ships a name, and the
+Workloads (and their evaluation caches, one
+:class:`~repro.search.evaluator.IncrementalState` each) are rebuilt
+*locally* on first use and cached per ``workload_id`` — programs are
+compiled deterministically, so the coordinator only ships a name, and the
 content-addressed ``workload_id`` catches any version skew between the
 two hosts: a worker that cannot reproduce it leaves with ``bye``, which
 returns the lease uncharged.  All search state lives on the coordinator;
@@ -105,9 +106,8 @@ def _handshake(sock: socket.socket) -> dict:
     return welcome
 
 
-def _build(name: str, klass: str, expected_id: str, incremental: bool,
-           telemetry) -> tuple:
-    """(workload, tree, incremental state) for the workload a task names,
+def _build(name: str, klass: str, expected_id: str, telemetry) -> tuple:
+    """(workload, tree, evaluation state) for the workload a task names,
     validated against the coordinator's content-addressed id so version
     skew between hosts surfaces as a refusal rather than wrong results."""
     from repro.store import workload_id
@@ -120,7 +120,7 @@ def _build(name: str, klass: str, expected_id: str, incremental: bool,
             f"{local_id[:12]} here but the coordinator expects "
             f"{expected_id[:12]} — version skew between hosts"
         )
-    state = IncrementalState(workload, telemetry) if incremental else None
+    state = IncrementalState(workload, telemetry)
     return workload, build_tree(workload.program), state
 
 
@@ -210,8 +210,7 @@ def run_worker(
             key = reply["workload_id"]
             if key not in builds:
                 builds[key] = _build(
-                    reply["workload"], reply.get("klass", ""), key,
-                    bool(reply.get("incremental")), wtel,
+                    reply["workload"], reply.get("klass", ""), key, wtel
                 )
             workload, tree, state = builds[key]
             flags = {

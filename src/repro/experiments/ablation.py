@@ -21,7 +21,6 @@ from repro.config.generator import build_tree
 from repro.config.model import Config
 from repro.instrument.engine import instrument
 from repro.search.bfs import SearchEngine, SearchOptions
-from repro.search.evaluator import Evaluator
 from repro.workloads import make_nas
 
 

@@ -62,6 +62,10 @@ from repro.isa.registers import SNIPPET_GPRS, SNIPPET_XMMS
 
 _M64 = 0xFFFFFFFFFFFFFFFF
 
+#: block templates an :class:`InstrumentCache` holds before it flushes
+#: them wholesale (a crude epoch flush; see docs/PERFORMANCE.md).
+TEMPLATE_CACHE_MAX = 65536
+
 # Relocation kinds: template-relative, original-address label, function name.
 _REL_LOCAL = 0
 _REL_ADDR = 1
@@ -255,10 +259,9 @@ class InstrumentCache:
     instance its module-level FIFO holds for the program.
     """
 
-    def __init__(self, program: Program, max_templates: int = 65536) -> None:
+    def __init__(self, program: Program) -> None:
         program.ensure_cfg()
         self.program = program
-        self.max_templates = max_templates
         self.hits = 0
         self.misses = 0
         self._templates: dict = {}
@@ -346,8 +349,8 @@ class InstrumentCache:
                         wrap_moves, streamline, optimize_checks,
                         self._instr_pool, widths,
                     )
-                    if len(templates) >= self.max_templates:
-                        templates.clear()  # crude epoch flush; see docs
+                    if len(templates) >= TEMPLATE_CACHE_MAX:
+                        templates.clear()
                         self._instr_pool.clear()
                     templates[key] = template
                 else:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from repro.config.model import Policy
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op, OPCODE_INFO
-from repro.isa.operands import Mem, Xmm
+from repro.isa.operands import Xmm
 
 
 def block_precleaned(

@@ -28,8 +28,8 @@ from repro.fpbits.ieee import (
 from repro.isa.opcodes import RED_MAX, RED_MIN, RED_SUM
 from repro.mpi.costmodel import CommCostModel
 from repro.telemetry import NULL_TELEMETRY
-from repro.vm.errors import CollectiveYield, VmTrap
-from repro.vm.machine import VM, ExecResult
+from repro.vm.errors import CollectiveYield
+from repro.vm.machine import VM
 
 
 class MpiError(Exception):

@@ -69,12 +69,6 @@ class SearchOptions:
         independent tests if cores are available").  1 = serial; >1 uses
         a fork-based process pool, falling back to serial on platforms
         without fork.  Results are identical either way.
-    incremental:
-        Thread the incremental-evaluation caches (block-template
-        instrumentation cache, persistent VM with compiled-closure reuse,
-        semantic config dedup) through the evaluators.  Semantics-
-        invisible; ``False`` is the escape hatch that restores cold-path
-        evaluation for every config (CLI: ``--no-incremental``).
     analysis:
         Shadow-value analysis guidance (``repro.analysis``): run the
         workload once under the shadow observer before the search, then
@@ -139,7 +133,6 @@ class SearchOptions:
     refine: bool = False
     refine_budget: int = 64
     workers: int = 1
-    incremental: bool = True
     analysis: bool | str = False
     retry_limit: int = 3
     retry_backoff: float = 0.05
@@ -244,8 +237,7 @@ class SearchEngine:
             store = campaign.store
         self._owns_executor = executor is None
         self.evaluator = Evaluator(
-            workload, telemetry=self.telemetry,
-            incremental=self.options.incremental, store=store,
+            workload, telemetry=self.telemetry, store=store,
             lattice=self.options.lattice,
             executor=self._build_executor() if executor is None else executor,
         )
@@ -269,7 +261,6 @@ class SearchEngine:
 
             return ClusterEvaluator(
                 self.workload, bind=opts.cluster, telemetry=self.telemetry,
-                incremental=opts.incremental,
                 retry=RetryPolicy(opts.retry_limit, opts.retry_backoff),
                 lease_timeout=opts.lease_timeout,
             )
@@ -281,8 +272,7 @@ class SearchEngine:
             if fork_available():
                 return ParallelEvaluator(
                     self.workload, self.tree, opts.workers,
-                    telemetry=self.telemetry, incremental=opts.incremental,
-                    retry_limit=opts.retry_limit,
+                    telemetry=self.telemetry, retry_limit=opts.retry_limit,
                     retry_backoff=opts.retry_backoff,
                 )
         return None  # the front's default inline executor

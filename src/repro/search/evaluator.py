@@ -37,9 +37,9 @@ reason is ``trap`` or ``timeout`` adds exactly one ``vm.trap`` event; a
 
 Incremental evaluation
 ----------------------
-With ``incremental`` on (the default) every executor threads two caches
-through its evaluations so the marginal cost of a configuration is
-proportional to its *delta* from previously seen ones:
+Every executor threads two caches through its evaluations so the
+marginal cost of a configuration is proportional to its *delta* from
+previously seen ones:
 
 * an :class:`~repro.instrument.cache.InstrumentCache` reuses per-block
   instrumentation templates, so only blocks whose policy slice changed
@@ -49,9 +49,10 @@ proportional to its *delta* from previously seen ones:
   workload's ``run`` is the stock single-rank runner — a workload with
   a custom ``run`` is executed through that override, unchanged).
 
-Both caches are semantics-invisible: the instrumented bytes and the
-run's outputs/cycles/steps are bit-identical to the cold path (enforced
-by differential tests).  A second, semantic config cache in the front
+Both caches are semantics-invisible: every search equals one whose
+executor links each build with the assembler and runs it on a fresh
+VM's reference loop, verdict for verdict and cycle for cycle
+(differential-tested).  A second, semantic config cache in the front
 recognizes configurations whose *flag maps* differ but whose resolved
 per-instruction policies coincide — those short-circuit as cache hits
 without an ``eval.config`` event, exactly like flag-identical repeats.
@@ -124,29 +125,24 @@ def semantic_key(policies: dict) -> tuple:
 def execute_config(
     workload,
     config: Config,
-    state,
+    state: IncrementalState,
     telemetry=None,
     policies: dict | None = None,
 ) -> EvalOutcome:
     """Instrument + run + verify one configuration.
 
-    *state* is the executor's :class:`IncrementalState` (None restores
-    the cold path); *policies* is the config's resolved policy map when
-    the caller already has it.  With *telemetry* attached,
-    instrumentation statistics and cache counters land in the
-    executor's local stream (cluster workers forward that stream to the
-    coordinator).
+    *state* is the executor's :class:`IncrementalState`; *policies* is
+    the config's resolved policy map when the caller already has it.
+    With *telemetry* attached, instrumentation statistics and cache
+    counters land in the executor's local stream (cluster workers
+    forward that stream to the coordinator).
     """
     instrumented = instrument(
         workload.program, config, telemetry=telemetry,
-        cache=state.icache if state is not None else None,
-        policies=policies,
+        cache=state.icache, policies=policies,
     )
     try:
-        if state is not None:
-            result = state.run(workload, instrumented)
-        else:
-            result = workload.run(instrumented.program)
+        result = state.run(workload, instrumented)
     except VmTrap as exc:
         return EvalOutcome(False, 0, str(exc), trap_reason(exc))
     passed = bool(workload.verify(result))
@@ -156,24 +152,22 @@ def execute_config(
 class PlannedJob(NamedTuple):
     """One configuration that survived deduplication and must execute."""
 
-    skey: tuple | None      # semantic identity (None when non-incremental)
+    skey: tuple             # semantic identity
     digest: str             # store policy digest ("" without a store)
-    policies: dict | None   # resolved policy map, if dedup needed it
+    policies: dict          # resolved policy map
     config: Config
 
 
 class InlineExecutor:
     """Runs each job in this process, one after another."""
 
-    def __init__(self, workload, incremental: bool = True,
-                 telemetry=None) -> None:
+    def __init__(self, workload, telemetry=None) -> None:
         self.workload = workload
-        self.incremental = incremental
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self._state: IncrementalState | None = None
 
     def evaluate_batch(self, jobs: list) -> list[EvalOutcome]:
-        if jobs and self.incremental and self._state is None:
+        if jobs and self._state is None:
             self._state = IncrementalState(self.workload, self.telemetry)
         return [
             execute_config(
@@ -202,11 +196,6 @@ class Evaluator:
         engine's ``instr.stats`` counters and the incremental-cache
         metrics (``instr.block_cache_*``, ``vm.compile_cache_*``,
         ``vm.fuse_cache_*``).
-    incremental:
-        Semantic dedup here, and the instrumentation/compile caches in
-        the default inline executor (see module docstring).  ``False``
-        restores the cold path for every test — results are identical
-        either way.
     store:
         Optional :class:`repro.store.ResultStore`.  Decided outcomes are
         looked up by ``(store_workload, policy digest)`` before any
@@ -230,7 +219,6 @@ class Evaluator:
 
     workload: object
     telemetry: object = None
-    incremental: bool = True
     store: object = None
     store_workload: str = ""
     lattice: object = None
@@ -253,9 +241,7 @@ class Evaluator:
         if self.telemetry is None:
             self.telemetry = NULL_TELEMETRY
         if self.executor is None:
-            self.executor = InlineExecutor(
-                self.workload, self.incremental, self.telemetry
-            )
+            self.executor = InlineExecutor(self.workload, self.telemetry)
 
     def _store_id(self) -> str:
         if not self.store_workload:
@@ -283,33 +269,28 @@ class Evaluator:
         for key, config in zip(keys, configs):
             if key in self.cache or key in planned:
                 continue
-            skey = policies = None
-            if self.incremental:
-                policies = config.instruction_policies()
-                skey = semantic_key(policies)
-                hit = self.semantic_cache.get(skey)
-                if hit is not None:
-                    # Same executable as an earlier config under
-                    # different flags: a cache hit, not a new evaluation.
-                    self.cache[key] = hit
-                    continue
-                if skey in by_skey:
-                    planned[key] = by_skey[skey]
-                    continue
+            policies = config.instruction_policies()
+            skey = semantic_key(policies)
+            hit = self.semantic_cache.get(skey)
+            if hit is not None:
+                # Same executable as an earlier config under different
+                # flags: a cache hit, not a new evaluation.
+                self.cache[key] = hit
+                continue
+            if skey in by_skey:
+                planned[key] = by_skey[skey]
+                continue
             digest = ""
             if self.store is not None:
                 from repro.store import policy_digest
 
-                if policies is None:
-                    policies = config.instruction_policies()
                 digest = policy_digest(policies, self.lattice)
                 stored = self.store.get(self._store_id(), digest)
                 if stored is not None:
                     self._replay(key, skey, digest, stored)
                     replays += 1
                     continue
-            if skey is not None:
-                by_skey[skey] = len(jobs)
+            by_skey[skey] = len(jobs)
             planned[key] = len(jobs)
             jobs.append(PlannedJob(skey, digest, policies, config))
 
@@ -330,8 +311,7 @@ class Evaluator:
         counts toward evaluations only the first time this campaign
         sees it (see ``decided``)."""
         self.cache[key] = stored
-        if skey is not None:
-            self.semantic_cache[skey] = stored
+        self.semantic_cache[skey] = stored
         if digest not in self.decided:
             self.decided.add(digest)
             self.evaluations += 1
@@ -347,8 +327,7 @@ class Evaluator:
         # amortized over its members.
         per_job = wall / len(jobs)
         for job, outcome in zip(jobs, outcomes):
-            if job.skey is not None:
-                self.semantic_cache[job.skey] = outcome
+            self.semantic_cache[job.skey] = outcome
             self.evaluations += 1
             self.executions += 1
             if job.digest:

@@ -14,12 +14,12 @@ the store and all accounting stay in the parent's front, so
 ``eval.cache_hits`` / ``eval.config`` counts are identical to a serial
 run over the same sequence.
 
-Incremental evaluation mirrors the inline executor: every worker process
-owns an :class:`~repro.search.evaluator.IncrementalState`
-(instrumentation-template cache + persistent VM) that persists across
-the jobs it executes, and ships its cache-counter deltas back with each
-outcome so the parent can aggregate them into the shared telemetry —
-workers never carry telemetry sinks of their own.
+Every worker process evaluates like the inline executor: it owns an
+:class:`~repro.search.evaluator.IncrementalState` (instrumentation-
+template cache + persistent VM) that persists across the jobs it
+executes, and ships its cache-counter deltas back with each outcome so
+the parent can aggregate them into the shared telemetry — workers never
+carry telemetry sinks of their own.
 
 Crash-fault tolerance
 ---------------------
@@ -77,9 +77,7 @@ DELTA_COUNTERS = (
 
 
 def _counters(state) -> tuple[int, ...]:
-    """Absolute cache counters of an IncrementalState (or None)."""
-    if state is None:
-        return (0,) * len(DELTA_COUNTERS)
+    """Absolute cache counters of an IncrementalState."""
     machine = state.machine
     if machine is None:
         return (state.icache.hits, state.icache.misses, 0, 0, 0, 0)
@@ -93,10 +91,9 @@ def _counters(state) -> tuple[int, ...]:
     )
 
 
-def _worker_init(workload, tree, incremental) -> None:
+def _worker_init(workload, tree) -> None:
     _STATE["workload"] = workload
     _STATE["tree"] = tree
-    _STATE["incremental"] = incremental
     _STATE["state"] = None
 
 
@@ -111,7 +108,7 @@ def _worker_eval(flags: dict):
     workload = _STATE["workload"]
     config = Config(_STATE["tree"], flags)
     state = _STATE["state"]
-    if _STATE["incremental"] and state is None:
+    if state is None:
         state = _STATE["state"] = IncrementalState(workload)
     before = _counters(state)
     outcome = execute_config(workload, config, state)
@@ -154,7 +151,6 @@ class ParallelEvaluator:
         tree,
         workers: int,
         telemetry=None,
-        incremental: bool = True,
         retry_limit: int = 3,
         retry_backoff: float = 0.05,
     ):
@@ -163,7 +159,6 @@ class ParallelEvaluator:
         self.workload = workload
         self.tree = tree
         self.workers = workers
-        self.incremental = incremental
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         #: bounded-retry policy for crashed workers (shared with the
         #: cluster coordinator — see :mod:`repro.search.retry`).
@@ -184,7 +179,7 @@ class ParallelEvaluator:
             max_workers=self.workers,
             mp_context=context,
             initializer=_worker_init,
-            initargs=(self.workload, self.tree, self.incremental),
+            initargs=(self.workload, self.tree),
         )
 
     def _respawn_pool(self) -> None:

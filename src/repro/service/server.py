@@ -318,7 +318,6 @@ class PrecisionService:
             executor = BaseLeaseEvaluator(
                 self._coord, job.job_id, workload,
                 telemetry=telemetry,
-                incremental=options.incremental,
                 retry=RetryPolicy(options.retry_limit, options.retry_backoff),
                 tenant=job.tenant,
                 quantum=job.quantum,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from repro.config.model import Config, Policy
+from repro.config.model import Config
 
 
 def render_source_view(config: Config, source: str, module_label: str = "") -> str:

@@ -12,7 +12,7 @@ group nodes aggregate their verdict census.
 
 from __future__ import annotations
 
-from repro.config.model import Config, ConfigNode, LEVEL_INSN, Policy
+from repro.config.model import Config, ConfigNode, LEVEL_INSN
 
 
 def _node_weight(node: ConfigNode, profile: dict) -> int:

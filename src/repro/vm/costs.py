@@ -22,7 +22,7 @@ benchmarks can vary it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.isa.opcodes import Op, OPCODE_INFO
 

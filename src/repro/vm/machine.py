@@ -216,9 +216,9 @@ def _decode(text: bytes) -> list[Instruction]:
 
 
 #: template records a VM keeps before it flushes them wholesale: the
-#: bound of :class:`~repro.instrument.cache.InstrumentCache`'s default
-#: ``max_templates``, so the records of a long-lived worker's VM stay as
-#: bounded as the template cache that feeds them.
+#: bound of :data:`repro.instrument.cache.TEMPLATE_CACHE_MAX`, so the
+#: records of a long-lived worker's VM stay as bounded as the template
+#: cache that feeds them.
 SEGMENT_CACHE_MAX = 65536
 
 #: control transfers (jmp / jcc / call).  Each takes exactly one

@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from repro.cluster import ClusterEvaluator
+from repro.cluster import ClusterError, ClusterEvaluator
 from repro.config import Config, build_tree
 from repro.sdk import REGISTRY, WorkloadSpec
 from repro.search import Evaluator, SearchEngine, SearchOptions, parallel
@@ -51,6 +51,29 @@ def underflow():
         REGISTRY.unregister("underflow")
 
 
+class _RaisingVerify(Workload):
+    """A workload whose verification routine raises."""
+
+    def verify(self, result):
+        raise ValueError("boom")
+
+
+@pytest.fixture(scope="module")
+def raising():
+    REGISTRY.register(WorkloadSpec(
+        name="raising",
+        factory=lambda klass: _RaisingVerify(
+            name=f"raising.{klass}", sources=[UNDERFLOW], klass=klass
+        ),
+        classes=("T",),
+        origin="plugin:test",
+    ))
+    try:
+        yield make_workload("raising", "T")
+    finally:
+        REGISTRY.unregister("raising")
+
+
 def _traced():
     metrics = MetricsRegistry()
     return Telemetry(metrics=metrics), metrics.counters
@@ -91,6 +114,23 @@ def test_a_trap_counts_one_vm_trap(underflow, kind):
     assert outcome.reason == REASON_TRAP
     assert "out of bounds" in outcome.trap
     assert counters["vm.traps"] == 1
+
+
+@pytest.mark.parametrize("kind", EXECUTORS)
+def test_an_evaluation_error_aborts_every_executor(raising, kind):
+    # Inline and pool raise the exception itself; a lease channel raises
+    # a ClusterError carrying the worker's report of it.  None retries.
+    error, match = {
+        "inline": (ValueError, "boom"),
+        "pool": (ValueError, "boom"),
+        "lease": (ClusterError, "ValueError: boom"),
+    }[kind]
+    telemetry, counters = _traced()
+    with _front(raising, kind, telemetry) as front:
+        with pytest.raises(error, match=match):
+            front.evaluate(Config.all_double(build_tree(raising.program)))
+    assert counters.get("eval.worker_crashes", 0) == 0
+    assert counters.get("cluster.requeues", 0) == 0
 
 
 def test_a_worker_crash_is_not_a_vm_trap(underflow, monkeypatch):

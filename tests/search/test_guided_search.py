@@ -9,6 +9,8 @@ record of the search stays complete.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.search.bfs import SearchEngine, SearchOptions
@@ -35,16 +37,23 @@ def _pair(bench, klass, **kw):
 
 @pytest.mark.parametrize("bench", WORKLOADS)
 def test_guided_final_config_identical(bench):
-    # incremental=False so evaluations count 1:1 with queue items: with
-    # the semantic dedup cache on, a pruned item can also evict a later
-    # cache hit, shifting the count by one without changing any verdict.
-    base, guided = _pair(bench, "T", incremental=False)
+    base, guided = _pair(bench, "T")
     assert guided.final_config.flags == base.final_config.flags
     assert guided.final_verified == base.final_verified
     assert guided.static_pct == base.static_pct
     assert guided.dynamic_pct == base.dynamic_pct
-    # In the pure BFS phase every prune is exactly one saved evaluation.
-    assert guided.configs_tested == base.configs_tested - guided.analysis_pruned
+    # Guidance reorders and prunes the same items: the two histories
+    # hold the same verdicts.  The evaluation count is only bounded:
+    # when a pruned item has a semantic twin (same resolved policies)
+    # later in the search, the unguided front answers the twin from
+    # cache while the guided one must evaluate it, so that prune saves
+    # nothing.
+    assert Counter((r.label, r.passed) for r in guided.history) == Counter(
+        (r.label, r.passed) for r in base.history
+    )
+    pruned = [r for r in guided.history if r.reason == REASON_PRUNED]
+    assert len(pruned) == guided.analysis_pruned
+    assert guided.configs_tested <= base.configs_tested
 
 
 @pytest.mark.parametrize("bench", WORKLOADS)

@@ -2,8 +2,9 @@
 
 Covers the three guarantees the substrate makes to the search:
 
-* turning the caches off changes nothing but wall time (verdicts,
-  cycles, final configuration, history all identical);
+* the caches and fused dispatch change nothing but wall time: a search
+  equals one whose executor is an oracle that shares neither with the
+  code it checks (verdicts, cycles, traps, final configuration);
 * serial and parallel evaluators report identical ``eval.cache_hits``
   and ``eval.config`` telemetry for the same search;
 * semantically identical configs (different flags, same resolved
@@ -17,18 +18,56 @@ import pytest
 from repro.config import Config, Policy, build_tree
 from repro.config.model import LEVEL_FUNCTION
 from repro.search import SearchEngine, SearchOptions
-from repro.search.evaluator import Evaluator, machine_eligible, semantic_key
+from repro.search.evaluator import (
+    Evaluator,
+    machine_eligible,
+    semantic_key,
+    trap_reason,
+)
 from repro.search.parallel import ParallelEvaluator, fork_available
+from repro.search.results import REASON_VERIFY, EvalOutcome
 from repro.telemetry import ListSink, MetricsRegistry, Telemetry
-from repro.workloads import make_nas
+from repro.vm.errors import VmTrap
+from repro.vm.machine import run_program
+from repro.workloads import make_nas, make_workload
+
+from tests.instrument import layout_oracle
 
 
-def _traced_search(workers: int, incremental: bool):
+class OracleExecutor:
+    """Evaluates each job the way no cache can: the assembler links the
+    build (:mod:`tests.instrument.layout_oracle`) and a fresh VM runs
+    it on the per-instruction reference loop.  Verification and trap
+    classification follow ``execute_config``."""
+
+    def __init__(self, workload) -> None:
+        self.workload = workload
+
+    def evaluate_batch(self, jobs: list) -> list[EvalOutcome]:
+        return [self._evaluate(job.config) for job in jobs]
+
+    def _evaluate(self, config: Config) -> EvalOutcome:
+        workload = self.workload
+        program, _ = layout_oracle.rewrite(workload.program, config)
+        try:
+            result = run_program(program, fused=False, **workload.vm_params())
+        except VmTrap as exc:
+            return EvalOutcome(False, 0, str(exc), trap_reason(exc))
+        passed = bool(workload.verify(result))
+        return EvalOutcome(
+            passed, result.cycles, "", "" if passed else REASON_VERIFY
+        )
+
+    def close(self) -> None:
+        """Nothing to release."""
+
+
+def _traced_search(workers: int):
     workload = make_nas("cg", "T")
     sink = ListSink()
     metrics = MetricsRegistry()
     telemetry = Telemetry(sinks=[sink], metrics=metrics)
-    options = SearchOptions(workers=workers, incremental=incremental)
+    options = SearchOptions(workers=workers)
     result = SearchEngine(workload, options, telemetry=telemetry).run()
     kinds = Counter(event["kind"] for event in sink.events)
     return result, kinds, metrics.counters
@@ -44,35 +83,51 @@ def _essence(result):
     )
 
 
+def _assert_matches_oracle(name: str, klass: str, **options):
+    searches = []
+    for oracle in (False, True):
+        workload = make_workload(name, klass)
+        executor = OracleExecutor(workload) if oracle else None
+        searches.append(SearchEngine(
+            workload, SearchOptions(**options), executor=executor
+        ).run())
+    default, reference = searches
+    assert [
+        (r.label, r.passed, r.cycles, r.trap, r.reason, r.phase)
+        for r in default.history
+    ] == [
+        (r.label, r.passed, r.cycles, r.trap, r.reason, r.phase)
+        for r in reference.history
+    ]
+    assert default.configs_tested == reference.configs_tested
+    assert default.final_config.flags == reference.final_config.flags
+    assert default.static_pct == reference.static_pct
+    assert default.dynamic_pct == reference.dynamic_pct
+
+
 class TestOnOffEquivalence:
+    """The one evaluation path (template cache, persistent VM, fused
+    dispatch) against the oracle executor, which uses none of them."""
+
     def test_incremental_search_identical_to_cold(self):
-        warm, warm_kinds, _ = _traced_search(workers=1, incremental=True)
-        cold, cold_kinds, _ = _traced_search(workers=1, incremental=False)
-        assert _essence(warm) == _essence(cold)
-        # Each mode keeps the trace invariant: one eval.config per
-        # actual evaluation.
-        assert warm_kinds["eval.config"] == warm.configs_tested
-        assert cold_kinds["eval.config"] == cold.configs_tested
-        # The warm path may answer some configs semantically — it never
-        # evaluates more than the cold path.
-        assert warm.configs_tested <= cold.configs_tested
+        _assert_matches_oracle("cg", "T")
+
+    def test_lattice_search_identical_to_cold(self):
+        _assert_matches_oracle("mg", "T", lattice="f64,f32,bf16,f16")
 
     def test_incremental_caches_report_activity(self):
-        _, _, counters = _traced_search(workers=1, incremental=True)
+        result, kinds, counters = _traced_search(workers=1)
         assert counters["instr.block_cache_hits"] > 0
         assert counters["vm.compile_cache_hits"] > 0
-
-    def test_cold_path_reports_no_cache_activity(self):
-        _, _, counters = _traced_search(workers=1, incremental=False)
-        assert counters.get("instr.block_cache_hits", 0) == 0
-        assert counters.get("vm.compile_cache_hits", 0) == 0
+        # One eval.config per actual evaluation.
+        assert kinds["eval.config"] == result.configs_tested
 
 
 @pytest.mark.skipif(not fork_available(), reason="needs fork start method")
 class TestSerialParallelParity:
     def test_telemetry_and_results_match(self):
-        serial, serial_kinds, serial_counters = _traced_search(1, True)
-        parallel, parallel_kinds, parallel_counters = _traced_search(2, True)
+        serial, serial_kinds, serial_counters = _traced_search(1)
+        parallel, parallel_kinds, parallel_counters = _traced_search(2)
         # Batch size changes the queue interleaving (a seed property), so
         # compare the *set* of evaluations plus the final verdicts.
         s_final, s_static, s_dyn, s_ok, s_hist = _essence(serial)
@@ -139,16 +194,6 @@ class TestSemanticDedup:
         assert outcomes[0] == outcomes[1]
         assert evaluator.evaluations == 1
         assert evaluator.cache_hits == 1
-
-    def test_disabled_incremental_skips_semantic_cache(self, setup):
-        workload, tree = setup
-        coarse, fine = self._alias_pair(tree)
-        evaluator = Evaluator(workload, incremental=False)
-        first = evaluator.evaluate(coarse)
-        second = evaluator.evaluate(fine)
-        assert first == second  # same executable, same verdict
-        assert evaluator.evaluations == 2
-        assert evaluator.cache_hits == 0
 
 
 class TestMachineEligibility:

@@ -196,7 +196,7 @@ class TestLatticeDescent:
 
 class TestWidthSeeding:
     def _pair(self, workload_factory):
-        options = dict(lattice="f64,f32,bf16,f16", incremental=False)
+        options = dict(lattice="f64,f32,bf16,f16")
         base = SearchEngine(
             workload_factory(), SearchOptions(analysis=False, **options)
         ).run()

@@ -8,9 +8,18 @@ import json
 import os
 import time
 
+from repro.sdk import REGISTRY, WorkloadSpec
 from repro.service.jobs import CANCELLED, COMPLETE, FAILED, RUNNING
+from repro.workloads.base import Workload
 
 from tests.service.conftest import service_running
+
+
+class _RaisingVerify(Workload):
+    """A workload whose verification routine raises."""
+
+    def verify(self, result):
+        raise ValueError("boom")
 
 
 class TestDifferential:
@@ -107,6 +116,27 @@ class TestJobArtifacts:
             assert svc.wait_all(timeout=60)
             assert job.state == FAILED
             assert "nosuch" in job.error
+
+    def test_evaluation_error_fails_the_job(self, tmp_path):
+        # Registered through the SDK so the pool worker rebuilds it by
+        # name; its first evaluation raises, which fails the job.
+        REGISTRY.register(WorkloadSpec(
+            name="raising",
+            factory=lambda klass: _RaisingVerify(
+                name=f"raising.{klass}", klass=klass,
+                sources=["fn main() { var x: real = 0.1; out(x * 3.0); }"],
+            ),
+            classes=("T",),
+            origin="plugin:test",
+        ))
+        try:
+            with service_running(tmp_path, workers=1) as svc:
+                job = svc.submit("raising", "T")
+                assert svc.wait_all(timeout=60)
+                assert job.state == FAILED
+                assert "ValueError: boom" in job.error
+        finally:
+            REGISTRY.unregister("raising")
 
     def test_cancel_without_workers_never_executes(self, tmp_path):
         # No workers: the job blocks on its first batch until cancelled.
