@@ -64,7 +64,7 @@ from repro.fpbits.replace import (
 )
 from repro.isa.opcodes import OPCODE_INFO, Op
 from repro.isa.operands import Imm, Mem, Reg, Xmm
-from repro.vm.fpops import FPD_BIN, FPD_UN, FPS_BIN, FPS_UN
+from repro.vm.fpops import FPD_BIN, FPD_UN, FPN_BIN, FPN_UN
 
 _M32 = 0xFFFFFFFF
 
@@ -76,8 +76,8 @@ _MEM = 48
 
 # Candidate scalar arithmetic: the double semantics the guard runs and
 # the single semantics the replacement runs (the VM's own tables).
-_F32_BIN = {op: FPS_BIN[OPCODE_INFO[op].single_equiv] for op in FPD_BIN}
-_F32_UN = {op: FPS_UN[OPCODE_INFO[op].single_equiv] for op in FPD_UN}
+_F32_BIN = {op: FPN_BIN[OPCODE_INFO[op].single_equiv] for op in FPD_BIN}
+_F32_UN = {op: FPN_UN[OPCODE_INFO[op].single_equiv] for op in FPD_UN}
 
 #: integer ops computing on their operands: a diverged input register or
 #: memory word changes the result, which the model does not follow.

@@ -38,7 +38,7 @@ from repro.fpbits import ieee
 from repro.fpbits.ieee import bits_to_double, bits_to_single, single_to_bits
 from repro.isa.opcodes import OPCODE_INFO, Op
 from repro.isa.operands import Mem, Xmm
-from repro.vm.fpops import FPD_BIN, FPD_UN, FPS_BIN, FPS_UN, PD_BIN, PS_BIN
+from repro.vm.fpops import FPD_BIN, FPD_UN, FPN_BIN, FPN_UN, PD_BIN, PS_BIN
 
 _M32 = 0xFFFFFFFF
 _EXP_MASK = 0x7FF
@@ -55,10 +55,10 @@ CANCEL_MIN_BITS = 10
 # float32 equivalents of the double arithmetic ops (per lane for the
 # packed ones; SQRTPD's equivalent SQRTPS has no table of its own).
 _F32_BIN = {
-    op: (FPS_BIN | PS_BIN)[OPCODE_INFO[op].single_equiv]
+    op: (FPN_BIN | PS_BIN)[OPCODE_INFO[op].single_equiv]
     for op in (*FPD_BIN, *PD_BIN)
 }
-_F32_UN = {op: FPS_UN[OPCODE_INFO[op].single_equiv] for op in FPD_UN}
+_F32_UN = {op: FPN_UN[OPCODE_INFO[op].single_equiv] for op in FPD_UN}
 _F32_UN[Op.SQRTPD] = ieee.single_sqrt
 
 _SCALAR_BIN = frozenset(

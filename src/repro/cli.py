@@ -277,8 +277,7 @@ def cmd_analyze(args) -> int:
     from repro.analysis import analyze
 
     _load_plugins(args)
-    klass = args.klass_opt if args.klass_opt is not None else args.klass
-    workload = make_workload(args.workload, klass)
+    workload = make_workload(args.workload, _klass(args))
     telemetry, metrics = _build_telemetry(args)
     with telemetry:
         report = analyze(workload, telemetry=telemetry)
@@ -326,7 +325,7 @@ def cmd_search(args) -> int:
             raise SystemExit(
                 "search: a workload is required (or --resume CAMPAIGN)"
             )
-        klass = args.klass_opt if args.klass_opt is not None else args.klass
+        klass = _klass(args)
         workload = make_workload(args.workload, klass)
         try:
             options = SearchOptions(
@@ -458,8 +457,7 @@ def cmd_profile(args) -> int:
     from repro.profile import collect_profile, dumps
 
     _load_plugins(args)
-    klass = args.klass_opt if args.klass_opt is not None else args.klass
-    workload = make_workload(args.workload, klass)
+    workload = make_workload(args.workload, _klass(args))
     telemetry, metrics = _build_telemetry(args)
     with telemetry:
         profile = collect_profile(workload, telemetry=telemetry)
@@ -588,8 +586,8 @@ def _serve_service(args) -> int:
 
 
 def _submit_options(args) -> dict:
-    """SearchOptions JSON carried on a submit frame (same defaults as
-    `repro search`)."""
+    """SearchOptions JSON carried on a submit frame (the flags of
+    `repro search`, with a batch of 4 by default)."""
     return {
         "stop_level": args.stop_level,
         "workers": args.workers,
@@ -616,11 +614,10 @@ def cmd_submit(args) -> int:
     from repro.service import ServiceClient, ServiceError
 
     _load_plugins(args)
-    klass = args.klass_opt or args.klass
     try:
         with ServiceClient(args.address) as client:
             job = client.submit(
-                args.workload, klass,
+                args.workload, _klass(args),
                 options=_submit_options(args),
                 tenant=args.tenant,
                 quantum=args.quantum,
@@ -816,6 +813,89 @@ def _add_telemetry_flags(parser, progress: bool) -> None:
                             help="live progress line on stderr")
 
 
+def _add_workload_args(parser, resumable: bool = False) -> None:
+    """The workload and its problem class, positionally or as --class
+    (see :func:`_klass`).  A *resumable* command may omit the workload
+    and take it from --resume."""
+    if resumable:
+        parser.add_argument("workload", nargs="?",
+                            help=_WORKLOAD_HELP + " (omitted with --resume)")
+    else:
+        parser.add_argument("workload", help=_WORKLOAD_HELP)
+    parser.add_argument("klass", nargs="?", default="W",
+                        help="problem class (S/W/A/C)")
+    parser.add_argument("--class", dest="klass_opt", default=None,
+                        metavar="KLASS",
+                        help="problem class (same as the positional argument)")
+
+
+def _klass(args) -> str:
+    """The problem class: --class when given, else the positional."""
+    return args.klass_opt if args.klass_opt is not None else args.klass
+
+
+def _add_search_flags(parser, workers: int) -> None:
+    """What a search is: the options `search`, `serve` and `submit` pass
+    to SearchOptions.  *workers* is the command's default."""
+    parser.add_argument("--analysis", default=True,
+                        action=argparse.BooleanOptionalAction,
+                        help="shadow-value analysis guidance: one extra "
+                             "observed run up front prunes candidates whose "
+                             "singleton verdict is already decided "
+                             "(--no-analysis restores the paper's unguided "
+                             "search; the final configuration is identical "
+                             "either way)")
+    parser.add_argument("--stop-level", default="instruction",
+                        choices=("module", "function", "block", "instruction"))
+    parser.add_argument("--lattice", default="f64,f32", metavar="SPEC",
+                        help="precision lattice to search down, e.g. "
+                             "f64,f32,bf16,f16 (default f64,f32 — the "
+                             "paper's binary double/single search); extra "
+                             "widths add a lattice-descent phase that "
+                             "re-tests passing items one width narrower at "
+                             "a time")
+    parser.add_argument("--workers", type=int, default=workers,
+                        help="configurations evaluated concurrently: local "
+                             "worker processes, or the batch leased to "
+                             "network workers (default %(default)s)")
+    parser.add_argument("--refine", action="store_true",
+                        help="second search phase when the union fails")
+
+
+def _add_run_flags(parser) -> None:
+    """How one search runs and reports: shared by `search` and `serve`."""
+    parser.add_argument("--campaign", metavar="DIR",
+                        help="run as a durable campaign: journal the "
+                             "frontier after every batch and record outcomes "
+                             "in DIR/results.sqlite so the search survives "
+                             "interruption (see --resume)")
+    parser.add_argument("--resume", metavar="DIR",
+                        help="resume an interrupted campaign from its "
+                             "journal; replays decided outcomes from the "
+                             "result store and continues from the exact "
+                             "frontier")
+    parser.add_argument("--store", metavar="DB",
+                        help="standalone result store (SQLite file): decided "
+                             "outcomes persist across runs, so a repeated "
+                             "search warm-starts without re-executing "
+                             "anything")
+    parser.add_argument("--lease-timeout", type=float, default=30.0,
+                        metavar="SECONDS",
+                        help="cluster: requeue a worker's leases after this "
+                             "much silence (default 30)")
+    parser.add_argument("-o", "--output",
+                        help="write the best configuration here")
+    parser.add_argument("--report", help="write a Markdown analysis report here")
+    parser.add_argument("--explain", metavar="FILE",
+                        help="write a per-site decision-provenance report "
+                             "here (analysis verdicts, eval evidence, crash "
+                             "history, cycle shares; richer with --trace)")
+    parser.add_argument("--quiet", action="store_true",
+                        help="suppress the one-line human summary")
+    parser.add_argument("--verbose", action="store_true",
+                        help="print the full evaluation history")
+
+
 def _add_compile_flags(parser) -> None:
     parser.add_argument("--real", choices=("f64", "f32"), default="f64",
                         help="meaning of the 'real' type (default f64)")
@@ -901,10 +981,7 @@ def build_parser() -> argparse.ArgumentParser:
         "analyze",
         help="shadow-value analysis: one observed run, JSON report",
     )
-    p.add_argument("workload", help=_WORKLOAD_HELP)
-    p.add_argument("klass", nargs="?", default="W", help="problem class (S/W/A/C)")
-    p.add_argument("--class", dest="klass_opt", default=None, metavar="KLASS",
-                   help="problem class (same as the positional argument)")
+    _add_workload_args(p)
     p.add_argument("-o", "--output",
                    help="write the JSON report here instead of stdout")
     _add_telemetry_flags(p, progress=False)
@@ -916,10 +993,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-site cycle census: one profiled run, schema-versioned "
              "profile.json",
     )
-    p.add_argument("workload", help=_WORKLOAD_HELP)
-    p.add_argument("klass", nargs="?", default="W", help="problem class (S/W/A/C)")
-    p.add_argument("--class", dest="klass_opt", default=None, metavar="KLASS",
-                   help="problem class (same as the positional argument)")
+    _add_workload_args(p)
     p.add_argument("-o", "--output", metavar="FILE",
                    help="write the profile document here (profile.json)")
     p.add_argument("--top", type=int, default=10, metavar="N",
@@ -929,42 +1003,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("search", help="automatic search on a built-in workload")
-    p.add_argument("workload", nargs="?",
-                   help=_WORKLOAD_HELP + " (omitted with --resume)")
-    p.add_argument("klass", nargs="?", default="W", help="problem class (S/W/A/C)")
-    p.add_argument("--class", dest="klass_opt", default=None, metavar="KLASS",
-                   help="problem class (same as the positional argument)")
-    p.add_argument("--analysis", default=True,
-                   action=argparse.BooleanOptionalAction,
-                   help="shadow-value analysis guidance: one extra observed "
-                        "run up front prunes candidates whose singleton "
-                        "verdict is already decided (--no-analysis restores "
-                        "the paper's unguided search; the final configuration "
-                        "is identical either way)")
-    p.add_argument("--stop-level", default="instruction",
-                   choices=("module", "function", "block", "instruction"))
-    p.add_argument("--lattice", default="f64,f32", metavar="SPEC",
-                   help="precision lattice to search down, e.g. "
-                        "f64,f32,bf16,f16 (default f64,f32 — the paper's "
-                        "binary double/single search); extra widths add a "
-                        "lattice-descent phase that re-tests passing items "
-                        "one width narrower at a time")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--refine", action="store_true",
-                   help="second search phase when the union fails")
-    p.add_argument("--campaign", metavar="DIR",
-                   help="run as a durable campaign: journal the frontier "
-                        "after every batch and record outcomes in "
-                        "DIR/results.sqlite so the search survives "
-                        "interruption (see --resume)")
-    p.add_argument("--resume", metavar="DIR",
-                   help="resume an interrupted campaign from its journal; "
-                        "replays decided outcomes from the result store and "
-                        "continues from the exact frontier")
-    p.add_argument("--store", metavar="DB",
-                   help="standalone result store (SQLite file): decided "
-                        "outcomes persist across runs, so a repeated search "
-                        "warm-starts without re-executing anything")
+    _add_workload_args(p, resumable=True)
+    _add_search_flags(p, workers=1)
+    _add_run_flags(p)
     p.add_argument("--cluster", metavar="HOST:PORT",
                    help="serve evaluations to network workers instead of "
                         "running them locally: bind a coordinator here "
@@ -972,20 +1013,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "configurations to `repro worker` processes; "
                         "--workers then sets the batch size, not a "
                         "process count")
-    p.add_argument("--lease-timeout", type=float, default=30.0,
-                   metavar="SECONDS",
-                   help="cluster: requeue a worker's leases after this "
-                        "much silence (default 30)")
-    p.add_argument("-o", "--output", help="write the best configuration here")
-    p.add_argument("--report", help="write a Markdown analysis report here")
-    p.add_argument("--explain", metavar="FILE",
-                   help="write a per-site decision-provenance report here "
-                        "(analysis verdicts, eval evidence, crash history, "
-                        "cycle shares; richer with --trace)")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress the one-line human summary")
-    p.add_argument("--verbose", action="store_true",
-                   help="print the full evaluation history")
     _add_telemetry_flags(p, progress=True)
     _add_plugin_flag(p)
     p.set_defaults(func=cmd_search)
@@ -997,43 +1024,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("address", metavar="HOST:PORT",
                    help="address to serve on (port 0 picks a free port)")
-    p.add_argument("workload", nargs="?",
-                   help=_WORKLOAD_HELP + " (omitted with --resume)")
-    p.add_argument("klass", nargs="?", default="W", help="problem class (S/W/A/C)")
-    p.add_argument("--class", dest="klass_opt", default=None, metavar="KLASS",
-                   help="problem class (same as the positional argument)")
-    p.add_argument("--analysis", default=True,
-                   action=argparse.BooleanOptionalAction,
-                   help="shadow-value analysis guidance (see `search`)")
-    p.add_argument("--stop-level", default="instruction",
-                   choices=("module", "function", "block", "instruction"))
-    p.add_argument("--lattice", default="f64,f32", metavar="SPEC",
-                   help="precision lattice to search down (see `search`)")
-    p.add_argument("--workers", type=int, default=4,
-                   help="batch size: configurations leased concurrently "
-                        "(default 4)")
-    p.add_argument("--refine", action="store_true",
-                   help="second search phase when the union fails")
-    p.add_argument("--campaign", metavar="DIR",
-                   help="journal the frontier + persist outcomes in DIR "
-                        "(see `search --campaign`)")
-    p.add_argument("--resume", metavar="DIR",
-                   help="resume an interrupted campaign (see `search`)")
-    p.add_argument("--store", metavar="DB",
-                   help="standalone result store (see `search --store`)")
-    p.add_argument("--lease-timeout", type=float, default=30.0,
-                   metavar="SECONDS",
-                   help="requeue a worker's leases after this much "
-                        "silence (default 30)")
-    p.add_argument("-o", "--output", help="write the best configuration here")
-    p.add_argument("--report", help="write a Markdown analysis report here")
-    p.add_argument("--explain", metavar="FILE",
-                   help="write a per-site decision-provenance report here "
-                        "(see `search --explain`)")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress the one-line human summary")
-    p.add_argument("--verbose", action="store_true",
-                   help="print the full evaluation history")
+    _add_workload_args(p, resumable=True)
+    _add_search_flags(p, workers=4)
+    _add_run_flags(p)
     p.add_argument("--service", metavar="ROOT", default=None,
                    help="host a multi-tenant job service rooted at ROOT "
                         "instead of one search: clients submit campaigns "
@@ -1058,22 +1051,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("address", metavar="HOST:PORT",
                    help="service address (printed by `repro serve --service`)")
-    p.add_argument("workload", help=_WORKLOAD_HELP)
-    p.add_argument("klass", nargs="?", default="W", help="problem class (S/W/A/C)")
-    p.add_argument("--class", dest="klass_opt", default=None, metavar="KLASS",
-                   help="problem class (same as the positional argument)")
-    p.add_argument("--analysis", default=True,
-                   action=argparse.BooleanOptionalAction,
-                   help="shadow-value analysis guidance (see `search`)")
-    p.add_argument("--stop-level", default="instruction",
-                   choices=("module", "function", "block", "instruction"))
-    p.add_argument("--lattice", default="f64,f32", metavar="SPEC",
-                   help="precision lattice to search down (see `search`)")
-    p.add_argument("--workers", type=int, default=4,
-                   help="batch size: configurations leased concurrently "
-                        "(default 4)")
-    p.add_argument("--refine", action="store_true",
-                   help="second search phase when the union fails")
+    _add_workload_args(p)
+    _add_search_flags(p, workers=4)
     p.add_argument("--tenant", default="default",
                    help="tenant name for quotas and fair-share "
                         "(default 'default')")

@@ -2,24 +2,32 @@
 
 The virtual machine stores every value as a 64-bit integer pattern; these
 helpers are the single point where patterns are interpreted as IEEE-754
-numbers.  Double-precision arithmetic uses the host's native binary64
-(CPython floats), with explicit handling for the cases where Python raises
-instead of producing IEEE special values (division by zero, ``sqrt`` of a
-negative number, ``log`` of a non-positive number).
+numbers.  Each width is an :class:`FpFormat` record (decode, encode,
+default NaN, sign bit, mask), and each of the 13 scalar operations (add,
+sub, mul, div, min, max, sqrt, neg, abs, sin, cos, exp, log) is defined
+once, in :func:`_operations`, over that record.  This module builds the
+binary64 (``double_*``) and binary32 (``single_*``) helpers from it;
+:mod:`repro.fpbits.narrow` builds bfloat16 and binary16.
 
-Single-precision arithmetic is computed in binary64 and then rounded to
-binary32.  For ``+ - * / sqrt`` this is *exactly* equivalent to native
-binary32 arithmetic: rounding to precision ``2p + 2`` (53 >= 2*24 + 2)
-followed by rounding to ``p`` is innocuous (Figueroa, "When is double
-rounding innocuous?").  Transcendentals are not correctly rounded on any
-real hardware either; we document them as "double evaluation rounded to
-single", the same contract as calling ``sinf`` via ``(float)sin(x)``.
+Every operation computes in the host's binary64 (CPython floats) and
+rounds once to its width, with explicit handling where Python raises
+instead of producing IEEE special values (division by zero, ``sqrt`` of
+a negative number, ``log`` of a non-positive number, ``exp`` overflow)
+and x86 SSE's answers where IEEE leaves a choice (min/max with a NaN
+return the second operand).  For ``+ - * / sqrt`` of narrower operands
+this is *exactly* native arithmetic at that width: rounding to precision
+``2p + 2`` (53 >= 2*24 + 2 for binary32) followed by rounding to ``p``
+is innocuous (Figueroa, "When is double rounding innocuous?").
+Transcendentals are not correctly rounded on any real hardware either;
+we document them as "double evaluation rounded to the target width",
+the same contract as calling ``sinf`` via ``(float)sin(x)``.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from typing import Callable
 
 BITS64_MASK = 0xFFFFFFFFFFFFFFFF
 BITS32_MASK = 0xFFFFFFFF
@@ -75,199 +83,165 @@ def is_nan_bits32(bits: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Double-precision arithmetic on 64-bit patterns.
+# The 13 scalar operations, written once over a width's record.
 # ---------------------------------------------------------------------------
 
-
-def double_add(a: int, b: int) -> int:
-    return double_to_bits(bits_to_double(a) + bits_to_double(b))
-
-
-def double_sub(a: int, b: int) -> int:
-    return double_to_bits(bits_to_double(a) - bits_to_double(b))
+#: the binary and the unary operations, in helper order.
+BINARY_OPS = ("add", "sub", "mul", "div", "min", "max")
+UNARY_OPS = ("sqrt", "neg", "abs", "sin", "cos", "exp", "log")
 
 
-def double_mul(a: int, b: int) -> int:
-    return double_to_bits(bits_to_double(a) * bits_to_double(b))
+class FpFormat:
+    """One binary floating-point width, as its helpers see its patterns.
+
+    ``name`` is the lattice width name (``"f64"``, ``"f32"``, ...).
+    ``decode`` widens a pattern exactly to a binary64 value and
+    ``encode`` rounds a binary64 value to a pattern once, overflow giving
+    a signed infinity.  ``nan`` is the default NaN an invalid operation
+    returns, ``sign`` the sign bit and ``mask`` all bits of a pattern.
+    ``ops`` maps each operation name to the width's helper, named
+    ``{prefix}_{op}`` and attributed to *module*, the module that exports
+    it: fused source calls each helper by its ``__name__``.
+    """
+
+    __slots__ = ("name", "prefix", "decode", "encode", "nan", "sign", "mask", "ops")
+
+    def __init__(
+        self,
+        name: str,
+        prefix: str,
+        decode: Callable[[int], float],
+        encode: Callable[[float], int],
+        nan: int,
+        sign: int,
+        mask: int,
+        module: str,
+    ) -> None:
+        self.name = name
+        self.prefix = prefix
+        self.decode = decode
+        self.encode = encode
+        self.nan = nan
+        self.sign = sign
+        self.mask = mask
+        self.ops = _operations(self)
+        for op, fn in self.ops.items():
+            helper = f"{prefix}_{op}"
+            # A code object of the helper's own: CPython specializes each
+            # code object's call sites and float ops on what it sees, so
+            # one shared by all four widths would keep re-specializing.
+            fn.__code__ = fn.__code__.replace(co_name=helper)
+            fn.__name__ = fn.__qualname__ = helper
+            fn.__module__ = module
+
+    def __repr__(self) -> str:
+        return f"FpFormat({self.name})"
 
 
-def double_div(a: int, b: int) -> int:
-    x = bits_to_double(a)
-    y = bits_to_double(b)
-    try:
-        return double_to_bits(x / y)
-    except ZeroDivisionError:
-        return double_to_bits(_ieee_div_by_zero(x, y))
+def _operations(fmt: FpFormat) -> dict:
+    """The 13 operations of *fmt*: computed in binary64 on the decoded
+    operands and rounded once by ``encode``, with x86 SSE's answers where
+    Python raises or IEEE leaves a choice."""
+    dec, enc, nan, sign, mask = fmt.decode, fmt.encode, fmt.nan, fmt.sign, fmt.mask
+    magnitude = mask ^ sign
+
+    def add(a: int, b: int) -> int:
+        return enc(dec(a) + dec(b))
+
+    def sub(a: int, b: int) -> int:
+        return enc(dec(a) - dec(b))
+
+    def mul(a: int, b: int) -> int:
+        return enc(dec(a) * dec(b))
+
+    def div(a: int, b: int) -> int:
+        x = dec(a)
+        y = dec(b)
+        try:
+            return enc(x / y)
+        except ZeroDivisionError:
+            # y is +/-0.0.  0/0 and nan/0 are invalid; otherwise signed infinity.
+            if x != x or x == 0.0:
+                return nan
+            return enc(math.copysign(math.inf, x) * math.copysign(1.0, y))
+
+    def sqrt(a: int) -> int:
+        x = dec(a)
+        if x != x or x < 0.0:
+            return nan
+        return enc(math.sqrt(x))
+
+    def neg(a: int) -> int:
+        # Pure sign-bit flip, like xorpd with a sign mask: works for NaN/inf too.
+        return (a ^ sign) & mask
+
+    def abs(a: int) -> int:
+        return a & magnitude
+
+    def min(a: int, b: int) -> int:
+        # SSE minsd semantics: returns the second operand if either is NaN,
+        # and min(a, b) computed as (a < b) ? a : b.
+        x = dec(a)
+        y = dec(b)
+        if x != x or y != y:
+            return b
+        return a if x < y else b
+
+    def max(a: int, b: int) -> int:
+        x = dec(a)
+        y = dec(b)
+        if x != x or y != y:
+            return b
+        return a if x > y else b
+
+    # Transcendentals: binary64 evaluation rounded to the target width.
+
+    def sin(a: int) -> int:
+        x = dec(a)
+        if x != x or math.isinf(x):
+            return nan
+        return enc(math.sin(x))
+
+    def cos(a: int) -> int:
+        x = dec(a)
+        if x != x or math.isinf(x):
+            return nan
+        return enc(math.cos(x))
+
+    def exp(a: int) -> int:
+        x = dec(a)
+        if x != x:
+            return nan
+        try:
+            return enc(math.exp(x))
+        except OverflowError:
+            return enc(math.inf)
+
+    def log(a: int) -> int:
+        x = dec(a)
+        if x != x or x < 0.0:
+            return nan
+        if x == 0.0:
+            return enc(-math.inf)
+        return enc(math.log(x))
+
+    return dict(zip(
+        BINARY_OPS + UNARY_OPS,
+        (add, sub, mul, div, min, max, sqrt, neg, abs, sin, cos, exp, log),
+    ))
 
 
-def _ieee_div_by_zero(x: float, y: float) -> float:
-    # y is +/-0.0 here.  0/0 and nan/0 are NaN; otherwise signed infinity.
-    if x != x or x == 0.0:
-        return math.nan
-    sign = math.copysign(1.0, x) * math.copysign(1.0, y)
-    return math.inf if sign > 0 else -math.inf
+F64 = FpFormat(
+    "f64", "double", bits_to_double, double_to_bits, _NAN64, 1 << 63, BITS64_MASK, __name__
+)
+F32 = FpFormat(
+    "f32", "single", bits_to_single, single_to_bits, _NAN32, 1 << 31, BITS32_MASK, __name__
+)
 
-
-def double_sqrt(a: int) -> int:
-    x = bits_to_double(a)
-    if x != x:
-        return _NAN64
-    if x < 0.0:
-        return _NAN64
-    return double_to_bits(math.sqrt(x))
-
-
-def double_neg(a: int) -> int:
-    # Pure sign-bit flip, like xorpd with a sign mask: works for NaN/inf too.
-    return (a ^ 0x8000000000000000) & BITS64_MASK
-
-
-def double_abs(a: int) -> int:
-    return a & 0x7FFFFFFFFFFFFFFF
-
-
-def double_min(a: int, b: int) -> int:
-    # SSE minsd semantics: returns the second operand if either is NaN,
-    # and min(a, b) computed as (a < b) ? a : b.
-    x = bits_to_double(a)
-    y = bits_to_double(b)
-    if x != x or y != y:
-        return b
-    return a if x < y else b
-
-
-def double_max(a: int, b: int) -> int:
-    x = bits_to_double(a)
-    y = bits_to_double(b)
-    if x != x or y != y:
-        return b
-    return a if x > y else b
-
-
-# ---------------------------------------------------------------------------
-# Single-precision arithmetic on 32-bit patterns.
-# ---------------------------------------------------------------------------
-
-
-def single_add(a: int, b: int) -> int:
-    return single_to_bits(bits_to_single(a) + bits_to_single(b))
-
-
-def single_sub(a: int, b: int) -> int:
-    return single_to_bits(bits_to_single(a) - bits_to_single(b))
-
-
-def single_mul(a: int, b: int) -> int:
-    return single_to_bits(bits_to_single(a) * bits_to_single(b))
-
-
-def single_div(a: int, b: int) -> int:
-    x = bits_to_single(a)
-    y = bits_to_single(b)
-    try:
-        return single_to_bits(x / y)
-    except ZeroDivisionError:
-        r = _ieee_div_by_zero(x, y)
-        return _NAN32 if r != r else single_to_bits(r)
-
-
-def single_sqrt(a: int) -> int:
-    x = bits_to_single(a)
-    if x != x or x < 0.0:
-        return _NAN32
-    return single_to_bits(math.sqrt(x))
-
-
-def single_neg(a: int) -> int:
-    return (a ^ 0x80000000) & BITS32_MASK
-
-
-def single_abs(a: int) -> int:
-    return a & 0x7FFFFFFF
-
-
-def single_min(a: int, b: int) -> int:
-    x = bits_to_single(a)
-    y = bits_to_single(b)
-    if x != x or y != y:
-        return b
-    return a if x < y else b
-
-
-def single_max(a: int, b: int) -> int:
-    x = bits_to_single(a)
-    y = bits_to_single(b)
-    if x != x or y != y:
-        return b
-    return a if x > y else b
-
-
-# ---------------------------------------------------------------------------
-# Transcendentals (documented as double evaluation rounded to target width).
-# ---------------------------------------------------------------------------
-
-
-def double_sin(a: int) -> int:
-    x = bits_to_double(a)
-    if x != x or math.isinf(x):
-        return _NAN64
-    return double_to_bits(math.sin(x))
-
-
-def double_cos(a: int) -> int:
-    x = bits_to_double(a)
-    if x != x or math.isinf(x):
-        return _NAN64
-    return double_to_bits(math.cos(x))
-
-
-def double_exp(a: int) -> int:
-    x = bits_to_double(a)
-    if x != x:
-        return _NAN64
-    try:
-        return double_to_bits(math.exp(x))
-    except OverflowError:
-        return double_to_bits(math.inf)
-
-
-def double_log(a: int) -> int:
-    x = bits_to_double(a)
-    if x != x or x < 0.0:
-        return _NAN64
-    if x == 0.0:
-        return double_to_bits(-math.inf)
-    return double_to_bits(math.log(x))
-
-
-def single_sin(a: int) -> int:
-    x = bits_to_single(a)
-    if x != x or math.isinf(x):
-        return _NAN32
-    return single_to_bits(math.sin(x))
-
-
-def single_cos(a: int) -> int:
-    x = bits_to_single(a)
-    if x != x or math.isinf(x):
-        return _NAN32
-    return single_to_bits(math.cos(x))
-
-
-def single_exp(a: int) -> int:
-    x = bits_to_single(a)
-    if x != x:
-        return _NAN32
-    try:
-        return single_to_bits(math.exp(x))
-    except OverflowError:
-        return single_to_bits(math.inf)
-
-
-def single_log(a: int) -> int:
-    x = bits_to_single(a)
-    if x != x or x < 0.0:
-        return _NAN32
-    if x == 0.0:
-        return single_to_bits(-math.inf)
-    return single_to_bits(math.log(x))
+# The helpers in BINARY_OPS + UNARY_OPS order.
+(double_add, double_sub, double_mul, double_div, double_min, double_max,
+ double_sqrt, double_neg, double_abs,
+ double_sin, double_cos, double_exp, double_log) = F64.ops.values()
+(single_add, single_sub, single_mul, single_div, single_min, single_max,
+ single_sqrt, single_neg, single_abs,
+ single_sin, single_cos, single_exp, single_log) = F32.ops.values()

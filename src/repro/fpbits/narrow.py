@@ -1,19 +1,22 @@
 """bfloat16 / binary16 encode/decode and arithmetic on 16-bit patterns.
 
 These are the two extra rungs of the precision lattice below binary32
-(see :mod:`repro.lattice`).  Both widths follow the same contract as the
-binary32 helpers in :mod:`repro.fpbits.ieee`: values are computed in the
-host's binary64 and then rounded to the target width, which is *exactly*
-equivalent to native narrow arithmetic for ``+ - * / sqrt`` because the
-intermediate precision exceeds ``2p + 2`` (53 >= 2*11 + 2 for binary16,
-53 >= 2*8 + 2 for bfloat16 — Figueroa, "When is double rounding
-innocuous?").  Transcendentals are documented as "double evaluation
-rounded to the target width", the same contract the binary32 family
-already carries.
+(see :mod:`repro.lattice`).  Their helpers are the 13 operations of
+:mod:`repro.fpbits.ieee`, bound to the :data:`BF16` and :data:`F16`
+records: values are computed in the host's binary64 and rounded once to
+the target width.  That is *exactly* native narrow arithmetic for
+``+ - * / sqrt``, because the intermediate precision exceeds ``2p + 2``
+(53 >= 2*11 + 2 for binary16, 53 >= 2*8 + 2 for bfloat16 — Figueroa,
+"When is double rounding innocuous?").  Transcendentals are "double
+evaluation rounded to the target width", the contract every width
+carries.
 
 * **bfloat16** (1 sign, 8 exponent, 7 mantissa) shares binary32's
-  exponent field, so encode is a round-to-nearest-even truncation of the
-  binary32 pattern and decode is an exact left shift.
+  exponent field, so decode is an exact left shift of the pattern into a
+  binary32 one.  Encode rounds to binary32 first and finishes with the
+  carry trick on the binary32 pattern; where the binary32 rounding lands
+  exactly on a bfloat16 midpoint it is redone to odd, which makes the two
+  steps one round-to-nearest-even from binary64.
 * **binary16** (1 sign, 5 exponent, 10 mantissa) is IEEE half precision;
   CPython's ``struct`` ``<e`` format packs and unpacks it with
   round-to-nearest-even, including subnormals.  Overflow maps to a
@@ -23,14 +26,9 @@ already carries.
 
 from __future__ import annotations
 
-import math
 import struct
 
-from repro.fpbits.ieee import (
-    _ieee_div_by_zero,
-    bits_to_single,
-    single_to_bits,
-)
+from repro.fpbits.ieee import FpFormat, bits_to_single, single_to_bits
 
 BITS16_MASK = 0xFFFF
 
@@ -52,14 +50,25 @@ _NAN_HF = 0x7E00
 def bf16_to_bits(value: float) -> int:
     """Round *value* (a binary64) to bfloat16; return its 16-bit pattern.
 
-    Round-to-nearest-even via the carry trick on the binary32 pattern;
-    the intermediate binary32 rounding is innocuous (see module
-    docstring).  NaN inputs are forced quiet (mantissa MSB set) so a
-    payload that truncates to zero cannot turn into an infinity.
+    One round-to-nearest-even from binary64.  The carry trick rounds the
+    binary32 pattern, which is exact unless the binary32 rounding itself
+    moved the value onto a bfloat16 midpoint (low half ``0x8000``): a
+    tie there would be broken by a rounding error, not by the value.  So
+    that case is rounded to odd instead (truncated toward zero, sticky
+    bit set), which keeps the value's side of the midpoint.  Overflow
+    gives a signed infinity.  NaN inputs are forced quiet (mantissa MSB
+    set) so a payload that truncates to zero cannot turn into an
+    infinity.
     """
     bits = single_to_bits(value)
     if (bits & 0x7F800000) == 0x7F800000 and (bits & 0x007FFFFF) != 0:
         return ((bits >> 16) | 0x0040) & BITS16_MASK
+    if bits & 0xFFFF == 0x8000:
+        near = bits_to_single(bits)
+        if near != value:
+            if abs(near) > abs(value):
+                bits -= 1
+            bits |= 1
     return ((bits + 0x7FFF + ((bits >> 16) & 1)) >> 16) & BITS16_MASK
 
 
@@ -102,183 +111,16 @@ def is_nan_bits_f16(bits: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# bfloat16 arithmetic on 16-bit patterns.
+# The 13 operations at each 16-bit width.
 # ---------------------------------------------------------------------------
 
+BF16 = FpFormat("bf16", "bf16", bits_to_bf16, bf16_to_bits, _NAN_BF, 0x8000, BITS16_MASK, __name__)
+F16 = FpFormat("f16", "f16", bits_to_f16, f16_to_bits, _NAN_HF, 0x8000, BITS16_MASK, __name__)
 
-def bf16_add(a: int, b: int) -> int:
-    return bf16_to_bits(bits_to_bf16(a) + bits_to_bf16(b))
-
-
-def bf16_sub(a: int, b: int) -> int:
-    return bf16_to_bits(bits_to_bf16(a) - bits_to_bf16(b))
-
-
-def bf16_mul(a: int, b: int) -> int:
-    return bf16_to_bits(bits_to_bf16(a) * bits_to_bf16(b))
-
-
-def bf16_div(a: int, b: int) -> int:
-    x = bits_to_bf16(a)
-    y = bits_to_bf16(b)
-    try:
-        return bf16_to_bits(x / y)
-    except ZeroDivisionError:
-        r = _ieee_div_by_zero(x, y)
-        return _NAN_BF if r != r else bf16_to_bits(r)
-
-
-def bf16_sqrt(a: int) -> int:
-    x = bits_to_bf16(a)
-    if x != x or x < 0.0:
-        return _NAN_BF
-    return bf16_to_bits(math.sqrt(x))
-
-
-def bf16_neg(a: int) -> int:
-    return (a ^ 0x8000) & BITS16_MASK
-
-
-def bf16_abs(a: int) -> int:
-    return a & 0x7FFF
-
-
-def bf16_min(a: int, b: int) -> int:
-    # SSE min semantics: second operand if either is NaN, (a < b) ? a : b.
-    x = bits_to_bf16(a)
-    y = bits_to_bf16(b)
-    if x != x or y != y:
-        return b
-    return a if x < y else b
-
-
-def bf16_max(a: int, b: int) -> int:
-    x = bits_to_bf16(a)
-    y = bits_to_bf16(b)
-    if x != x or y != y:
-        return b
-    return a if x > y else b
-
-
-def bf16_sin(a: int) -> int:
-    x = bits_to_bf16(a)
-    if x != x or math.isinf(x):
-        return _NAN_BF
-    return bf16_to_bits(math.sin(x))
-
-
-def bf16_cos(a: int) -> int:
-    x = bits_to_bf16(a)
-    if x != x or math.isinf(x):
-        return _NAN_BF
-    return bf16_to_bits(math.cos(x))
-
-
-def bf16_exp(a: int) -> int:
-    x = bits_to_bf16(a)
-    if x != x:
-        return _NAN_BF
-    try:
-        return bf16_to_bits(math.exp(x))
-    except OverflowError:
-        return bf16_to_bits(math.inf)
-
-
-def bf16_log(a: int) -> int:
-    x = bits_to_bf16(a)
-    if x != x or x < 0.0:
-        return _NAN_BF
-    if x == 0.0:
-        return bf16_to_bits(-math.inf)
-    return bf16_to_bits(math.log(x))
-
-
-# ---------------------------------------------------------------------------
-# binary16 arithmetic on 16-bit patterns.
-# ---------------------------------------------------------------------------
-
-
-def f16_add(a: int, b: int) -> int:
-    return f16_to_bits(bits_to_f16(a) + bits_to_f16(b))
-
-
-def f16_sub(a: int, b: int) -> int:
-    return f16_to_bits(bits_to_f16(a) - bits_to_f16(b))
-
-
-def f16_mul(a: int, b: int) -> int:
-    return f16_to_bits(bits_to_f16(a) * bits_to_f16(b))
-
-
-def f16_div(a: int, b: int) -> int:
-    x = bits_to_f16(a)
-    y = bits_to_f16(b)
-    try:
-        return f16_to_bits(x / y)
-    except ZeroDivisionError:
-        r = _ieee_div_by_zero(x, y)
-        return _NAN_HF if r != r else f16_to_bits(r)
-
-
-def f16_sqrt(a: int) -> int:
-    x = bits_to_f16(a)
-    if x != x or x < 0.0:
-        return _NAN_HF
-    return f16_to_bits(math.sqrt(x))
-
-
-def f16_neg(a: int) -> int:
-    return (a ^ 0x8000) & BITS16_MASK
-
-
-def f16_abs(a: int) -> int:
-    return a & 0x7FFF
-
-
-def f16_min(a: int, b: int) -> int:
-    x = bits_to_f16(a)
-    y = bits_to_f16(b)
-    if x != x or y != y:
-        return b
-    return a if x < y else b
-
-
-def f16_max(a: int, b: int) -> int:
-    x = bits_to_f16(a)
-    y = bits_to_f16(b)
-    if x != x or y != y:
-        return b
-    return a if x > y else b
-
-
-def f16_sin(a: int) -> int:
-    x = bits_to_f16(a)
-    if x != x or math.isinf(x):
-        return _NAN_HF
-    return f16_to_bits(math.sin(x))
-
-
-def f16_cos(a: int) -> int:
-    x = bits_to_f16(a)
-    if x != x or math.isinf(x):
-        return _NAN_HF
-    return f16_to_bits(math.cos(x))
-
-
-def f16_exp(a: int) -> int:
-    x = bits_to_f16(a)
-    if x != x:
-        return _NAN_HF
-    try:
-        return f16_to_bits(math.exp(x))
-    except OverflowError:
-        return f16_to_bits(math.inf)
-
-
-def f16_log(a: int) -> int:
-    x = bits_to_f16(a)
-    if x != x or x < 0.0:
-        return _NAN_HF
-    if x == 0.0:
-        return f16_to_bits(-math.inf)
-    return f16_to_bits(math.log(x))
+# The helpers in BINARY_OPS + UNARY_OPS order (see repro.fpbits.ieee).
+(bf16_add, bf16_sub, bf16_mul, bf16_div, bf16_min, bf16_max,
+ bf16_sqrt, bf16_neg, bf16_abs,
+ bf16_sin, bf16_cos, bf16_exp, bf16_log) = BF16.ops.values()
+(f16_add, f16_sub, f16_mul, f16_div, f16_min, f16_max,
+ f16_sqrt, f16_neg, f16_abs,
+ f16_sin, f16_cos, f16_exp, f16_log) = F16.ops.values()

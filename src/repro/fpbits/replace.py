@@ -19,7 +19,15 @@ bfloat16 and ``0x7FF4FEED`` for binary16, both sharing the ``0x7FF4``
 NaN prefix — so a slot always records *which* width it was narrowed to
 and un-instrumented consumers of any narrowed slot still fail loudly as
 NaNs.  16-bit patterns occupy the low 16 bits of the slot, zero-extended
-through the low word.
+through the low word.  :data:`WIDTH_CODECS` pairs each sentinel with the
+codec of its width's :class:`repro.fpbits.ieee.FpFormat` record.
+
+The f32-only helpers (``downcast_in_place``, ``upcast_in_place``,
+``read_operand_as_*``) predate the lattice and read only the f32
+sentinel: a slot narrowed to another width is an ordinary (NaN) binary64
+to them, which the channel observer (:mod:`repro.analysis.channels`)
+relies on.  The ``*_at``/``*_any`` variants decode every width's
+sentinel.
 """
 
 from __future__ import annotations
@@ -31,12 +39,8 @@ from repro.fpbits.ieee import (
     double_to_bits,
     single_to_bits,
 )
-from repro.fpbits.narrow import (
-    bf16_to_bits,
-    bits_to_bf16,
-    bits_to_f16,
-    f16_to_bits,
-)
+from repro.fpbits.ieee import F32
+from repro.fpbits.narrow import BF16, F16
 
 #: High-word sentinel marking a replaced (single-in-double-slot) value.
 REPLACED_FLAG = 0x7FF4DEAD
@@ -54,11 +58,13 @@ HIGH_WORD_MASK = 0xFFFFFFFF00000000
 LOW_WORD_MASK = 0x00000000FFFFFFFF
 
 #: Narrow width name -> (high-word sentinel, encode from float, decode to
-#: float).  The keys are the :mod:`repro.lattice` width names below f64.
+#: float), the codec taken from the width's record.  The keys are the
+#: :mod:`repro.lattice` width names below f64.
 WIDTH_CODECS = {
-    "f32": (REPLACED_FLAG, single_to_bits, bits_to_single),
-    "bf16": (REPLACED_FLAG_BF16, bf16_to_bits, bits_to_bf16),
-    "f16": (REPLACED_FLAG_F16, f16_to_bits, bits_to_f16),
+    fmt.name: (sentinel, fmt.encode, fmt.decode)
+    for fmt, sentinel in (
+        (F32, REPLACED_FLAG), (BF16, REPLACED_FLAG_BF16), (F16, REPLACED_FLAG_F16)
+    )
 }
 
 _SENTINEL_TO_WIDTH = {codec[0]: name for name, codec in WIDTH_CODECS.items()}

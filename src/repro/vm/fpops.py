@@ -3,6 +3,12 @@
 The one definition of which helper computes each FP opcode, shared by
 the reference closures (:mod:`repro.vm.machine`), the fused-run emitter
 (:mod:`repro.vm.fuse`) and the shadow analysis (:mod:`repro.analysis`).
+Nothing here is listed by hand: a double opcode's operation is its
+mnemonic without the ``sd``/``pd`` suffix (``addsd`` -> ``add``), its
+narrow forms come from :data:`repro.isa.opcodes.NARROW_FAMILIES`, and
+each helper from its width's :class:`repro.fpbits.FpFormat` record.
+f32 is one narrow width among three: its scalar ops share the bf16/f16
+tables, so the VM and the emitter treat every width below f64 alike.
 The emitter writes each helper into generated source by its
 ``__name__``, which for every helper here equals its attribute name in
 its :mod:`repro.fpbits` module (tests/vm/test_fuse_coverage.py checks
@@ -11,116 +17,72 @@ this).
 
 from __future__ import annotations
 
-from repro.fpbits import ieee, narrow
-from repro.isa.opcodes import Op
+from repro.fpbits import BINARY_OPS, FORMATS, UNARY_OPS
+from repro.isa.opcodes import NARROW_FAMILIES, OPCODE_INFO
+
+_F32_EQUIV, _F32_DOWN, _F32_UP = NARROW_FAMILIES["f32"]
+
+#: double opcode -> the operation it computes, for the 13 operations
+#: (scalar and packed; UCOMISD and the conversions compute none).
+_OPERATION = {
+    op: OPCODE_INFO[op].mnemonic[:-2]
+    for op in _F32_EQUIV
+    if OPCODE_INFO[op].mnemonic[:-2] in BINARY_OPS + UNARY_OPS
+}
+_SCALAR = {op: name for op, name in _OPERATION.items() if not OPCODE_INFO[op].packed}
 
 #: scalar double binary ops: dst.lo = fn(dst.lo, src64).
-FPD_BIN = {
-    Op.ADDSD: ieee.double_add,
-    Op.SUBSD: ieee.double_sub,
-    Op.MULSD: ieee.double_mul,
-    Op.DIVSD: ieee.double_div,
-    Op.MINSD: ieee.double_min,
-    Op.MAXSD: ieee.double_max,
-}
+FPD_BIN = {op: FORMATS["f64"].ops[n] for op, n in _SCALAR.items() if n in BINARY_OPS}
 #: scalar double unary ops: dst.lo = fn(src64).
-FPD_UN = {
-    Op.SQRTSD: ieee.double_sqrt,
-    Op.ABSSD: ieee.double_abs,
-    Op.NEGSD: ieee.double_neg,
-    Op.SINSD: ieee.double_sin,
-    Op.COSSD: ieee.double_cos,
-    Op.EXPSD: ieee.double_exp,
-    Op.LOGSD: ieee.double_log,
-}
-#: scalar single binary ops on 32-bit patterns.
-FPS_BIN = {
-    Op.ADDSS: ieee.single_add,
-    Op.SUBSS: ieee.single_sub,
-    Op.MULSS: ieee.single_mul,
-    Op.DIVSS: ieee.single_div,
-    Op.MINSS: ieee.single_min,
-    Op.MAXSS: ieee.single_max,
-}
-FPS_UN = {
-    Op.SQRTSS: ieee.single_sqrt,
-    Op.ABSSS: ieee.single_abs,
-    Op.NEGSS: ieee.single_neg,
-    Op.SINSS: ieee.single_sin,
-    Op.COSSS: ieee.single_cos,
-    Op.EXPSS: ieee.single_exp,
-    Op.LOGSS: ieee.single_log,
-}
-#: scalar narrow (bfloat16 / binary16) binary ops on 16-bit patterns.
-#: Same slot discipline as the SS family: the result is written into the
-#: low 32 bits (16-bit pattern zero-extended) and the upper 32 bits are
+FPD_UN = {op: FORMATS["f64"].ops[n] for op, n in _SCALAR.items() if n in UNARY_OPS}
+
+
+def _narrow_tables() -> tuple[dict, dict, dict, dict]:
+    binary: dict = {}
+    unary: dict = {}
+    codec: dict = {}
+    f32_form: dict = {}
+    for width, (equiv, down, up) in NARROW_FAMILIES.items():
+        fmt = FORMATS[width]
+        for op, narrow_op in equiv.items():
+            if OPCODE_INFO[op].packed:
+                continue
+            codec[narrow_op] = fmt
+            name = _OPERATION.get(op)
+            if name in BINARY_OPS:
+                binary[narrow_op] = fmt.ops[name]
+            elif name in UNARY_OPS:
+                unary[narrow_op] = fmt.ops[name]
+            else:
+                f32_form[narrow_op] = _F32_EQUIV[op]
+        codec[down] = codec[up] = fmt
+        f32_form[down] = _F32_DOWN
+        f32_form[up] = _F32_UP
+    return binary, unary, codec, f32_form
+
+
+#: scalar narrow (f32, bfloat16, binary16) binary and unary ops on their
+#: widths' patterns (FPN_BIN, FPN_UN).  The result is written into the
+#: low 32 bits (a 16-bit pattern zero-extended) and the upper 32 bits are
 #: preserved, which is what keeps the per-width replacement sentinels
-#: alive in the high word.
-FPN_BIN = {
-    Op.ADDBF: narrow.bf16_add,
-    Op.SUBBF: narrow.bf16_sub,
-    Op.MULBF: narrow.bf16_mul,
-    Op.DIVBF: narrow.bf16_div,
-    Op.MINBF: narrow.bf16_min,
-    Op.MAXBF: narrow.bf16_max,
-    Op.ADDHF: narrow.f16_add,
-    Op.SUBHF: narrow.f16_sub,
-    Op.MULHF: narrow.f16_mul,
-    Op.DIVHF: narrow.f16_div,
-    Op.MINHF: narrow.f16_min,
-    Op.MAXHF: narrow.f16_max,
-}
-FPN_UN = {
-    Op.SQRTBF: narrow.bf16_sqrt,
-    Op.ABSBF: narrow.bf16_abs,
-    Op.NEGBF: narrow.bf16_neg,
-    Op.SINBF: narrow.bf16_sin,
-    Op.COSBF: narrow.bf16_cos,
-    Op.EXPBF: narrow.bf16_exp,
-    Op.LOGBF: narrow.bf16_log,
-    Op.SQRTHF: narrow.f16_sqrt,
-    Op.ABSHF: narrow.f16_abs,
-    Op.NEGHF: narrow.f16_neg,
-    Op.SINHF: narrow.f16_sin,
-    Op.COSHF: narrow.f16_cos,
-    Op.EXPHF: narrow.f16_exp,
-    Op.LOGHF: narrow.f16_log,
-}
-_BF16 = (narrow.bits_to_bf16, narrow.bf16_to_bits)
-_F16 = (narrow.bits_to_f16, narrow.f16_to_bits)
-#: narrow compare/convert ops -> (decode, encode) of their width.
-FPN_CODEC = {
-    Op.UCOMIBF: _BF16,
-    Op.CVTSI2BF: _BF16,
-    Op.CVTTBF2SI: _BF16,
-    Op.CVTSD2BF: _BF16,
-    Op.CVTBF2SD: _BF16,
-    Op.UCOMIHF: _F16,
-    Op.CVTSI2HF: _F16,
-    Op.CVTTHF2SI: _F16,
-    Op.CVTSD2HF: _F16,
-    Op.CVTHF2SD: _F16,
-}
+#: alive in the high word.  FPN_CODEC maps every scalar narrow opcode to
+#: its width's record (codec and mask), and F32_FORM each narrow compare
+#: and conversion to its f32 form (the f32 family maps to itself), which
+#: the VM and the emitter dispatch on.
+FPN_BIN, FPN_UN, FPN_CODEC, F32_FORM = _narrow_tables()
+
 #: packed double: applied to each 64-bit lane.
 PD_BIN = {
-    Op.ADDPD: ieee.double_add,
-    Op.SUBPD: ieee.double_sub,
-    Op.MULPD: ieee.double_mul,
-    Op.DIVPD: ieee.double_div,
+    op: FORMATS["f64"].ops[n]
+    for op, n in _OPERATION.items()
+    if OPCODE_INFO[op].packed and n in BINARY_OPS
 }
 #: packed single: applied to each 32-bit half of each lane.
-PS_BIN = {
-    Op.ADDPS: ieee.single_add,
-    Op.SUBPS: ieee.single_sub,
-    Op.MULPS: ieee.single_mul,
-    Op.DIVPS: ieee.single_div,
-}
+PS_BIN = {_F32_EQUIV[op]: FORMATS["f32"].ops[_OPERATION[op]] for op in PD_BIN}
 
-#: every helper the tables name, keyed by that name.
+#: every helper and codec of every width, keyed by its name.
 HELPERS = {
     fn.__name__: fn
-    for table in (FPD_BIN, FPD_UN, FPS_BIN, FPS_UN, FPN_BIN, FPN_UN,
-                  PD_BIN, PS_BIN)
-    for fn in table.values()
+    for fmt in FORMATS.values()
+    for fn in (*fmt.ops.values(), fmt.decode, fmt.encode)
 }
-HELPERS.update((fn.__name__, fn) for fn in _BF16 + _F16)

@@ -30,7 +30,10 @@ The generated code is specialized three ways:
   calling its helpers, and so does every binary64 encode.  Rounding to
   binary32 stays one ``single_to_bits`` call (its overflow rule lives
   there); division, min/max, square roots, transcendentals, packed lanes
-  and the narrow widths keep their helpers.
+  and the 16-bit widths keep their helpers.  f32, bf16 and f16 share one
+  emitter branch, which takes each width's mask, decode and encode
+  source from its record (:data:`repro.vm.fpops.FPN_CODEC`): binary32
+  decodes inline, the 16-bit widths call their decoder.
 
 Parity contract (asserted by tests/vm/test_fused_parity.py,
 tests/vm/test_fused_generative.py and the differential suites): a fused
@@ -90,13 +93,12 @@ from repro.isa.opcodes import Op, OPCODE_INFO, RED_MAX, RED_MIN, RED_SUM
 from repro.isa.operands import Imm, Mem, Reg, Xmm
 from repro.vm.errors import VmTrap
 from repro.vm.fpops import (
+    F32_FORM,
     FPD_BIN,
     FPD_UN,
     FPN_BIN,
     FPN_CODEC,
     FPN_UN,
-    FPS_BIN,
-    FPS_UN,
     HELPERS,
     PD_BIN,
     PS_BIN,
@@ -178,6 +180,22 @@ def _enc64(f: str) -> str:
 def _dec32(v: str) -> str:
     """Inlined ``bits_to_single(v)``."""
     return f"_uf(_pi({v} & _M32))[0]"
+
+
+def _narrow_source(fmt) -> tuple:
+    """(mask, decode, encode) source of a width below f64: its pattern
+    mask, a function from an expression to its decoded value, and its
+    encoder's name.  binary32 decodes inline, like binary64; the 16-bit
+    widths call their decoder."""
+    if fmt is ieee.F32:
+        return "_M32", _dec32, fmt.encode.__name__
+    mask = f"0x{fmt.mask:X}"
+    name = fmt.decode.__name__
+    return mask, lambda v: f"{name}({v} & {mask})", fmt.encode.__name__
+
+
+#: narrow opcode -> its width's (mask, decode, encode) source.
+_NARROW_SOURCE = {op: _narrow_source(fmt) for op, fmt in FPN_CODEC.items()}
 
 
 #: scalar ops whose codecs are inlined: the operator applied between the
@@ -765,78 +783,57 @@ class _RunEmitter:
             sv = self.xsrc64(ops[1])
             e(f"{self.set_x(ops[0].index)} = {FPD_UN[op].__name__}({sv})")
 
-        elif op is Op.UCOMISD or op is Op.UCOMISS:
+        elif op is Op.UCOMISD:
             sv = self.xsrc64(ops[1])
             if need:
-                dec = _dec64 if op is Op.UCOMISD else _dec32
-                self.fp_compare(dec(self.x(ops[0].index)), dec(sv), need)
+                self.fp_compare(_dec64(self.x(ops[0].index)), _dec64(sv), need)
 
         elif op is Op.CVTSI2SD:
             v = self.g(ops[1].index)
             e(f"{self.set_x(ops[0].index)} = {_enc64(f'float(_s64({v}))')}")
 
-        elif op is Op.CVTTSD2SI or op is Op.CVTTSS2SI:
+        elif op is Op.CVTTSD2SI:
             sv = self.x(ops[1].index)
-            dec = _dec64 if op is Op.CVTTSD2SI else _dec32
-            e(f"f{j} = {dec(sv)}")
+            e(f"f{j} = {_dec64(sv)}")
             self.truncate(ops[0].index)
 
-        elif op is Op.CVTSD2SS:
+        elif op in FPN_CODEC:
+            # f32, bf16 and f16 alike: the width's mask, decode and encode.
+            m, dec, enc = _NARROW_SOURCE[op]
             d = ops[0].index
-            dv = self.x(d)
-            sv = self.x(ops[1].index)
-            e(f"{self.set_x(d)} = ({dv} & _HI32) | single_to_bits({_dec64(sv)})")
-
-        elif op is Op.CVTSS2SD:
-            sv = self.x(ops[1].index)
-            e(f"{self.set_x(ops[0].index)} = {_enc64(_dec32(sv))}")
-
-        elif op in FPN_BIN:
-            fn = FPN_BIN[op].__name__
-            d = ops[0].index
-            sv = self.xsrc64(ops[1])
-            dv = self.once(self.x(d), f"v{j}n")
-            e(f"{self.set_x(d)} = ({dv} & _HI32) | {fn}({dv} & 0xFFFF, {sv} & 0xFFFF)")
-
-        elif op in FPN_UN:
-            d = ops[0].index
-            sv = self.xsrc64(ops[1])
-            dv = self.x(d)
-            e(f"{self.set_x(d)} = ({dv} & _HI32) | {FPN_UN[op].__name__}({sv} & 0xFFFF)")
-
-        elif op is Op.UCOMIBF or op is Op.UCOMIHF:
-            dec = FPN_CODEC[op][0].__name__
-            sv = self.xsrc64(ops[1])
-            if need:
-                self.fp_compare(
-                    f"{dec}({self.x(ops[0].index)} & 0xFFFF)",
-                    f"{dec}({sv} & 0xFFFF)",
-                    need,
-                )
-
-        elif op is Op.CVTSI2BF or op is Op.CVTSI2HF:
-            enc = FPN_CODEC[op][1].__name__
-            d = ops[0].index
-            v = self.g(ops[1].index)
-            dv = self.x(d)
-            e(f"{self.set_x(d)} = ({dv} & _HI32) | {enc}(float(_s64({v})))")
-
-        elif op is Op.CVTTBF2SI or op is Op.CVTTHF2SI:
-            dec = FPN_CODEC[op][0].__name__
-            e(f"f{j} = {dec}({self.x(ops[1].index)} & 0xFFFF)")
-            self.truncate(ops[0].index)
-
-        elif op is Op.CVTSD2BF or op is Op.CVTSD2HF:
-            enc = FPN_CODEC[op][1].__name__
-            d = ops[0].index
-            dv = self.x(d)
-            sv = self.x(ops[1].index)
-            e(f"{self.set_x(d)} = ({dv} & _HI32) | {enc}({_dec64(sv)})")
-
-        elif op is Op.CVTBF2SD or op is Op.CVTHF2SD:
-            dec = FPN_CODEC[op][0].__name__
-            sv = self.x(ops[1].index)
-            e(f"{self.set_x(ops[0].index)} = {_enc64(f'{dec}({sv} & 0xFFFF)')}")
+            form = F32_FORM.get(op)
+            if op in FPN_BIN:
+                sv = self.xsrc64(ops[1])
+                dv = self.once(self.x(d), f"v{j}d")
+                helper = f"{FPN_BIN[op].__name__}({dv} & {m}, {sv} & {m})"
+                if op in _FP_INLINE:
+                    e(f"f{j} = {dec(dv)} {_FP_INLINE[op]} {dec(sv)}")
+                    rhs = f"({enc}(f{j}) if f{j} == f{j} else {helper})"
+                else:
+                    rhs = helper
+                e(f"{self.set_x(d)} = ({dv} & _HI32) | {rhs}")
+            elif op in FPN_UN:
+                sv = self.xsrc64(ops[1])
+                dv = self.x(d)
+                e(f"{self.set_x(d)} = ({dv} & _HI32) | {FPN_UN[op].__name__}({sv} & {m})")
+            elif form is Op.UCOMISS:
+                sv = self.xsrc64(ops[1])
+                if need:
+                    self.fp_compare(dec(self.x(d)), dec(sv), need)
+            elif form is Op.CVTSI2SS:
+                v = self.g(ops[1].index)
+                dv = self.x(d)
+                e(f"{self.set_x(d)} = ({dv} & _HI32) | {enc}(float(_s64({v})))")
+            elif form is Op.CVTTSS2SI:
+                e(f"f{j} = {dec(self.x(ops[1].index))}")
+                self.truncate(d)
+            elif form is Op.CVTSD2SS:
+                dv = self.x(d)
+                sv = self.x(ops[1].index)
+                e(f"{self.set_x(d)} = ({dv} & _HI32) | {enc}({_dec64(sv)})")
+            else:  # CVTSS2SD
+                sv = self.x(ops[1].index)
+                e(f"{self.set_x(d)} = {_enc64(dec(sv))}")
 
         elif op is Op.MOVQXR:
             v = self.g(ops[1].index)
@@ -883,30 +880,6 @@ class _RunEmitter:
                 e(f"mem[{a}] = (mem[{a}] & _HI32) | ({sv} & _M32)")
             else:
                 raise Unfusable
-
-        elif op in FPS_BIN:
-            d = ops[0].index
-            sv = self.xsrc64(ops[1])
-            dv = self.once(self.x(d), f"v{j}d")
-            helper = f"{FPS_BIN[op].__name__}({dv} & _M32, {sv} & _M32)"
-            if op in _FP_INLINE:
-                e(f"f{j} = {_dec32(dv)} {_FP_INLINE[op]} {_dec32(sv)}")
-                rhs = f"(single_to_bits(f{j}) if f{j} == f{j} else {helper})"
-            else:
-                rhs = helper
-            e(f"{self.set_x(d)} = ({dv} & _HI32) | {rhs}")
-
-        elif op in FPS_UN:
-            d = ops[0].index
-            sv = self.xsrc64(ops[1])
-            dv = self.x(d)
-            e(f"{self.set_x(d)} = ({dv} & _HI32) | {FPS_UN[op].__name__}({sv} & _M32)")
-
-        elif op is Op.CVTSI2SS:
-            d = ops[0].index
-            v = self.g(ops[1].index)
-            dv = self.x(d)
-            e(f"{self.set_x(d)} = ({dv} & _HI32) | single_to_bits(float(_s64({v})))")
 
         elif op in PS_BIN:
             fn = PS_BIN[op].__name__
@@ -1212,9 +1185,8 @@ _MEMBER_OPS = (
             Op.NOP, Op.HALT, Op.OUTI, Op.OUTSD, Op.OUTSS, Op.RAND, Op.MOV,
             Op.LEA, Op.IDIV, Op.IREM, Op.NOT, Op.NEG, Op.INC, Op.DEC,
             Op.CMP, Op.TEST, Op.PUSH, Op.POP, Op.PUSHX, Op.POPX,
-            Op.MOVSD, Op.MOVAPD, Op.MOVSS, Op.UCOMISD, Op.UCOMISS,
-            Op.CVTSI2SD, Op.CVTSI2SS, Op.CVTTSD2SI, Op.CVTTSS2SI,
-            Op.CVTSD2SS, Op.CVTSS2SD, Op.MOVQXR, Op.MOVQRX,
+            Op.MOVSD, Op.MOVAPD, Op.MOVSS, Op.UCOMISD,
+            Op.CVTSI2SD, Op.CVTTSD2SI, Op.MOVQXR, Op.MOVQRX,
             Op.SQRTPD, Op.SQRTPS, Op.PEXTR, Op.PINSR,
             Op.MPIRANK, Op.MPISIZE,
         )
@@ -1222,10 +1194,6 @@ _MEMBER_OPS = (
     | frozenset(_INT_BIN_EXPR)
     | frozenset(FPD_BIN)
     | frozenset(FPD_UN)
-    | frozenset(FPS_BIN)
-    | frozenset(FPS_UN)
-    | frozenset(FPN_BIN)
-    | frozenset(FPN_UN)
     | frozenset(FPN_CODEC)
     | frozenset(PD_BIN)
     | frozenset(PS_BIN)

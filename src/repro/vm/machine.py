@@ -23,12 +23,7 @@ from dataclasses import dataclass, field
 
 from repro.binary.model import Program
 from repro.fpbits import ieee
-from repro.fpbits.ieee import (
-    bits_to_double,
-    bits_to_single,
-    double_to_bits,
-    single_to_bits,
-)
+from repro.fpbits.ieee import bits_to_double, double_to_bits
 from repro.isa.encode import decode_instruction, encoded_length
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import (
@@ -44,13 +39,12 @@ from repro.vm import fuse
 from repro.vm.costs import DEFAULT_COST_MODEL, CostModel
 from repro.vm.errors import CollectiveYield, VmTimeout, VmTrap
 from repro.vm.fpops import (
+    F32_FORM,
     FPD_BIN,
     FPD_UN,
     FPN_BIN,
     FPN_CODEC,
     FPN_UN,
-    FPS_BIN,
-    FPS_UN,
     PD_BIN,
     PS_BIN,
 )
@@ -1358,24 +1352,6 @@ class VM:
                 return idx + 1
             return h_cvttsd2si
 
-        if op is Op.CVTSD2SS:
-            d = ops[0].index
-            s = ops[1].index
-            def h_cvtsd2ss(idx, cyc=cyc, cost=cost, xl=xl, d=d, s=s):
-                xl[d] = (xl[d] & _HI32) | single_to_bits(bits_to_double(xl[s]))
-                cyc[0] += cost
-                return idx + 1
-            return h_cvtsd2ss
-
-        if op is Op.CVTSS2SD:
-            d = ops[0].index
-            s = ops[1].index
-            def h_cvtss2sd(idx, cyc=cyc, cost=cost, xl=xl, d=d, s=s):
-                xl[d] = double_to_bits(bits_to_single(xl[s] & _M32))
-                cyc[0] += cost
-                return idx + 1
-            return h_cvtss2sd
-
         if op is Op.MOVQXR:
             d = ops[0].index
             s = ops[1].index
@@ -1450,145 +1426,80 @@ class VM:
                 return idx + 1
             return h_movssmx
 
-        if op in FPS_BIN:
-            fn = FPS_BIN[op]
+        # ---- scalar narrow (f32, bfloat16, binary16) -----------------------------
+        # One handler per kind serves every width below f64: it binds the
+        # width's helper or codec and the mask of its low pattern bits.
+        if op in FPN_CODEC:
+            fmt = FPN_CODEC[op]
+            m = fmt.mask
             d = ops[0].index
-            srcf = self._xsrc64(ops[1], iaddr)
-            def h_fps(idx, cyc=cyc, cost=cost, xl=xl, d=d, srcf=srcf, fn=fn):
-                v = xl[d]
-                xl[d] = (v & _HI32) | fn(v & _M32, srcf() & _M32)
-                cyc[0] += cost
-                return idx + 1
-            return h_fps
+            if op in FPN_BIN:
+                fn = FPN_BIN[op]
+                srcf = self._xsrc64(ops[1], iaddr)
+                def h_fpn(idx, cyc=cyc, cost=cost, xl=xl, d=d, srcf=srcf, fn=fn, m=m):
+                    v = xl[d]
+                    xl[d] = (v & _HI32) | fn(v & m, srcf() & m)
+                    cyc[0] += cost
+                    return idx + 1
+                return h_fpn
 
-        if op in FPS_UN:
-            fn = FPS_UN[op]
-            d = ops[0].index
-            srcf = self._xsrc64(ops[1], iaddr)
-            def h_fpsun(idx, cyc=cyc, cost=cost, xl=xl, d=d, srcf=srcf, fn=fn):
-                xl[d] = (xl[d] & _HI32) | fn(srcf() & _M32)
-                cyc[0] += cost
-                return idx + 1
-            return h_fpsun
+            if op in FPN_UN:
+                fn = FPN_UN[op]
+                srcf = self._xsrc64(ops[1], iaddr)
+                def h_fpnun(idx, cyc=cyc, cost=cost, xl=xl, d=d, srcf=srcf, fn=fn, m=m):
+                    xl[d] = (xl[d] & _HI32) | fn(srcf() & m)
+                    cyc[0] += cost
+                    return idx + 1
+                return h_fpnun
 
-        if op is Op.UCOMISS:
-            d = ops[0].index
-            srcf = self._xsrc64(ops[1], iaddr)
-            def h_ucomiss(idx, cyc=cyc, cost=cost, xl=xl, flags=flags, d=d, srcf=srcf):
-                a = bits_to_single(xl[d] & _M32)
-                b = bits_to_single(srcf() & _M32)
-                if a != a or b != b:
-                    flags[0], flags[1], flags[2] = 1, 0, 1
-                else:
-                    flags[0] = 1 if a == b else 0
-                    flags[1] = 1 if a < b else 0
-                    flags[2] = 0
-                cyc[0] += cost
-                return idx + 1
-            return h_ucomiss
+            form = F32_FORM[op]
+            dec = fmt.decode
+            enc = fmt.encode
+            if form is Op.UCOMISS:
+                srcf = self._xsrc64(ops[1], iaddr)
+                def h_ucomin(idx, cyc=cyc, cost=cost, xl=xl, flags=flags, d=d,
+                             srcf=srcf, dec=dec, m=m):
+                    a = dec(xl[d] & m)
+                    b = dec(srcf() & m)
+                    if a != a or b != b:
+                        flags[0], flags[1], flags[2] = 1, 0, 1
+                    else:
+                        flags[0] = 1 if a == b else 0
+                        flags[1] = 1 if a < b else 0
+                        flags[2] = 0
+                    cyc[0] += cost
+                    return idx + 1
+                return h_ucomin
 
-        if op is Op.CVTSI2SS:
-            d = ops[0].index
             s = ops[1].index
-            def h_cvtsi2ss(idx, cyc=cyc, cost=cost, xl=xl, gpr=gpr, d=d, s=s):
-                xl[d] = (xl[d] & _HI32) | single_to_bits(float(_s64(gpr[s])))
-                cyc[0] += cost
-                return idx + 1
-            return h_cvtsi2ss
+            if form is Op.CVTSI2SS:
+                def h_cvtsi2n(idx, cyc=cyc, cost=cost, xl=xl, gpr=gpr, d=d, s=s, enc=enc):
+                    xl[d] = (xl[d] & _HI32) | enc(float(_s64(gpr[s])))
+                    cyc[0] += cost
+                    return idx + 1
+                return h_cvtsi2n
 
-        if op is Op.CVTTSS2SI:
-            d = ops[0].index
-            s = ops[1].index
-            def h_cvttss2si(idx, cyc=cyc, cost=cost, xl=xl, gpr=gpr, d=d, s=s):
-                v = bits_to_single(xl[s] & _M32)
-                if v != v or v >= 9.223372036854776e18 or v < -9.223372036854776e18:
-                    gpr[d] = _INT_INDEFINITE
-                else:
-                    gpr[d] = int(v) & _M64
-                cyc[0] += cost
-                return idx + 1
-            return h_cvttss2si
+            if form is Op.CVTTSS2SI:
+                def h_cvttn2si(idx, cyc=cyc, cost=cost, xl=xl, gpr=gpr, d=d, s=s,
+                               dec=dec, m=m):
+                    v = dec(xl[s] & m)
+                    if v != v or v >= 9.223372036854776e18 or v < -9.223372036854776e18:
+                        gpr[d] = _INT_INDEFINITE
+                    else:
+                        gpr[d] = int(v) & _M64
+                    cyc[0] += cost
+                    return idx + 1
+                return h_cvttn2si
 
-        # ---- scalar narrow (bfloat16 / binary16) -------------------------------
-        if op in FPN_BIN:
-            fn = FPN_BIN[op]
-            d = ops[0].index
-            srcf = self._xsrc64(ops[1], iaddr)
-            def h_fpn(idx, cyc=cyc, cost=cost, xl=xl, d=d, srcf=srcf, fn=fn):
-                v = xl[d]
-                xl[d] = (v & _HI32) | fn(v & 0xFFFF, srcf() & 0xFFFF)
-                cyc[0] += cost
-                return idx + 1
-            return h_fpn
+            if form is Op.CVTSD2SS:
+                def h_cvtsd2n(idx, cyc=cyc, cost=cost, xl=xl, d=d, s=s, enc=enc):
+                    xl[d] = (xl[d] & _HI32) | enc(bits_to_double(xl[s]))
+                    cyc[0] += cost
+                    return idx + 1
+                return h_cvtsd2n
 
-        if op in FPN_UN:
-            fn = FPN_UN[op]
-            d = ops[0].index
-            srcf = self._xsrc64(ops[1], iaddr)
-            def h_fpnun(idx, cyc=cyc, cost=cost, xl=xl, d=d, srcf=srcf, fn=fn):
-                xl[d] = (xl[d] & _HI32) | fn(srcf() & 0xFFFF)
-                cyc[0] += cost
-                return idx + 1
-            return h_fpnun
-
-        if op is Op.UCOMIBF or op is Op.UCOMIHF:
-            dec = FPN_CODEC[op][0]
-            d = ops[0].index
-            srcf = self._xsrc64(ops[1], iaddr)
-            def h_ucomin(idx, cyc=cyc, cost=cost, xl=xl, flags=flags, d=d,
-                         srcf=srcf, dec=dec):
-                a = dec(xl[d] & 0xFFFF)
-                b = dec(srcf() & 0xFFFF)
-                if a != a or b != b:
-                    flags[0], flags[1], flags[2] = 1, 0, 1
-                else:
-                    flags[0] = 1 if a == b else 0
-                    flags[1] = 1 if a < b else 0
-                    flags[2] = 0
-                cyc[0] += cost
-                return idx + 1
-            return h_ucomin
-
-        if op is Op.CVTSI2BF or op is Op.CVTSI2HF:
-            enc = FPN_CODEC[op][1]
-            d = ops[0].index
-            s = ops[1].index
-            def h_cvtsi2n(idx, cyc=cyc, cost=cost, xl=xl, gpr=gpr, d=d, s=s, enc=enc):
-                xl[d] = (xl[d] & _HI32) | enc(float(_s64(gpr[s])))
-                cyc[0] += cost
-                return idx + 1
-            return h_cvtsi2n
-
-        if op is Op.CVTTBF2SI or op is Op.CVTTHF2SI:
-            dec = FPN_CODEC[op][0]
-            d = ops[0].index
-            s = ops[1].index
-            def h_cvttn2si(idx, cyc=cyc, cost=cost, xl=xl, gpr=gpr, d=d, s=s, dec=dec):
-                v = dec(xl[s] & 0xFFFF)
-                if v != v or v >= 9.223372036854776e18 or v < -9.223372036854776e18:
-                    gpr[d] = _INT_INDEFINITE
-                else:
-                    gpr[d] = int(v) & _M64
-                cyc[0] += cost
-                return idx + 1
-            return h_cvttn2si
-
-        if op is Op.CVTSD2BF or op is Op.CVTSD2HF:
-            enc = FPN_CODEC[op][1]
-            d = ops[0].index
-            s = ops[1].index
-            def h_cvtsd2n(idx, cyc=cyc, cost=cost, xl=xl, d=d, s=s, enc=enc):
-                xl[d] = (xl[d] & _HI32) | enc(bits_to_double(xl[s]))
-                cyc[0] += cost
-                return idx + 1
-            return h_cvtsd2n
-
-        if op is Op.CVTBF2SD or op is Op.CVTHF2SD:
-            dec = FPN_CODEC[op][0]
-            d = ops[0].index
-            s = ops[1].index
-            def h_cvtn2sd(idx, cyc=cyc, cost=cost, xl=xl, d=d, s=s, dec=dec):
-                xl[d] = double_to_bits(dec(xl[s] & 0xFFFF))
+            def h_cvtn2sd(idx, cyc=cyc, cost=cost, xl=xl, d=d, s=s, dec=dec, m=m):
+                xl[d] = double_to_bits(dec(xl[s] & m))
                 cyc[0] += cost
                 return idx + 1
             return h_cvtn2sd

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import struct
+from bisect import bisect_right
 
 from hypothesis import given, strategies as st
 
@@ -25,6 +26,47 @@ from repro.fpbits.narrow import (
 
 bits16 = st.integers(min_value=0, max_value=0xFFFF)
 finite_doubles = st.floats(allow_nan=False, allow_infinity=False)
+
+#: every non-negative finite bfloat16 magnitude in pattern order, then
+#: 2**128, where the pattern 0x7F80 (infinity) would sit with an
+#: unbounded exponent: values at or past the midpoint below it overflow.
+_BF16_MAGNITUDES = [bits_to_bf16(p) for p in range(0x7F80)] + [2.0**128]
+
+
+def bf16_nearest_even(x: float) -> int:
+    """The bfloat16 pattern nearest to binary64 *x*, ties to even.
+
+    Exact: the bracketing magnitudes ``lo <= |x| < hi`` are adjacent
+    bfloat16 values, so ``lo + hi`` and ``2 * |x|`` are binary64 values
+    without rounding and compare exactly.
+    """
+    sign = 0x8000 if math.copysign(1.0, x) < 0 else 0
+    mag = abs(x)
+    p = bisect_right(_BF16_MAGNITUDES, mag) - 1
+    if p < 0x7F80 and mag != _BF16_MAGNITUDES[p]:
+        twice = 2.0 * mag
+        mid = _BF16_MAGNITUDES[p] + _BF16_MAGNITUDES[p + 1]
+        if twice > mid or (twice == mid and p & 1):
+            p += 1
+    return sign | min(p, 0x7F80)
+
+
+@st.composite
+def near_bf16_ties(draw):
+    """A binary64 value a few binary64 ulps from a bfloat16 midpoint, or
+    on it: every binade, the subnormals and the overflow edge (the
+    midpoint above the largest finite value), either sign."""
+    p = draw(st.integers(min_value=0, max_value=0x7F7F))
+    hi = _BF16_MAGNITUDES[p + 1]
+    mid = ieee.double_to_bits((_BF16_MAGNITUDES[p] + hi) / 2)
+    # 2**29 binary64 ulps make one binary32 ulp: offsets below 2**28 land
+    # where rounding through binary32 used to break the tie.
+    offset = draw(st.one_of(
+        st.integers(min_value=-64, max_value=64),
+        st.integers(min_value=-(2**31), max_value=2**31),
+    ))
+    x = ieee.bits_to_double(mid + offset)
+    return -x if draw(st.booleans()) else x
 
 
 class TestBf16Codec:
@@ -67,6 +109,27 @@ class TestBf16Codec:
         assert bf16_to_bits(tie) == 0x3F80
         tie2 = (bits_to_bf16(0x3F81) + bits_to_bf16(0x3F82)) / 2
         assert bf16_to_bits(tie2) == 0x3F82
+
+    def test_encode_rounds_once_from_binary64(self):
+        # Just above the midpoint of 1.0 and 1.0078125, by less than half
+        # a binary32 ulp: rounding through binary32 first landed exactly
+        # on the midpoint and tied to even (0x3F80).
+        assert bf16_to_bits(1 + 2**-8 + 2**-40) == 0x3F81
+        assert bf16_to_bits(-(1 + 2**-8 + 2**-40)) == 0xBF81
+        assert bf16_to_bits(1 + 2**-8 - 2**-40) == 0x3F80
+
+    @given(st.one_of(near_bf16_ties(), finite_doubles))
+    def test_encode_matches_exact_rounding(self, x):
+        assert bf16_to_bits(x) == bf16_nearest_even(x)
+
+    def test_encode_overflow_edge(self):
+        top = bits_to_bf16(0x7F7F)
+        edge = (top + 2.0**128) / 2  # the midpoint above the largest finite
+        assert bf16_to_bits(edge) == 0x7F80
+        assert bf16_to_bits(ieee.bits_to_double(ieee.double_to_bits(edge) - 1)) == 0x7F7F
+        assert bf16_to_bits(-edge) == 0xFF80
+        assert bf16_to_bits(1e300) == 0x7F80
+        assert bf16_to_bits(math.inf) == 0x7F80
 
     def test_nan_encodes_quiet_never_infinity(self):
         # A signaling-NaN payload whose top bits truncate away must not

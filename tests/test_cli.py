@@ -370,3 +370,96 @@ class TestWorkloadsCommand:
     def test_unknown_workload_message_lists_names(self):
         with pytest.raises(KeyError, match="registered workloads"):
             main(["search", "nonesuch"])
+
+
+class TestParsedDefaults:
+    """Every subcommand's parsed arguments for a minimal invocation: the
+    flags several subcommands share must parse to the same defaults
+    wherever they are declared."""
+
+    _COMPILE = {"real": "f64", "transcendentals": "instruction"}
+    _TELEMETRY = {"metrics": False, "trace": None}
+    _CLASS = {"klass": "W", "klass_opt": None}
+    _SEARCH = {
+        "analysis": True, "lattice": "f64,f32", "refine": False,
+        "stop_level": "instruction",
+    }
+    _RUN = {
+        "campaign": None, "explain": None, "lease_timeout": 30.0,
+        "output": None, "plugin": [], "progress": False, "quiet": False,
+        "report": None, "resume": None, "store": None, "verbose": False,
+    }
+
+    EXPECTED = {
+        "compile a.mh": {**_COMPILE, "name": "a.out", "output": "a.rpx",
+                         "sources": ["a.mh"]},
+        "run a.mh": {**_COMPILE, **_TELEMETRY, "mpi": 1, "profile": False,
+                     "seed": 0x9E3779B97F4A7C15, "stack": 8192,
+                     "target": ["a.mh"]},
+        "disasm a.mh": {**_COMPILE, "target": ["a.mh"]},
+        "config a.mh": {**_COMPILE, "output": None, "target": ["a.mh"]},
+        "instrument a.mh": {**_COMPILE, "all_single": False, "config": None,
+                            "mode": "auto", "optimize_checks": False,
+                            "output": "a.instr.rpx", "streamline": False,
+                            "target": ["a.mh"]},
+        "view a.mh": {**_COMPILE, "analysis": None, "config": None,
+                      "profile": False, "target": ["a.mh"]},
+        "workloads": {"check": False, "plugin": []},
+        "analyze cg": {**_CLASS, **_TELEMETRY, "output": None, "plugin": [],
+                       "workload": "cg"},
+        "profile cg": {**_CLASS, **_TELEMETRY, "output": None, "plugin": [],
+                       "top": 10, "workload": "cg"},
+        "search cg": {**_CLASS, **_TELEMETRY, **_SEARCH, **_RUN,
+                      "cluster": None, "workers": 1, "workload": "cg"},
+        "search": {**_CLASS, **_TELEMETRY, **_SEARCH, **_RUN,
+                   "cluster": None, "workers": 1, "workload": None},
+        "serve h:1 cg": {**_CLASS, **_TELEMETRY, **_SEARCH, **_RUN,
+                         "address": "h:1", "max_inflight": None,
+                         "max_queued": None, "run_jobs": None,
+                         "service": None, "workers": 4, "workload": "cg"},
+        "serve h:1": {**_CLASS, **_TELEMETRY, **_SEARCH, **_RUN,
+                      "address": "h:1", "max_inflight": None,
+                      "max_queued": None, "run_jobs": None, "service": None,
+                      "workers": 4, "workload": None},
+        "submit h:1 cg": {**_CLASS, **_SEARCH, "address": "h:1",
+                          "output": None, "plugin": [], "quantum": 1.0,
+                          "quiet": False, "tenant": "default",
+                          "timeout": 300.0, "wait": False, "workers": 4,
+                          "workload": "cg"},
+        "jobs h:1": {"address": "h:1", "cancel": None},
+        "result h:1 j1": {"address": "h:1", "job": "j1", "output": None,
+                          "quiet": False, "timeout": 300.0, "wait": False},
+        "worker h:1": {"address": "h:1", "connect_retries": 50,
+                       "max_tasks": None, "plugin": [], "quiet": False},
+        "store export d f": {"db": "d", "file": "f", "store_command": "export",
+                             "timeout": 5.0, "workload": None},
+        "store import d f": {"db": "d", "file": "f", "store_command": "import",
+                             "timeout": 5.0},
+        "trace summary f": {"file": "f", "trace_command": "summary"},
+        "trace compare a b": {"file_a": "a", "file_b": "b",
+                              "trace_command": "compare"},
+        "trace profile f": {"file": "f", "top": 20, "trace_command": "profile"},
+        "trace flame f": {"file": "f", "output": None, "trace_command": "flame"},
+        "experiment fig9": {"figure": "fig9", "klass": "W"},
+    }
+
+    @pytest.mark.parametrize("argv", sorted(EXPECTED))
+    def test_minimal_invocation(self, argv):
+        from repro.cli import build_parser
+
+        parsed = vars(build_parser().parse_args(argv.split()))
+        command = argv.split()[0]
+        assert parsed.pop("command") == command
+        assert parsed.pop("func").__name__ == f"cmd_{command}"
+        assert parsed == self.EXPECTED[argv]
+
+    @pytest.mark.parametrize("argv", [
+        "analyze cg S", "analyze cg --class S", "profile cg --class S",
+        "search cg S", "search cg --class S", "serve h:1 cg --class S",
+        "submit h:1 cg S", "submit h:1 cg --class S",
+    ])
+    def test_class_given_either_way(self, argv):
+        from repro.cli import build_parser
+
+        parsed = build_parser().parse_args(argv.split())
+        assert (parsed.klass_opt or parsed.klass) == "S"
