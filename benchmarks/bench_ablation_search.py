@@ -31,6 +31,7 @@ def test_search_optimization_ablation(benchmark):
 
 
 def test_redundant_check_elimination(benchmark):
+    """Section 2.5 data-flow analysis: plain vs lean builds."""
     rows = benchmark.pedantic(
         lambda: ablation.check_elimination("cg", "W"), rounds=1, iterations=1
     )
@@ -42,7 +43,7 @@ def test_redundant_check_elimination(benchmark):
     assert all_double["saving_pct"] > 0
     emit(
         "ablation_dataflow",
-        format_table(rows, title="Ablation — redundant-check elimination (Section 2.5)"),
+        format_table(rows, title="Ablation — plain vs lean builds (Section 2.5)"),
     )
 
 
@@ -106,8 +107,8 @@ def test_transcendental_special_handling(benchmark):
 
 
 def test_snippet_streamlining(benchmark):
-    """Section 2.5 future work, implemented: streamlined snippets reduce
-    the base-case overhead substantially with identical results."""
+    """Section 2.5 future work, implemented: lean builds reduce the
+    base-case overhead substantially with identical results."""
     klass = "A"
     rows = benchmark.pedantic(
         lambda: ablation.snippet_streamlining(klass=klass), rounds=1, iterations=1
@@ -119,6 +120,6 @@ def test_snippet_streamlining(benchmark):
         "ablation_streamline",
         format_table(
             [{k: v for k, v in r.items() if not k.startswith("_")} for r in rows],
-            title=f"Ablation — snippet streamlining (Section 2.5), class {klass}",
+            title=f"Ablation — plain vs lean snippets (Section 2.5), class {klass}",
         ),
     )

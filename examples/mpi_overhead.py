@@ -15,7 +15,8 @@ from repro.workloads import make_nas
 def main() -> None:
     workload = make_nas("cg", "A")
     instrumented = instrument(
-        workload.program, Config.all_double(build_tree(workload.program)), mode="all"
+        workload.program, Config.all_double(build_tree(workload.program)),
+        mode="all", plain=True,
     )
     print(f"workload: {workload.name}  "
           f"(candidates: {workload.program.stats()['candidates']})")

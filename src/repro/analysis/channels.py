@@ -55,6 +55,7 @@ from repro.fpbits.ieee import (
     bits_to_double,
     bits_to_single,
     double_to_bits,
+    single_from_int,
     single_to_bits,
 )
 from repro.fpbits.replace import (
@@ -597,18 +598,20 @@ class ChannelObserver:
         return w_ucomisd
 
     def _wrap_cvtsi2sd(self, vm, instr, addr, closure):
-        xl = vm.xmm_lo
+        xl, gpr = vm.xmm_lo, vm.gpr
         channels = self.channels
         rev = self.rev
         _set = self._set
         d = instr.operands[0].index
-        sloc = _GPR + instr.operands[1].index
+        s = instr.operands[1].index
+        sloc = _GPR + s
 
         def w_cvtsi2sd(idx):
             # A diverged integer source would convert to a different
             # value down every channel; out of model (never seen in
             # practice — loop indices are killed at their arithmetic).
             self._kill_at(sloc, "int-compute")
+            v = gpr[s]
             nxt = closure(idx)
             r0 = xl[d]
             own = channels.get(addr)
@@ -625,7 +628,7 @@ class ChannelObserver:
                 _set(
                     own, d,
                     REPLACED_FLAG_SHIFTED
-                    | single_to_bits(bits_to_double(r0)),
+                    | single_from_int(v - 0x10000000000000000 if v >> 63 else v),
                     r0,
                 )
             return nxt

@@ -35,7 +35,9 @@ from __future__ import annotations
 import math
 
 from repro.fpbits import ieee
-from repro.fpbits.ieee import bits_to_double, bits_to_single, single_to_bits
+from repro.fpbits.ieee import (
+    bits_to_double, bits_to_single, single_from_int, single_to_bits,
+)
 from repro.isa.opcodes import OPCODE_INFO, Op
 from repro.isa.operands import Mem, Xmm
 from repro.vm.fpops import FPD_BIN, FPD_UN, FPN_BIN, FPN_UN, PD_BIN, PS_BIN
@@ -530,7 +532,7 @@ class ShadowObserver:
             st.execs += 1
             fr = bits_to_double(xl[d])
             st.result(fr)
-            sh = single_to_bits(float(v - 0x10000000000000000 if v >> 63 else v))
+            sh = single_from_int(v - 0x10000000000000000 if v >> 63 else v)
             sreg[d] = sh
             f32 = bits_to_single(sh)
             st.error(fr, f32, f32)

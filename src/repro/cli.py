@@ -201,10 +201,7 @@ def cmd_instrument(args) -> int:
             config = load_config(tree, handle.read())
     else:
         config = Config.all_single(tree) if args.all_single else Config.all_double(tree)
-    result = instrument(
-        program, config, mode=args.mode, optimize_checks=args.optimize_checks,
-        streamline=args.streamline,
-    )
+    result = instrument(program, config, mode=args.mode, plain=args.plain)
     _save_program(result.program, args.output)
     stats = result.stats
     print(f"{args.output}: {stats.replaced_single} single snippets, "
@@ -948,11 +945,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-single", action="store_true",
                    help="shortcut: replace everything (no --config needed)")
     p.add_argument("--mode", choices=("auto", "all", "none"), default="auto")
-    p.add_argument("--optimize-checks", action="store_true",
-                   help="redundant-check elimination (Section 2.5)")
-    p.add_argument("--streamline", action="store_true",
-                   help="compact snippets without scratch save/restore "
-                        "(Section 2.5; needs a scratch-free program)")
+    p.add_argument("--plain", action="store_true",
+                   help="the paper's Figure 6 snippets: test every operand "
+                        "and save/restore scratch registers around each")
     p.add_argument("-o", "--output", default="a.instr.rpx")
     _add_compile_flags(p)
     p.set_defaults(func=cmd_instrument)

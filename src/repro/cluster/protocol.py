@@ -99,8 +99,9 @@ import time
 
 #: the protocol version; hello/welcome carry it, and a hello naming any
 #: other version is refused at handshake time.  Every peer ships from
-#: this package, so there is exactly one.
-PROTOCOL_VERSION = 3
+#: this package, so there is exactly one.  v4 results carry the cycles
+#: of lean builds; a v3 worker would answer with plain-build cycles.
+PROTOCOL_VERSION = 4
 
 #: frames above this are a protocol violation (a config flag map for a
 #: huge program is ~100 KiB; 16 MiB is three orders of magnitude slack).

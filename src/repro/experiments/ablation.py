@@ -4,10 +4,11 @@
   aggregates and profile-count prioritization.  Measured as the number of
   configurations the search evaluates (and wall time) with each
   optimization disabled.
-* **Redundant-check elimination** (Section 2.5, "static data flow
-  analysis could improve overheads"): the intra-block analysis that lets
-  double-precision guards skip registers proven clean.  Measured as
-  instrumented-run cycles with and without the optimization.
+* **Lean builds** (Section 2.5, "static data flow analysis could improve
+  overheads" and "more compact and efficient snippets"): the intra-block
+  width inference that decides checks, and the elided scratch
+  save/restore.  Measured as instrumented-run cycles of the plain
+  Figure 6 build against the default lean build.
 * **Transcendental special handling** (Section 2.5): transcendentals as
   dedicated replaceable instructions versus calls into a compiled math
   library whose internals must be searched piecemeal.
@@ -54,11 +55,11 @@ def search_optimizations(bench: str = "mg", klass: str = "W") -> list[dict]:
 
 
 def check_elimination(bench: str = "cg", klass: str = "W") -> list[dict]:
-    """Cycles with/without redundant-check elimination, in two scenarios:
-    the base-case all-double instrumentation (where every elided check is
-    pure savings) and a half-single mixed configuration (where the
-    single-policy instructions keep re-dirtying registers).  The
-    instrumented programs must behave identically either way."""
+    """Cycles of plain and lean builds, in two scenarios: the base-case
+    all-double instrumentation (where every decided check is pure
+    savings) and a half-single mixed configuration (where the narrow
+    instructions keep converting registers).  The instrumented programs
+    must behave identically either way."""
     workload = make_nas(bench, klass)
     tree = build_tree(workload.program)
 
@@ -72,8 +73,8 @@ def check_elimination(bench: str = "cg", klass: str = "W") -> list[dict]:
         ("all-double", Config.all_double(tree), "all"),
         ("half-single", half, "auto"),
     ):
-        plain = instrument(workload.program, config, mode=mode, optimize_checks=False)
-        optimized = instrument(workload.program, config, mode=mode, optimize_checks=True)
+        plain = instrument(workload.program, config, mode=mode, plain=True)
+        optimized = instrument(workload.program, config, mode=mode)
         run_plain = workload.run(plain.program)
         run_opt = workload.run(optimized.program)
         rows.append(
@@ -220,26 +221,27 @@ def transcendental_handling() -> list[dict]:
 def snippet_streamlining(benchmarks=("ep", "cg", "ft", "mg"), klass: str = "A") -> list[dict]:
     """Section 2.5: "we could reduce the runtime overhead by streamlining
     the machine code that is emitted, in order to produce more compact and
-    efficient snippets."  Quantifies the effect: base-case overhead with
-    the standard save/restore snippets versus streamlined snippets (the
-    scratch save/restore statically proven unnecessary and elided)."""
+    efficient snippets."  Quantifies the effect: base-case overhead of the
+    plain Figure 6 snippets versus the lean build (decided checks and the
+    scratch save/restore, statically proven unnecessary, elided)."""
     rows = []
     for bench in benchmarks:
         workload = make_nas(bench, klass)
         base = workload.baseline()
         tree = build_tree(workload.program)
         config = Config.all_double(tree)
-        plain = instrument(workload.program, config, mode="all")
-        lean = instrument(workload.program, config, mode="all", streamline=True)
+        plain = instrument(workload.program, config, mode="all", plain=True)
+        lean = instrument(workload.program, config, mode="all")
         run_plain = workload.run(plain.program)
         run_lean = workload.run(lean.program)
         assert run_plain.outputs == base.outputs == run_lean.outputs
         rows.append(
             {
                 "benchmark": f"{bench}.{klass}",
-                "overhead_standard": f"{run_plain.cycles / base.cycles:.2f}X",
-                "overhead_streamlined": f"{run_lean.cycles / base.cycles:.2f}X",
+                "overhead_plain": f"{run_plain.cycles / base.cycles:.2f}X",
+                "overhead_lean": f"{run_lean.cycles / base.cycles:.2f}X",
                 "saves_elided": lean.stats.saves_elided,
+                "checks_skipped": lean.stats.checks_skipped,
                 "_plain": run_plain.cycles / base.cycles,
                 "_lean": run_lean.cycles / base.cycles,
             }

@@ -1,7 +1,7 @@
 """Figure 8: NAS MPI scaling of instrumentation overhead.
 
 Runs the base-case (all-double snippet) instrumentation of EP, CG, FT and
-MG at 1, 2, 4 and 8 ranks and reports the makespan ratio at each scale.
+MG, in the paper's plain snippet form, at 1, 2, 4 and 8 ranks and reports the makespan ratio at each scale.
 The paper's observation: *overall overhead decreases as ranks are added*,
 because communication — which the tool leaves uninstrumented — takes a
 growing share of the runtime.  EP, which barely communicates, stays
@@ -23,7 +23,9 @@ def measure_scaling(bench: str, klass: str = "A", ranks=RANKS) -> dict:
     """Overhead at each rank count for one benchmark."""
     workload = make_nas(bench, klass)
     tree = build_tree(workload.program)
-    instrumented = instrument(workload.program, Config.all_double(tree), mode="all")
+    instrumented = instrument(
+        workload.program, Config.all_double(tree), mode="all", plain=True
+    )
     row: dict = {"benchmark": f"{bench}.{klass}"}
     for size in ranks:
         base = workload.run_mpi(size)

@@ -3,7 +3,9 @@
 Replaces *all* floating-point instructions with double-precision snippets
 (mode="all", including guarded moves) — a transformation that does not
 change any result bit — and reports the cycle ratio between the
-instrumented and original executables.  The paper reports 3.4X-14.7X on
+instrumented and original executables.  The snippets take the paper's
+plain Figure 6 form (``plain=True``), the form whose overhead the figure
+reports.  The paper reports 3.4X-14.7X on
 ep/cg/ft/mg at classes A and C.
 
 Also performs the Section 3.1 correctness checks along the way:
@@ -44,7 +46,9 @@ def measure_overhead(bench: str, klass: str) -> OverheadResult:
     workload = make_nas(bench, klass)
     base = workload.baseline()
     tree = build_tree(workload.program)
-    instrumented = instrument(workload.program, Config.all_double(tree), mode="all")
+    instrumented = instrument(
+        workload.program, Config.all_double(tree), mode="all", plain=True
+    )
     run = workload.run(instrumented.program)
     return OverheadResult(
         benchmark=bench,

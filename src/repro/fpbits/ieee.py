@@ -98,13 +98,18 @@ class FpFormat:
     ``decode`` widens a pattern exactly to a binary64 value and
     ``encode`` rounds a binary64 value to a pattern once, overflow giving
     a signed infinity.  ``nan`` is the default NaN an invalid operation
-    returns, ``sign`` the sign bit and ``mask`` all bits of a pattern.
-    ``ops`` maps each operation name to the width's helper, named
-    ``{prefix}_{op}`` and attributed to *module*, the module that exports
-    it: fused source calls each helper by its ``__name__``.
+    returns, ``sign`` the sign bit, ``mask`` all bits of a pattern and
+    ``digits`` the significand's precision in bits.  ``ops`` maps each
+    operation name to the width's helper, named ``{prefix}_{op}`` and
+    attributed to *module*, the module that exports it: fused source
+    calls each helper by its ``__name__``.  ``from_int`` (named
+    ``{prefix}_from_int``) converts an integer to a pattern.
     """
 
-    __slots__ = ("name", "prefix", "decode", "encode", "nan", "sign", "mask", "ops")
+    __slots__ = (
+        "name", "prefix", "decode", "encode", "nan", "sign", "mask", "digits",
+        "ops", "from_int",
+    )
 
     def __init__(
         self,
@@ -115,6 +120,7 @@ class FpFormat:
         nan: int,
         sign: int,
         mask: int,
+        digits: int,
         module: str,
     ) -> None:
         self.name = name
@@ -124,8 +130,10 @@ class FpFormat:
         self.nan = nan
         self.sign = sign
         self.mask = mask
+        self.digits = digits
         self.ops = _operations(self)
-        for op, fn in self.ops.items():
+        self.from_int = _from_int(self)
+        for op, fn in (*self.ops.items(), ("from_int", self.from_int)):
             helper = f"{prefix}_{op}"
             # A code object of the helper's own: CPython specializes each
             # code object's call sites and float ops on what it sees, so
@@ -231,11 +239,40 @@ def _operations(fmt: FpFormat) -> dict:
     ))
 
 
+#: integers of at most this magnitude are binary64 values.
+_EXACT_INT = 1 << 53
+
+
+def _from_int(fmt: FpFormat) -> Callable[[int], int]:
+    """*fmt*'s ``cvtsi2`` conversion: the integer rounded to the width
+    once, to nearest even.  An integer binary64 holds exactly is encoded
+    from its float; a larger one is rounded to ``digits`` bits first,
+    since going through binary64 would round it twice."""
+    enc, digits = fmt.encode, fmt.digits
+
+    def from_int(v: int) -> int:
+        if -_EXACT_INT <= v <= _EXACT_INT:
+            return enc(float(v))
+        mag = -v if v < 0 else v
+        shift = mag.bit_length() - digits
+        rest = mag & ((1 << shift) - 1)
+        half = 1 << (shift - 1)
+        mag >>= shift
+        if rest > half or (rest == half and mag & 1):
+            mag += 1
+        mag <<= shift
+        return enc(float(-mag if v < 0 else mag))
+
+    return from_int
+
+
 F64 = FpFormat(
-    "f64", "double", bits_to_double, double_to_bits, _NAN64, 1 << 63, BITS64_MASK, __name__
+    "f64", "double", bits_to_double, double_to_bits, _NAN64, 1 << 63, BITS64_MASK,
+    53, __name__,
 )
 F32 = FpFormat(
-    "f32", "single", bits_to_single, single_to_bits, _NAN32, 1 << 31, BITS32_MASK, __name__
+    "f32", "single", bits_to_single, single_to_bits, _NAN32, 1 << 31, BITS32_MASK,
+    24, __name__,
 )
 
 # The helpers in BINARY_OPS + UNARY_OPS order.
@@ -245,3 +282,5 @@ F32 = FpFormat(
 (single_add, single_sub, single_mul, single_div, single_min, single_max,
  single_sqrt, single_neg, single_abs,
  single_sin, single_cos, single_exp, single_log) = F32.ops.values()
+double_from_int = F64.from_int
+single_from_int = F32.from_int

@@ -114,8 +114,8 @@ def is_nan_bits_f16(bits: int) -> bool:
 # The 13 operations at each 16-bit width.
 # ---------------------------------------------------------------------------
 
-BF16 = FpFormat("bf16", "bf16", bits_to_bf16, bf16_to_bits, _NAN_BF, 0x8000, BITS16_MASK, __name__)
-F16 = FpFormat("f16", "f16", bits_to_f16, f16_to_bits, _NAN_HF, 0x8000, BITS16_MASK, __name__)
+BF16 = FpFormat("bf16", "bf16", bits_to_bf16, bf16_to_bits, _NAN_BF, 0x8000, BITS16_MASK, 8, __name__)
+F16 = FpFormat("f16", "f16", bits_to_f16, f16_to_bits, _NAN_HF, 0x8000, BITS16_MASK, 11, __name__)
 
 # The helpers in BINARY_OPS + UNARY_OPS order (see repro.fpbits.ieee).
 (bf16_add, bf16_sub, bf16_mul, bf16_div, bf16_min, bf16_max,
@@ -124,3 +124,5 @@ F16 = FpFormat("f16", "f16", bits_to_f16, f16_to_bits, _NAN_HF, 0x8000, BITS16_M
 (f16_add, f16_sub, f16_mul, f16_div, f16_min, f16_max,
  f16_sqrt, f16_neg, f16_abs,
  f16_sin, f16_cos, f16_exp, f16_log) = F16.ops.values()
+bf16_from_int = BF16.from_int
+f16_from_int = F16.from_int

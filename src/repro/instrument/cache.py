@@ -17,16 +17,17 @@ A block's emitted code is a pure function of
   cache, which is bound to one original program),
 * the policies of the block's own candidates (``_emit_instruction``
   resolves every candidate with ``policies.get(addr, Policy.DOUBLE)``),
-* the mode switches ``(snippet_all, wrap_moves, streamline,
-  optimize_checks)`` plus the configuration's live narrow width tuple
-  (a program-global fact: guard chains in *every* block test one
-  sentinel per live width, so it keys templates like a mode switch),
+* the mode switches ``(snippet_all, wrap_moves, plain)`` plus the
+  configuration's live narrow width tuple (a program-global fact: guard
+  chains in *every* block test one sentinel per live width, so it keys
+  templates like a mode switch); whether a lean build elides the scratch
+  save/restore is a fact of the program the cache is bound to,
 
-because the redundant-check analysis (``block_precleaned``) is strictly
-intra-block — its clean set is empty at block entry.  Label *names* never
-reach the byte stream (a ``LabelRef`` encodes as a zeroed ``Imm`` slot
-resolved at layout time), so templates are position-independent byte
-strings plus a relocation table.
+because the width inference of lean builds (``block_widths``) is
+strictly intra-block — its state is empty at block entry.  Label *names*
+never reach the byte stream (a ``LabelRef`` encodes as a zeroed ``Imm``
+slot resolved at layout time), so templates are position-independent
+byte strings plus a relocation table.
 
 Byte identity with an independent layout
 ----------------------------------------
@@ -50,9 +51,9 @@ from dataclasses import dataclass
 from repro.asm.builder import LabelRef
 from repro.binary.model import BasicBlock, FunctionInfo, Program
 from repro.config.model import Policy
-from repro.instrument.dataflow import block_precleaned
+from repro.instrument.dataflow import block_widths
 from repro.instrument.rewriter import _addr_label, _emit_instruction
-from repro.instrument.snippets import DEFAULT_WIDTHS, SnippetStats
+from repro.instrument.snippets import DEFAULT_WIDTHS, UNDECIDED, SnippetStats
 from repro.isa.encode import encode_canonical
 from repro.isa.instruction import Instruction
 from repro.isa.operands import (
@@ -160,12 +161,15 @@ def build_block_template(
     policies: dict[int, Policy],
     snippet_all: bool,
     wrap_moves: bool,
+    plain: bool,
     streamline: bool,
-    optimize_checks: bool,
     instr_pool: dict,
     widths: tuple = DEFAULT_WIDTHS,
 ) -> BlockTemplate:
     """Instrument one block into a relocatable template (a cache miss).
+
+    A lean build (*plain* false) decides checks from the block's width
+    state; *streamline* elides the scratch save/restore.
 
     *instr_pool* maps (encoding, template offset) to the decoded-form
     instruction first built for it.  Re-instrumenting a block under
@@ -174,9 +178,9 @@ def build_block_template(
     then has fewer long-lived objects to track, and fewer of its full
     collections are triggered from inside template builds.
     """
-    precleaned: dict[int, frozenset[int]] = {}
-    if optimize_checks and snippet_all:
-        block_precleaned(block.instructions, policies, precleaned)
+    known: dict[int, dict[int, str]] = {}
+    if snippet_all and not plain:
+        block_widths(block.instructions, policies, known)
 
     builder = _TemplateBuilder()
     stats = SnippetStats()
@@ -184,7 +188,7 @@ def build_block_template(
         builder.mark(_addr_label(instr.addr))
         _emit_instruction(
             builder, instr, entry_names, policies, snippet_all, stats,
-            precleaned.get(instr.addr, frozenset()), wrap_moves, streamline,
+            known.get(instr.addr, UNDECIDED), wrap_moves, streamline,
             widths,
         )
     if stats.replaced_single + stats.wrapped_double:
@@ -307,7 +311,8 @@ class InstrumentCache:
         self._globals = dict(program.globals)
 
     def scratch_registers_unused(self) -> bool:
-        """Cached result of the streamline-safety scan."""
+        """Cached result of the scan that lets lean builds elide the
+        scratch save/restore."""
         if self._scratch_ok is None:
             self._scratch_ok = _scratch_registers_unused(self.program)
         return self._scratch_ok
@@ -317,12 +322,12 @@ class InstrumentCache:
         policies: dict[int, Policy],
         snippet_all: bool,
         wrap_moves: bool,
-        streamline: bool,
-        optimize_checks: bool,
+        plain: bool,
         widths: tuple = DEFAULT_WIDTHS,
     ) -> CachedRewrite:
         """Assemble the executable implementing *policies* (see class doc)."""
-        variant = (snippet_all, wrap_moves, streamline, optimize_checks, widths)
+        streamline = not plain and self.scratch_registers_unused()
+        variant = (snippet_all, wrap_moves, plain, widths)
         templates = self._templates
         hits = misses = 0
 
@@ -346,7 +351,7 @@ class InstrumentCache:
                     misses += 1
                     template = build_block_template(
                         block, self.entry_names, policies, snippet_all,
-                        wrap_moves, streamline, optimize_checks,
+                        wrap_moves, plain, streamline,
                         self._instr_pool, widths,
                     )
                     if len(templates) >= TEMPLATE_CACHE_MAX:

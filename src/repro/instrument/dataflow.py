@@ -1,116 +1,119 @@
-"""Static data-flow analysis for redundant-check elimination.
+"""Static width inference: the Figure 6 checks a block already decides.
 
 The paper's Section 2.5 proposes reducing overhead by "detecting
 instructions that never encounter replaced double-precision numbers under
-a given configuration".  This module implements the intra-block version:
-it tracks, through each basic block, the set of XMM registers *proven* to
-hold plain (unflagged) doubles, and reports that set at every
-double-policy candidate so its guard snippet can skip those checks.
+a given configuration".  This module implements the intra-block version.
+Through each basic block it follows, per XMM register, what the low
+lane's high word provably holds when the next snippet runs:
 
-The analysis is deliberately conservative:
+* nothing known (the register is absent): the snippet runs the Figure 6
+  test;
+* :data:`PLAIN` (``"f64"``): the test of every live sentinel falls
+  through;
+* a narrow width name (``"f32"``, ``"bf16"``, ``"f16"``): the high word
+  is that width's sentinel.
 
-* the clean set is empty at block entry (no cross-block propagation);
-* a call kills everything (callees are free to clobber XMM state);
-* any write whose provenance we do not model (memory loads, bit moves,
-  pops, MPI results) kills the written register;
-* a narrow-policy candidate (single, bfloat16, binary16) marks all
-  registers it touches as flagged.
+A snippet whose operand is decided emits only the conversion the test
+would have chosen (:mod:`repro.instrument.snippets`), so it loses the
+test, its ``je``/``jne`` and the block split the branch causes.
+
+Transfer rules:
+
+* the state is empty at block entry and never crosses block boundaries;
+* a double-policy scalar candidate leaves its guarded inputs and its
+  result plain: the guard leaves no live sentinel behind, and each
+  operation yields a number, a quiet NaN or (min/max) one of its guarded
+  inputs.  ``negsd``/``abssd`` are the exception: a pure sign-bit
+  operation maps an unflagged NaN whose high word is ``0xFFF4DEAD`` onto
+  the f32 sentinel, so their result is unknown;
+* a narrow candidate at width *w* leaves its inputs and its result
+  flagged at *w* (the narrow operation writes the low word only);
+* register-to-register ``movsd``/``movapd`` copy the state;
+* a call clears every state; IGNORE and packed candidates, memory loads
+  and any other XMM write make the registers they write unknown.
+  Packed candidates keep their full checks.
 """
 
 from __future__ import annotations
 
 from repro.config.model import Policy
+from repro.instrument.snippets import POLICY_WIDTHS
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op, OPCODE_INFO
 from repro.isa.operands import Xmm
 
+#: the state of a register whose every sentinel test falls through.
+PLAIN = "f64"
 
-def block_precleaned(
+_SIGN_OPS = (Op.NEGSD, Op.ABSSD)
+
+
+def block_widths(
     instructions: list[Instruction],
     policies: dict[int, Policy],
-    out: dict[int, frozenset[int]] | None = None,
-) -> dict[int, frozenset[int]]:
-    """Map each double-policy candidate address of one basic block to the
-    XMM registers statically clean there (added to *out*).
+    out: dict[int, dict[int, str]] | None = None,
+) -> dict[int, dict[int, str]]:
+    """Map each scalar candidate address of one basic block to the width
+    state of its XMM registers there, omitting empty states (added to
+    *out*).
 
-    The clean set is empty at block entry and never crosses block
-    boundaries, so the result for one block depends only on that block's
-    instructions and the policies of its own candidates — the property
-    the instrumentation cache's per-block content addressing relies on.
+    The state depends only on the block's own instructions and the
+    policies of its own candidates, the property the instrumentation
+    cache's per-block content addressing relies on.
     """
     if out is None:
         out = {}
-    clean: set[int] = set()
+    state: dict[int, str] = {}
     for instr in instructions:
-        if instr.is_candidate:
+        info = OPCODE_INFO[instr.opcode]
+        if info.is_candidate:
             policy = policies.get(instr.addr, Policy.DOUBLE)
-            if policy is Policy.DOUBLE:
-                out[instr.addr] = frozenset(clean)
-                _apply_double(instr, clean)
-            elif policy.is_narrow:
-                _apply_single(instr, clean)
-            else:  # IGNORE: untouched instruction, unknown effects
-                _kill_writes(instr, clean)
+            if info.packed or policy is Policy.IGNORE:
+                _forget(_xmm_inputs(instr) if info.packed else (), state)
+                _forget(_xmm_writes(instr), state)
+                continue
+            if state:
+                out[instr.addr] = dict(state)
+            width = POLICY_WIDTHS.get(policy, PLAIN)
+            for reg in _xmm_inputs(instr):
+                state[reg] = width
+            if width == PLAIN and instr.opcode in _SIGN_OPS:
+                _forget(_xmm_writes(instr), state)
+            else:
+                for reg in _xmm_writes(instr):
+                    state[reg] = width
+        elif info.is_call:
+            state.clear()
+        elif instr.opcode in (Op.MOVSD, Op.MOVAPD) and isinstance(
+            instr.operands[0], Xmm
+        ):
+            dst, src = instr.operands
+            known = state.get(src.index) if isinstance(src, Xmm) else None
+            if known is None:
+                state.pop(dst.index, None)
+            else:
+                state[dst.index] = known
         else:
-            _apply_plain(instr, clean)
+            _forget(_xmm_writes(instr), state)
     return out
 
 
+def _forget(regs, state: dict[int, str]) -> None:
+    for reg in regs:
+        state.pop(reg, None)
+
+
 def _xmm_inputs(instr: Instruction) -> list[int]:
-    info = OPCODE_INFO[instr.opcode]
     return [
         instr.operands[i].index
-        for i in info.fp_in
+        for i in OPCODE_INFO[instr.opcode].fp_in
         if isinstance(instr.operands[i], Xmm)
     ]
 
 
 def _xmm_writes(instr: Instruction) -> list[int]:
-    info = OPCODE_INFO[instr.opcode]
     return [
         instr.operands[i].index
-        for i in info.writes
+        for i in OPCODE_INFO[instr.opcode].writes
         if i < len(instr.operands) and isinstance(instr.operands[i], Xmm)
     ]
-
-
-def _apply_double(instr: Instruction, clean: set[int]) -> None:
-    # The guard upcast every FP input in place; the result is a fresh double.
-    clean.update(_xmm_inputs(instr))
-    clean.update(_xmm_writes(instr))
-
-
-def _apply_single(instr: Instruction, clean: set[int]) -> None:
-    # Inputs were downcast in place and the result carries the sentinel.
-    for reg in _xmm_inputs(instr):
-        clean.discard(reg)
-    for reg in _xmm_writes(instr):
-        clean.discard(reg)
-
-
-def _kill_writes(instr: Instruction, clean: set[int]) -> None:
-    for reg in _xmm_writes(instr):
-        clean.discard(reg)
-
-
-def _apply_plain(instr: Instruction, clean: set[int]) -> None:
-    op = instr.opcode
-    info = OPCODE_INFO[op]
-    if info.is_call:
-        clean.clear()
-        return
-    if op in (Op.MOVSD, Op.MOVAPD):
-        dst, src = instr.operands
-        if isinstance(dst, Xmm):
-            if isinstance(src, Xmm):
-                if src.index in clean:
-                    clean.add(dst.index)
-                else:
-                    clean.discard(dst.index)
-            else:  # memory load: unknown provenance
-                clean.discard(dst.index)
-        return
-    if op is Op.CVTSS2SD:
-        clean.add(instr.operands[0].index)
-        return
-    _kill_writes(instr, clean)

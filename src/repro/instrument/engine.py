@@ -22,6 +22,16 @@ Modes
     snippets ... does not affect the semantics or results").
 ``none``
     Copy verbatim (layout round-trip; used in tests).
+
+Forms
+-----
+Every build is *lean* unless ``plain=True``: snippets skip the Figure 6
+test on operands whose width their block already decides, and drop the
+scratch save/restore wherever the program never touches the scratch
+registers (the paper's Section 2.5 proposals; see
+:mod:`repro.instrument.snippets`).  Both forms compute the same outputs;
+the plain form is the paper's Figure 6 snippet, kept for the overhead
+experiments that reproduce its numbers.
 """
 
 from __future__ import annotations
@@ -81,19 +91,15 @@ def instrument(
     program: Program,
     config: Config,
     mode: str = "auto",
-    optimize_checks: bool = False,
-    streamline: bool = False,
+    plain: bool = False,
     telemetry=None,
     cache=None,
     policies: dict[int, Policy] | None = None,
 ) -> InstrumentedProgram:
     """Build the mixed-precision executable for *config* (see module doc).
 
-    *streamline* implements the paper's Section 2.5 suggestion of
-    emitting "more compact and efficient snippets": the scratch-register
-    save/restore around every snippet is elided.  Only legal when the
-    program provably never uses those registers; the engine verifies this
-    statically and raises otherwise.
+    *plain* selects the paper's Figure 6 snippets over the default lean
+    form (module doc).
 
     Every build is assembled from an
     :class:`~repro.instrument.cache.InstrumentCache`'s block templates.
@@ -111,11 +117,6 @@ def instrument(
         cache = _cache_for(program)
     elif cache.program is not program:
         raise InstrumentError("instrument cache is bound to a different program")
-    if streamline and not cache.scratch_registers_unused():
-        raise InstrumentError(
-            "streamline requested but the program uses snippet-reserved "
-            "registers; save/restore cannot be elided safely"
-        )
     if policies is None:
         policies = config.instruction_policies()
     has_narrow = any(p.is_narrow for p in policies.values())
@@ -124,9 +125,8 @@ def instrument(
     telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
     try:
         cached = cache.instrument(
-            policies, snippet_all,
-            wrap_moves=(mode == "all"), streamline=streamline,
-            optimize_checks=optimize_checks, widths=live_widths(policies),
+            policies, snippet_all, wrap_moves=(mode == "all"), plain=plain,
+            widths=live_widths(policies),
         )
     except SnippetError as exc:
         raise InstrumentError(str(exc)) from exc

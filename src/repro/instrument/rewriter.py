@@ -20,6 +20,8 @@ rewritten ``call`` pushes the *new* return address at run time.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 from repro.asm.builder import LabelRef
 from repro.config.model import Policy
 from repro.instrument.snippets import (
@@ -45,7 +47,7 @@ def _emit_instruction(
     policies: dict[int, Policy],
     snippet_all: bool,
     stats: SnippetStats,
-    precleaned: frozenset[int],
+    known: Mapping[int, str],
     wrap_moves: bool,
     streamline: bool,
     widths: tuple = DEFAULT_WIDTHS,
@@ -76,13 +78,12 @@ def _emit_instruction(
         width = POLICY_WIDTHS.get(policy)
         if width is not None:
             emit_single_snippet(
-                builder, instr, stats, streamline=streamline,
-                width=width, widths=widths,
+                builder, instr, stats, known, streamline, width, widths
             )
             return
         if policy is Policy.DOUBLE:
             emit_double_snippet(
-                builder, instr, stats, precleaned, streamline, widths
+                builder, instr, stats, known, streamline, widths
             )
             return
         stats.ignored += 1  # IGNORE: fall through to verbatim copy

@@ -16,12 +16,24 @@ For every replaced instruction the engine splices in a short sequence of
    lanes of packed outputs — the paper's "fix flags in any packed
    outputs").
 
-Scratch state (R12/R13, X14/X15) is saved and restored around every
+Two forms
+---------
+The *plain* form is the paper's Figure 6: every operand is flag-tested,
+and scratch state (R12/R13, X14/X15) is saved and restored around every
 snippet with push/pop, exactly like the paper's ``push %rax / push %rbx``
-prologue.  Snippets clobber the condition flags; this is safe for
-compiler-generated code, which never keeps flags live across a
-floating-point instruction (the same assumption Dyninst-based tools make
-unless asked to save EFLAGS).
+prologue.  The *lean* form, the default build, applies both of the
+paper's Section 2.5 proposals:
+
+* an operand whose width the block already decides
+  (:mod:`repro.instrument.dataflow`) loses its test and branch and keeps
+  only the conversion the test would have chosen;
+* the save/restore is elided wherever the program never touches the
+  scratch registers, which is true of all compiler output.
+
+Snippets clobber the condition flags; this is safe for compiler-generated
+code, which never keeps flags live across a floating-point instruction
+(the same assumption Dyninst-based tools make unless asked to save
+EFLAGS).
 
 Lattice widths
 --------------
@@ -37,7 +49,9 @@ keeps the 2-level lattice differential tests trivially green.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from repro.asm.builder import LabelRef
 from repro.config.model import Policy
@@ -60,6 +74,13 @@ POLICY_WIDTHS = {Policy.SINGLE: "f32", Policy.BF16: "bf16", Policy.HALF: "f16"}
 
 #: the live-widths value of every binary (f64->f32) configuration.
 DEFAULT_WIDTHS = ("f32",)
+
+#: the decided width of a register whose every sentinel test falls
+#: through (see :mod:`repro.instrument.dataflow`).
+PLAIN = "f64"
+
+#: the width state of a plain build: no register decided.
+UNDECIDED = MappingProxyType({})
 
 
 def live_widths(policies: dict) -> tuple[str, ...]:
@@ -128,7 +149,7 @@ class _Emitter:
     by streamlining the machine code that is emitted"), the scratch
     save/restore pushes are elided — legal only when the whole program
     provably never touches the snippet-reserved registers, which the
-    engine verifies statically before enabling it.
+    instrumentation cache verifies statically before setting it.
     """
 
     def __init__(
@@ -237,10 +258,9 @@ def _emit_scalar_check_downcast(
     skip = e.fresh("sk")
     x = Xmm(reg)
     r12 = Reg(_SCRATCH_GPR)
-    flag, flag_shifted, down, _up = _WIDTH_OPS[width]
     e.emit(Op.MOVQRX, r12, x, line=line)
     e.emit(Op.SHR, r12, Imm(32), line=line)
-    e.emit(Op.CMP, r12, Imm(flag), line=line)
+    e.emit(Op.CMP, r12, Imm(_WIDTH_OPS[width][0]), line=line)
     e.emit(Op.JE, LabelRef(skip), line=line)
     for other in widths:
         if other == width:
@@ -251,13 +271,35 @@ def _emit_scalar_check_downcast(
         e.emit(Op.JNE, LabelRef(plain), line=line)
         e.emit(o_up, x, x, line=line)
         e.mark(plain)
+    _emit_downcast(e, reg, line, width)
+    e.mark(skip)
+    e.stats.checks_emitted += 1
+
+
+def _emit_downcast(e: _Emitter, reg: int, line: int, width: str) -> None:
+    """Round *reg*'s low lane, a plain double, to *width* in place and set
+    that width's sentinel in its high word."""
+    x = Xmm(reg)
+    r12 = Reg(_SCRATCH_GPR)
+    _flag, flag_shifted, down, _up = _WIDTH_OPS[width]
     e.emit(down, x, x, line=line)
     e.emit(Op.MOVQRX, r12, x, line=line)
     e.emit(Op.AND, r12, Imm(_LOW_MASK), line=line)
     e.emit(Op.OR, r12, Imm(flag_shifted), line=line)
     e.emit(Op.MOVQXR, x, r12, line=line)
-    e.mark(skip)
-    e.stats.checks_emitted += 1
+
+
+def _emit_decided_downcast(
+    e: _Emitter, reg: int, line: int, width: str, known: str
+) -> None:
+    """What the downcast check emits for an operand whose width the block
+    decides (*known*): nothing at *width*, else the downcast, after an
+    upcast from another narrow width."""
+    if known == width:
+        return
+    if known != PLAIN:
+        e.emit(_WIDTH_OPS[known][3], Xmm(reg), Xmm(reg), line=line)
+    _emit_downcast(e, reg, line, width)
 
 
 def _emit_scalar_check_upcast(
@@ -377,7 +419,7 @@ def emit_single_snippet(
     builder,
     instr: Instruction,
     stats: SnippetStats,
-    precleaned: frozenset[int] = frozenset(),
+    known: Mapping[int, str] = UNDECIDED,
     streamline: bool = False,
     width: str = "f32",
     widths: tuple = DEFAULT_WIDTHS,
@@ -388,6 +430,8 @@ def emit_single_snippet(
     ``f16`` swap in that family's equivalent opcode and sentinel.
     *widths* lists every narrow width live in the configuration so the
     input guards can rehydrate values replaced at sibling widths.
+    *known* maps XMM registers to the width the block decides for them
+    (lean builds); those inputs skip the test.
     """
     _check_conflicts(instr)
     e = _Emitter(builder, stats, streamline, instr.addr)
@@ -414,11 +458,15 @@ def emit_single_snippet(
 
     checked = _fp_input_regs(instr, mem_to_scratch=True)
     for reg in checked:
+        decided = None if reg == _SCRATCH_XMM else known.get(reg)
         if packed:
             _emit_packed_check_downcast(e, reg, 0, line, widths)
             _emit_packed_check_downcast(e, reg, 1, line, widths)
-        else:
+        elif decided is None:
             _emit_scalar_check_downcast(e, reg, line, width, widths)
+        else:
+            _emit_decided_downcast(e, reg, line, width, decided)
+            stats.checks_skipped += 1
 
     new_operands = _rewrite_mem_operands(instr)
     e.emit(narrow_equiv, *new_operands, line=line)
@@ -488,7 +536,7 @@ def emit_double_snippet(
     builder,
     instr: Instruction,
     stats: SnippetStats,
-    precleaned: frozenset[int] = frozenset(),
+    known: Mapping[int, str] = UNDECIDED,
     streamline: bool = False,
     widths: tuple = DEFAULT_WIDTHS,
 ) -> None:
@@ -496,10 +544,10 @@ def emit_double_snippet(
 
     The instruction itself is unchanged, but every floating-point input is
     flag-tested and upcast in place if some earlier replaced instruction
-    left a single-precision value there.  *precleaned* lists XMM registers
-    statically known to hold plain doubles here (redundant-check
-    elimination, the paper's Section 2.5 data-flow optimization) — their
-    checks are skipped.
+    left a narrow value there.  *known* maps XMM registers to the width
+    the block decides for them (lean builds, the paper's Section 2.5
+    data-flow optimization): a plain input needs nothing, and one flagged
+    at a narrow width is upcast without a test.
     """
     _check_conflicts(instr)
     e = _Emitter(builder, stats, streamline, instr.addr)
@@ -509,10 +557,13 @@ def emit_double_snippet(
     mem = _mem_fp_input(instr)
 
     checked = _fp_input_regs(instr, mem_to_scratch=mem is not None)
-    to_check = [r for r in checked if r not in precleaned or r == _SCRATCH_XMM]
-    stats.checks_skipped += len(checked) - len(to_check)
+    decided = {} if packed else {
+        reg: known[reg] for reg in checked
+        if reg in known and reg != _SCRATCH_XMM
+    }
+    stats.checks_skipped += len(decided)
 
-    if not to_check and mem is None:
+    if all(decided.get(reg) == PLAIN for reg in checked) and mem is None:
         # Nothing to guard: emit the instruction bare.
         e.emit(instr.opcode, *instr.operands, line=line)
         stats.wrapped_double += 1
@@ -527,12 +578,14 @@ def emit_double_snippet(
         e.save(Op.PUSH, Reg(_SCRATCH_GPR2), line)
         e.save(Op.PUSHX, Xmm(_SCRATCH_XMM2), line)
 
-    for reg in to_check:
+    for reg in checked:
         if packed:
             _emit_packed_check_upcast(e, reg, 0, line, widths)
             _emit_packed_check_upcast(e, reg, 1, line, widths)
-        else:
+        elif reg not in decided:
             _emit_scalar_check_upcast(e, reg, line, widths)
+        elif decided[reg] != PLAIN:
+            e.emit(_WIDTH_OPS[decided[reg]][3], Xmm(reg), Xmm(reg), line=line)
 
     e.emit(instr.opcode, *_rewrite_mem_operands(instr), line=line)
 

@@ -9,7 +9,7 @@ owns one :mod:`repro.cluster` coordinator — and therefore one shared
 worker pool — and hosts many concurrent search campaigns on top of it:
 
 - A :class:`~repro.service.jobs.JobRegistry` accepts jobs over the wire
-  (cluster protocol v3 ``submit``/``status``/``result``/``cancel``/
+  (cluster protocol v4 ``submit``/``status``/``result``/``cancel``/
   ``list`` frames alongside the existing worker frames) with per-tenant
   admission quotas.
 - Each job runs its own engine on a dedicated thread against an

@@ -1,6 +1,6 @@
 """The SQLite-backed, content-addressed evaluation-result store.
 
-Schema (version 1)
+Schema (version 3)
 ------------------
 ``meta``
     ``key TEXT PRIMARY KEY, value TEXT`` — carries ``schema_version``.
@@ -12,7 +12,7 @@ Schema (version 1)
         key       TEXT   -- policy_digest(): sha256 of the resolved
                          -- per-instruction policy map
         passed    INTEGER
-        cycles    INTEGER
+        cycles    INTEGER  -- of the default (lean) build
         trap      TEXT
         reason    TEXT   -- "" | trap | timeout | verify | worker_crash
         wall_s    REAL   -- wall time of the original evaluation
@@ -43,14 +43,14 @@ from typing import Iterator, NamedTuple
 
 from repro.search.results import EvalOutcome
 
-#: bump when the key semantics or table shape change.  v2 (the precision
-#: lattice) extended ``policy_digest`` keys: flag characters now include
-#: the narrow widths ``b``/``h``, and non-binary lattices salt the digest
-#: with a canonical lattice descriptor.  Every v1 row is a valid v2 row
-#: (binary-lattice digests are bit-identical to v1), so opening a v1
-#: store migrates it in place; any *other* version mismatch raises
-#: StoreSchemaError rather than guessing.
-SCHEMA_VERSION = 2
+#: bump when the key semantics, the meaning of a row or the table shape
+#: change.  v2 (the precision lattice) extended ``policy_digest`` keys:
+#: flag characters include the narrow widths ``b``/``h``, and non-binary
+#: lattices salt the digest with a canonical lattice descriptor.  v3 rows
+#: carry the cycles of lean builds, which v1 and v2 rows (plain builds)
+#: do not, under unchanged digests.  Any version mismatch raises
+#: StoreSchemaError rather than replaying another build's cycles.
+SCHEMA_VERSION = 3
 
 
 class StoreSchemaError(RuntimeError):
@@ -104,10 +104,10 @@ def policy_digest(policies: dict, lattice=None) -> str:
 
     *lattice* (a :class:`repro.lattice.Lattice` or spec string) names the
     precision lattice the policies refer to.  The binary f64->f32 lattice
-    — and None — produce exactly the legacy (schema v1) digest, so old
-    store rows stay addressable; any other lattice salts the digest with
-    its canonical descriptor, so the same flag map searched over two
-    different width chains can never dedup to one row.
+    — and None — leave the digest unsalted, as it was before lattices
+    existed; any other lattice salts the digest with its canonical
+    descriptor, so the same flag map searched over two different width
+    chains can never dedup to one row.
     """
     digest = hashlib.sha256()
     if lattice is not None:
@@ -184,14 +184,6 @@ class ResultStore:
         if row is None:
             db.execute(
                 "INSERT INTO meta (key, value) VALUES ('schema_version', ?)",
-                (str(SCHEMA_VERSION),),
-            )
-            db.commit()
-        elif int(row[0]) == 1:
-            # v1 -> v2 is a pure key-space extension (see SCHEMA_VERSION):
-            # every stored row keeps its meaning, so migrate in place.
-            db.execute(
-                "UPDATE meta SET value = ? WHERE key = 'schema_version'",
                 (str(SCHEMA_VERSION),),
             )
             db.commit()

@@ -84,5 +84,5 @@ PS_BIN = {_F32_EQUIV[op]: FORMATS["f32"].ops[_OPERATION[op]] for op in PD_BIN}
 HELPERS = {
     fn.__name__: fn
     for fmt in FORMATS.values()
-    for fn in (*fmt.ops.values(), fmt.decode, fmt.encode)
+    for fn in (*fmt.ops.values(), fmt.decode, fmt.encode, fmt.from_int)
 }

@@ -823,7 +823,8 @@ class _RunEmitter:
             elif form is Op.CVTSI2SS:
                 v = self.g(ops[1].index)
                 dv = self.x(d)
-                e(f"{self.set_x(d)} = ({dv} & _HI32) | {enc}(float(_s64({v})))")
+                conv = FPN_CODEC[op].from_int.__name__
+                e(f"{self.set_x(d)} = ({dv} & _HI32) | {conv}(_s64({v}))")
             elif form is Op.CVTTSS2SI:
                 e(f"f{j} = {dec(self.x(ops[1].index))}")
                 self.truncate(d)

@@ -1473,8 +1473,9 @@ class VM:
 
             s = ops[1].index
             if form is Op.CVTSI2SS:
-                def h_cvtsi2n(idx, cyc=cyc, cost=cost, xl=xl, gpr=gpr, d=d, s=s, enc=enc):
-                    xl[d] = (xl[d] & _HI32) | enc(float(_s64(gpr[s])))
+                conv = fmt.from_int
+                def h_cvtsi2n(idx, cyc=cyc, cost=cost, xl=xl, gpr=gpr, d=d, s=s, conv=conv):
+                    xl[d] = (xl[d] & _HI32) | conv(_s64(gpr[s]))
                     cyc[0] += cost
                     return idx + 1
                 return h_cvtsi2n

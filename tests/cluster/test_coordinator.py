@@ -160,7 +160,7 @@ class TestHandshake:
     def test_version_mismatch_refused(self, evaluator):
         # Any version but PROTOCOL_VERSION gets a structured refusal
         # naming the acceptable one, then a clean close.
-        for version in (PROTOCOL_VERSION + 1, 2):
+        for version in (PROTOCOL_VERSION + 1, 3, 2):
             worker = FakeWorker(evaluator.executor.address, version=version)
             try:
                 assert worker.welcome["type"] == "unsupported"

@@ -14,9 +14,10 @@ from __future__ import annotations
 from repro.asm.builder import AsmBuilder
 from repro.binary.model import Program
 from repro.config.model import Config
-from repro.instrument.dataflow import block_precleaned
+from repro.instrument.cache import _scratch_registers_unused
+from repro.instrument.dataflow import block_widths
 from repro.instrument.rewriter import _addr_label, _emit_instruction
-from repro.instrument.snippets import SnippetStats, live_widths
+from repro.instrument.snippets import UNDECIDED, SnippetStats, live_widths
 
 
 def fields(program: Program) -> tuple:
@@ -39,8 +40,7 @@ def rewrite(
     program: Program,
     config: Config,
     mode: str = "auto",
-    optimize_checks: bool = False,
-    streamline: bool = False,
+    plain: bool = False,
 ) -> tuple[Program, SnippetStats]:
     """``instrument(program, config, ...)``'s program and statistics,
     linked by the assembler."""
@@ -48,12 +48,13 @@ def rewrite(
     has_narrow = any(p.is_narrow for p in policies.values())
     snippet_all = mode == "all" or (mode == "auto" and has_narrow)
     widths = live_widths(policies)
+    streamline = not plain and _scratch_registers_unused(program)
     program.ensure_cfg()
-    precleaned: dict = {}
-    if optimize_checks and snippet_all:
+    known: dict = {}
+    if snippet_all and not plain:
         for fn in program.functions:
             for block in fn.blocks:
-                block_precleaned(block.instructions, policies, precleaned)
+                block_widths(block.instructions, policies, known)
 
     builder = AsmBuilder(program.name)
     for symbol in sorted(program.globals.values(), key=lambda s: s.addr):
@@ -70,7 +71,7 @@ def rewrite(
                 builder.mark(_addr_label(instr.addr))
                 _emit_instruction(
                     builder, instr, entry_names, policies, snippet_all, stats,
-                    precleaned.get(instr.addr, frozenset()), mode == "all",
+                    known.get(instr.addr, UNDECIDED), mode == "all",
                     streamline, widths,
                 )
             if stats.replaced_single + stats.wrapped_double > before:

@@ -1,8 +1,8 @@
 """Differential tests for the incremental instrumentation cache.
 
 The cache is only allowed to be faster — never different.  For every
-NAS workload, under every mode and both ``optimize_checks`` and
-``streamline`` settings, the program a cache-backed ``instrument()``
+NAS workload, under every mode and both the lean and the plain form,
+the program a cache-backed ``instrument()``
 assembles must equal, field for field, the assembler's link of the same
 splice (:mod:`tests.instrument.layout_oracle`), with identical
 statistics, and executing it must reproduce outputs, cycle counts, and
@@ -38,39 +38,32 @@ def _configs(tree):
     yield mixed
 
 
-@pytest.mark.parametrize("optimize_checks", [False, True])
+@pytest.mark.parametrize("plain", [False, True])
 @pytest.mark.parametrize("bench", NAS)
-def test_cached_instrument_is_byte_identical(bench, optimize_checks):
+def test_cached_instrument_is_byte_identical(bench, plain):
     workload = make_nas(bench, "T")
     program = workload.program
     tree = build_tree(program)
     cache = InstrumentCache(program)
     configs = list(_configs(tree)) + [_lattice_config(tree, program)]
-    streamlines = (
-        (False, True)
-        if cache_module._scratch_registers_unused(program)
-        else (False,)
-    )
     for k, config in enumerate(configs):
         for mode in ("auto", "all", "none"):
-            for streamline in streamlines:
-                opts = dict(mode=mode, optimize_checks=optimize_checks,
-                            streamline=streamline)
-                where = (k, opts)
-                oracle, stats = layout_oracle.rewrite(program, config, **opts)
-                built = instrument(program, config, cache=cache, **opts)
-                assert layout_oracle.fields(built.program) == (
-                    layout_oracle.fields(oracle)
-                ), where
-                assert dataclasses.asdict(built.stats) == dataclasses.asdict(
-                    stats
-                ), where
+            opts = dict(mode=mode, plain=plain)
+            where = (k, opts)
+            oracle, stats = layout_oracle.rewrite(program, config, **opts)
+            built = instrument(program, config, cache=cache, **opts)
+            assert layout_oracle.fields(built.program) == (
+                layout_oracle.fields(oracle)
+            ), where
+            assert dataclasses.asdict(built.stats) == dataclasses.asdict(
+                stats
+            ), where
 
-                ran_oracle = workload.run(oracle)
-                ran = workload.run(built.program)
-                assert ran.outputs == ran_oracle.outputs, where
-                assert ran.cycles == ran_oracle.cycles, where
-                assert ran.steps == ran_oracle.steps, where
+            ran_oracle = workload.run(oracle)
+            ran = workload.run(built.program)
+            assert ran.outputs == ran_oracle.outputs, where
+            assert ran.cycles == ran_oracle.cycles, where
+            assert ran.steps == ran_oracle.steps, where
 
 
 def test_repeat_instrument_hits_every_block():

@@ -180,22 +180,19 @@ class TestDataflowOptimization:
         for index, node in enumerate(tree.instructions()):
             if index % 2 == 0:
                 config.set(node.node_id, Policy.SINGLE)
-        plain = instrument(program, config, optimize_checks=False)
-        optimized = instrument(program, config, optimize_checks=True)
+        plain = instrument(program, config, plain=True)
+        optimized = instrument(program, config)
         run_a = run_program(plain.program)
         run_b = run_program(optimized.program)
         assert run_a.outputs == run_b.outputs
         assert run_b.cycles <= run_a.cycles
 
     def test_checks_actually_skipped(self, program, tree):
-        config = Config(tree)
         # all-double in 'all' mode: consecutive guards on the same register
-        # within a block are redundant.
-        plain = instrument(program, Config.all_double(tree), mode="all")
+        # within a block are decided by the first.
+        plain = instrument(program, Config.all_double(tree), mode="all", plain=True)
         assert plain.stats.checks_skipped == 0
-        optimized = instrument(
-            program, Config.all_double(tree), mode="all", optimize_checks=True
-        )
+        optimized = instrument(program, Config.all_double(tree), mode="all")
         assert optimized.stats.checks_skipped > 0
 
 
@@ -259,18 +256,19 @@ class TestCrashSemantics:
 class TestStreamlining:
     def test_streamlined_results_identical(self, program, tree):
         config = Config.all_single(tree)
-        plain = run_program(instrument(program, config).program)
-        lean = run_program(instrument(program, config, streamline=True).program)
+        plain = run_program(instrument(program, config, plain=True).program)
+        lean = run_program(instrument(program, config).program)
         assert plain.outputs == lean.outputs
 
     def test_streamlined_is_cheaper(self, program, tree):
         config = Config.all_double(tree)
-        plain = instrument(program, config, mode="all")
-        lean = instrument(program, config, mode="all", streamline=True)
+        plain = instrument(program, config, mode="all", plain=True)
+        lean = instrument(program, config, mode="all")
+        assert plain.stats.saves_elided == 0
         assert lean.stats.saves_elided > 0
         assert run_program(lean.program).cycles < run_program(plain.program).cycles
 
-    def test_streamline_rejected_when_scratch_used(self):
+    def test_save_restore_kept_when_scratch_used(self):
         from repro.asm import assemble_text
 
         hand_written = assemble_text(
@@ -280,10 +278,17 @@ class TestStreamlining:
     mov %r1, $d:1.0
     movqxr %x0, %r1
     addsd %x0, %x0
+    outsd %x0
+    outi %r12
     halt
 .endfunc
 """
         )
         config = Config.all_single(build_tree(hand_written))
-        with pytest.raises(InstrumentError, match="reserved"):
-            instrument(hand_written, config, streamline=True)
+        lean = instrument(hand_written, config)
+        plain = instrument(hand_written, config, plain=True)
+        # the program owns r12, so every snippet still saves and restores it
+        assert lean.stats.saves_elided == 0
+        outputs = run_program(lean.program).outputs
+        assert outputs == run_program(plain.program).outputs
+        assert outputs[-1] == ("i", 1)

@@ -117,7 +117,7 @@ class TestNegotiation:
             })
             reply = recv_frame(sock)
             assert reply["type"] == UNSUPPORTED
-            assert 3 in reply["supported"]
+            assert reply["supported"] == [PROTOCOL_VERSION]
             assert "version" in reply["message"]
             assert recv_frame(sock) is None  # clean close
         finally:

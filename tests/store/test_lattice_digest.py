@@ -88,19 +88,16 @@ class TestV1Migration:
         db.close()
         return path
 
-    def test_v1_store_opens_and_migrates_in_place(self):
-        path = self._reopen_as(1)
-        store = ResultStore(path)
-        # rows written under v1 stay addressable...
-        assert store.get("w", "k") == EvalOutcome(True, 42, "", "")
-        store.close()
-        # ...and the version stamp was bumped on open.
-        db = sqlite3.connect(path)
-        row = db.execute(
-            "SELECT value FROM meta WHERE key = 'schema_version'"
-        ).fetchone()
-        db.close()
-        assert int(row[0]) == SCHEMA_VERSION == 2
+    def test_plain_build_stores_refuse_to_open(self):
+        # v1 and v2 rows carry plain-build cycles under the digests v3
+        # keeps, so replaying them would report another build's cycles.
+        from repro.store import StoreSchemaError
+
+        assert SCHEMA_VERSION == 3
+        for version in (1, 2):
+            path = self._reopen_as(version)
+            with pytest.raises(StoreSchemaError, match=f"v{version}"):
+                ResultStore(path)
 
     def test_future_schema_still_refuses(self):
         from repro.store import StoreSchemaError

@@ -67,3 +67,15 @@ class TestExitCodes:
         ])
         assert code == EXIT_STORE_UNAVAILABLE
         assert "schema" in capsys.readouterr().err
+
+    def test_plain_build_store_is_exit_4(self, store_db, tmp_path, capsys):
+        # a v2 store holds plain-build cycles; v3 refuses to replay them
+        db = sqlite3.connect(store_db)
+        db.execute("UPDATE meta SET value = '2' WHERE key = 'schema_version'")
+        db.commit()
+        db.close()
+        code = main([
+            "store", "export", store_db, str(tmp_path / "out.jsonl"),
+        ])
+        assert code == EXIT_STORE_UNAVAILABLE
+        assert "schema v2, expected v3" in capsys.readouterr().err

@@ -399,9 +399,8 @@ class TestParsedDefaults:
         "disasm a.mh": {**_COMPILE, "target": ["a.mh"]},
         "config a.mh": {**_COMPILE, "output": None, "target": ["a.mh"]},
         "instrument a.mh": {**_COMPILE, "all_single": False, "config": None,
-                            "mode": "auto", "optimize_checks": False,
-                            "output": "a.instr.rpx", "streamline": False,
-                            "target": ["a.mh"]},
+                            "mode": "auto", "output": "a.instr.rpx",
+                            "plain": False, "target": ["a.mh"]},
         "view a.mh": {**_COMPILE, "analysis": None, "config": None,
                       "profile": False, "target": ["a.mh"]},
         "workloads": {"check": False, "plugin": []},

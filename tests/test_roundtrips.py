@@ -67,8 +67,7 @@ class TestLayoutRoundtrip:
     def test_streamlined_all_mode_bit_identical(self, program):
         baseline = run_program(program)
         rewritten = instrument(
-            program, Config.all_double(build_tree(program)), mode="all",
-            streamline=True,
+            program, Config.all_double(build_tree(program)), mode="all"
         )
         assert run_program(rewritten.program).outputs == baseline.outputs
 

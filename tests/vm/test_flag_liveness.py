@@ -154,13 +154,15 @@ class TestLoadScope:
         # VM(program) loads one whole-program segment, so its liveness
         # sees across every template edge; a load from the templates is
         # conservative at each edge.  The scopes show in the factories
-        # compiled: fewer exit masks store a flag.
+        # compiled: fewer exit masks store a flag.  The counts are the
+        # plain (Figure 6) build's.
         workload = make_nas("cg", "T")
         program = workload.program
         built = instrument(
             program,
             Config.all_single(build_tree(program)),
             cache=InstrumentCache(program),
+            plain=True,
         )
         monkeypatch.setattr(vm_machine, "_NO_FUSE", False)
         storing = []
