@@ -86,7 +86,7 @@ class SearchGuide:
 
     def predict_unfit(self, addrs, width) -> bool:
         """True when some observed instruction's value range cannot be
-        represented at lattice *width* (a :class:`repro.lattice.Width`).
+        represented at lattice *width* (a :class:`repro.fpbits.FpFormat`).
 
         This is the width-seeding predicate of the lattice descent: the
         shadow run records the smallest and largest magnitudes flowing

@@ -36,7 +36,7 @@ import math
 
 from repro.fpbits import ieee
 from repro.fpbits.ieee import (
-    bits_to_double, bits_to_single, single_from_int, single_to_bits,
+    F32, bits_to_double, bits_to_single, single_from_int, single_to_bits,
 )
 from repro.isa.opcodes import OPCODE_INFO, Op
 from repro.isa.operands import Mem, Xmm
@@ -46,8 +46,8 @@ _M32 = 0xFFFFFFFF
 _EXP_MASK = 0x7FF
 
 #: float32 representable-magnitude limits (normal range).
-F32_MAX = 3.4028234663852886e38
-F32_MIN_NORMAL = 1.1754943508222875e-38
+F32_MAX = F32.max_finite
+F32_MIN_NORMAL = F32.min_normal
 
 #: exponent drops below this many bits are ordinary rounding noise, not
 #: catastrophic cancellation (float32 keeps 24 significand bits, so a

@@ -17,14 +17,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
+from repro.fpbits import FORMATS, FpFormat
+
 
 class Policy(str, Enum):
     """Per-structure precision decision.
 
     The paper's model is binary (single/double/ignore); the precision
     lattice (:mod:`repro.lattice`) adds two narrower rungs below single.
-    Policies are ordered by *narrowness*: ``d < s < b < h`` — see
-    :meth:`rank` and :func:`narrowest`.
+    Each policy but IGNORE is a width's policy letter, and its
+    :attr:`width` is that width's :class:`~repro.fpbits.FpFormat`
+    record.  Policies are ordered by *narrowness*, the record's rank:
+    ``d < s < b < h`` — see :meth:`rank` and :func:`narrowest`.
     """
 
     SINGLE = "s"
@@ -34,21 +38,27 @@ class Policy(str, Enum):
     HALF = "h"
 
     @property
+    def width(self) -> FpFormat | None:
+        """The record of the width this policy puts a site at; None for
+        IGNORE, which is not a precision level."""
+        return _WIDTHS.get(self._value_)
+
+    @property
     def is_narrow(self) -> bool:
         """True for any replacement policy (anything below double)."""
-        return self in _NARROW_RANK
+        width = _WIDTHS.get(self._value_)
+        return width is not None and width.rank > 0
 
     def rank(self) -> int:
         """Narrowness rank: DOUBLE=0, SINGLE=1, BF16=2, HALF=3.
 
         IGNORE has no rank (it is not a precision level).
         """
-        if self is Policy.DOUBLE:
-            return 0
-        return _NARROW_RANK[self]
+        return _WIDTHS[self._value_].rank
 
 
-_NARROW_RANK = {Policy.SINGLE: 1, Policy.BF16: 2, Policy.HALF: 3}
+#: policy letter -> its width's record.
+_WIDTHS = {fmt.flag: fmt for fmt in FORMATS.values()}
 
 
 def narrowest(a: Policy, b: Policy) -> Policy:

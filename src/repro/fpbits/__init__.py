@@ -12,174 +12,36 @@ All values in the virtual machine (registers, memory cells, XMM lanes)
 are plain Python integers holding 64-bit patterns; the helpers here are
 the only code that interprets those patterns as floating point.
 
-Each width (f64, f32, bf16, f16) is one :class:`FpFormat` record: its
-codec, default NaN, sign bit and mask (:data:`FORMATS`).  The 13 scalar
-operations are written once over that record (:mod:`repro.fpbits.ieee`)
-and every width's helpers — ``double_*``, ``single_*``, ``bf16_*``,
-``f16_*`` — are those definitions bound to it, so an IEEE special case
-or a NaN rule is one edit for every width.
+Each width (f64, f32, bf16, f16) is one :class:`FpFormat` record, the
+only place its facts are written: policy letter, mnemonic suffix,
+sentinel, exponent bits and precision, codec, default NaN, sign bit and
+mask (:data:`FORMATS`).  The lattice, opcode, policy and snippet tables
+derive from these records.  The 13 scalar operations are written once
+over a record (:mod:`repro.fpbits.ieee`) and every width's helpers —
+``double_*``, ``single_*``, ``bf16_*``, ``f16_*`` — are those definitions
+bound to it, so an IEEE special case or a NaN rule is one edit for every
+width.  The helpers and codecs are imported from :mod:`~repro.fpbits.ieee`
+and :mod:`~repro.fpbits.narrow`, the slot scheme from
+:mod:`~repro.fpbits.replace`.
 """
 
-from repro.fpbits.ieee import (
-    BINARY_OPS,
-    F32,
-    F64,
-    UNARY_OPS,
-    FpFormat,
-    BITS64_MASK,
-    bits_to_double,
-    bits_to_single,
-    double_to_bits,
-    single_to_bits,
-    double_add,
-    double_sub,
-    double_mul,
-    double_div,
-    double_sqrt,
-    double_neg,
-    double_abs,
-    double_min,
-    double_max,
-    single_add,
-    single_sub,
-    single_mul,
-    single_div,
-    single_sqrt,
-    single_neg,
-    single_abs,
-    single_min,
-    single_max,
-    is_nan_bits64,
-    is_nan_bits32,
-)
-from repro.fpbits.narrow import (
-    BF16,
-    F16,
-    BITS16_MASK,
-    bf16_to_bits,
-    bits_to_bf16,
-    f16_to_bits,
-    bits_to_f16,
-    is_nan_bits_bf16,
-    is_nan_bits_f16,
-    bf16_add,
-    bf16_sub,
-    bf16_mul,
-    bf16_div,
-    bf16_sqrt,
-    bf16_neg,
-    bf16_abs,
-    bf16_min,
-    bf16_max,
-    f16_add,
-    f16_sub,
-    f16_mul,
-    f16_div,
-    f16_sqrt,
-    f16_neg,
-    f16_abs,
-    f16_min,
-    f16_max,
-)
-from repro.fpbits.replace import (
-    REPLACED_FLAG,
-    REPLACED_FLAG_BF16,
-    REPLACED_FLAG_F16,
-    REPLACED_FLAG_SHIFTED,
-    WIDTH_CODECS,
-    HIGH_WORD_MASK,
-    LOW_WORD_MASK,
-    downcast_in_place,
-    upcast_in_place,
-    is_replaced,
-    make_replaced,
-    replaced_single_bits,
-    read_operand_as_double,
-    read_operand_as_single,
-    replaced_width,
-    is_replaced_at,
-    make_replaced_at,
-    downcast_in_place_at,
-    upcast_in_place_any,
-    read_operand_as_double_any,
-)
+from repro.fpbits.ieee import BINARY_OPS, F32, F64, UNARY_OPS, FpFormat
+from repro.fpbits.narrow import BF16, F16
 
-#: lattice width name -> its record, widest first.
+#: lattice width name -> its record, widest first.  A record's ``rank``
+#: (its narrowness: f64 0, f32 1, bf16 2, f16 3) is its position here.
 FORMATS = {fmt.name: fmt for fmt in (F64, F32, BF16, F16)}
+for _rank, _fmt in enumerate(FORMATS.values()):
+    _fmt.rank = _rank
+del _rank, _fmt
 
 __all__ = [
-    "FpFormat",
-    "FORMATS",
+    "BF16",
     "BINARY_OPS",
+    "F16",
+    "F32",
+    "F64",
+    "FORMATS",
+    "FpFormat",
     "UNARY_OPS",
-    "BITS64_MASK",
-    "bits_to_double",
-    "bits_to_single",
-    "double_to_bits",
-    "single_to_bits",
-    "double_add",
-    "double_sub",
-    "double_mul",
-    "double_div",
-    "double_sqrt",
-    "double_neg",
-    "double_abs",
-    "double_min",
-    "double_max",
-    "single_add",
-    "single_sub",
-    "single_mul",
-    "single_div",
-    "single_sqrt",
-    "single_neg",
-    "single_abs",
-    "single_min",
-    "single_max",
-    "is_nan_bits64",
-    "is_nan_bits32",
-    "BITS16_MASK",
-    "bf16_to_bits",
-    "bits_to_bf16",
-    "f16_to_bits",
-    "bits_to_f16",
-    "is_nan_bits_bf16",
-    "is_nan_bits_f16",
-    "bf16_add",
-    "bf16_sub",
-    "bf16_mul",
-    "bf16_div",
-    "bf16_sqrt",
-    "bf16_neg",
-    "bf16_abs",
-    "bf16_min",
-    "bf16_max",
-    "f16_add",
-    "f16_sub",
-    "f16_mul",
-    "f16_div",
-    "f16_sqrt",
-    "f16_neg",
-    "f16_abs",
-    "f16_min",
-    "f16_max",
-    "REPLACED_FLAG",
-    "REPLACED_FLAG_BF16",
-    "REPLACED_FLAG_F16",
-    "REPLACED_FLAG_SHIFTED",
-    "WIDTH_CODECS",
-    "HIGH_WORD_MASK",
-    "LOW_WORD_MASK",
-    "downcast_in_place",
-    "upcast_in_place",
-    "is_replaced",
-    "make_replaced",
-    "replaced_single_bits",
-    "read_operand_as_double",
-    "read_operand_as_single",
-    "replaced_width",
-    "is_replaced_at",
-    "make_replaced_at",
-    "downcast_in_place_at",
-    "upcast_in_place_any",
-    "read_operand_as_double_any",
 ]

@@ -2,12 +2,14 @@
 
 The virtual machine stores every value as a 64-bit integer pattern; these
 helpers are the single point where patterns are interpreted as IEEE-754
-numbers.  Each width is an :class:`FpFormat` record (decode, encode,
-default NaN, sign bit, mask), and each of the 13 scalar operations (add,
-sub, mul, div, min, max, sqrt, neg, abs, sin, cos, exp, log) is defined
-once, in :func:`_operations`, over that record.  This module builds the
-binary64 (``double_*``) and binary32 (``single_*``) helpers from it;
-:mod:`repro.fpbits.narrow` builds bfloat16 and binary16.
+numbers.  Each width is an :class:`FpFormat` record, the one place its
+facts are written (policy letter, sentinel, exponent bits, precision,
+codec, default NaN, sign bit, mask), and each of the 13 scalar
+operations (add, sub, mul, div, min, max, sqrt, neg, abs, sin, cos,
+exp, log) is defined once, in :func:`_operations`, over that record.
+This module builds the binary64 (``double_*``) and binary32
+(``single_*``) helpers from it; :mod:`repro.fpbits.narrow` builds
+bfloat16 and binary16.
 
 Every operation computes in the host's binary64 (CPython floats) and
 rounds once to its width, with explicit handling where Python raises
@@ -92,45 +94,63 @@ UNARY_OPS = ("sqrt", "neg", "abs", "sin", "cos", "exp", "log")
 
 
 class FpFormat:
-    """One binary floating-point width, as its helpers see its patterns.
+    """One binary floating-point width: every fact of it the system uses.
 
-    ``name`` is the lattice width name (``"f64"``, ``"f32"``, ...).
+    ``name`` is the lattice width name (``"f64"``, ``"f32"``, ...),
+    ``flag`` its policy letter in the exchange format (``d``/``s``/``b``/
+    ``h``), ``suffix`` its scalar mnemonic suffix (``addsd`` -> ``addss``,
+    ``addbf``, ``addhf``) and ``sentinel`` the high word marking a slot
+    narrowed to it (None for f64, which is never narrowed).
+    ``exp_bits`` and ``digits`` are the exponent width and the
+    significand's precision in bits (the hidden bit included), from which
+    the range bounds and the lattice descriptor derive; ``rank`` is the
+    record's position in :data:`repro.fpbits.FORMATS`, widest first.
+
     ``decode`` widens a pattern exactly to a binary64 value and
     ``encode`` rounds a binary64 value to a pattern once, overflow giving
     a signed infinity.  ``nan`` is the default NaN an invalid operation
-    returns, ``sign`` the sign bit, ``mask`` all bits of a pattern and
-    ``digits`` the significand's precision in bits.  ``ops`` maps each
-    operation name to the width's helper, named ``{prefix}_{op}`` and
-    attributed to *module*, the module that exports it: fused source
-    calls each helper by its ``__name__``.  ``from_int`` (named
-    ``{prefix}_from_int``) converts an integer to a pattern.
+    returns, ``sign`` the sign bit and ``mask`` all bits of a pattern.
+    ``ops`` maps each operation name to the width's helper, named
+    ``{prefix}_{op}`` and attributed to *module*, the module that
+    exports it: fused source calls each helper by its ``__name__``.
+    ``from_int`` (named ``{prefix}_from_int``) converts an integer to a
+    pattern.
     """
 
     __slots__ = (
-        "name", "prefix", "decode", "encode", "nan", "sign", "mask", "digits",
-        "ops", "from_int",
+        "name", "flag", "suffix", "sentinel", "exp_bits", "digits", "rank",
+        "prefix", "decode", "encode", "nan", "sign", "mask", "ops", "from_int",
     )
 
     def __init__(
         self,
         name: str,
+        *,
+        flag: str,
+        suffix: str,
+        sentinel: int | None,
+        exp_bits: int,
+        digits: int,
         prefix: str,
         decode: Callable[[int], float],
         encode: Callable[[float], int],
         nan: int,
         sign: int,
         mask: int,
-        digits: int,
         module: str,
     ) -> None:
         self.name = name
+        self.flag = flag
+        self.suffix = suffix
+        self.sentinel = sentinel
+        self.exp_bits = exp_bits
+        self.digits = digits
         self.prefix = prefix
         self.decode = decode
         self.encode = encode
         self.nan = nan
         self.sign = sign
         self.mask = mask
-        self.digits = digits
         self.ops = _operations(self)
         self.from_int = _from_int(self)
         for op, fn in (*self.ops.items(), ("from_int", self.from_int)):
@@ -141,6 +161,22 @@ class FpFormat:
             fn.__code__ = fn.__code__.replace(co_name=helper)
             fn.__name__ = fn.__qualname__ = helper
             fn.__module__ = module
+
+    @property
+    def max_finite(self) -> float:
+        """Largest finite value: (2 - 2^(1 - digits)) * 2^emax."""
+        emax = (1 << (self.exp_bits - 1)) - 1
+        return (2.0 - 2.0 ** (1 - self.digits)) * 2.0**emax
+
+    @property
+    def min_normal(self) -> float:
+        """Smallest positive normal value: 2^(1 - emax)."""
+        emax = (1 << (self.exp_bits - 1)) - 1
+        return 2.0 ** (1 - emax)
+
+    def descriptor(self) -> str:
+        """The lattice descriptor: name, exponent and mantissa bits."""
+        return f"{self.name}({self.exp_bits},{self.digits - 1})"
 
     def __repr__(self) -> str:
         return f"FpFormat({self.name})"
@@ -267,12 +303,14 @@ def _from_int(fmt: FpFormat) -> Callable[[int], int]:
 
 
 F64 = FpFormat(
-    "f64", "double", bits_to_double, double_to_bits, _NAN64, 1 << 63, BITS64_MASK,
-    53, __name__,
+    "f64", flag="d", suffix="sd", sentinel=None, exp_bits=11, digits=53,
+    prefix="double", decode=bits_to_double, encode=double_to_bits, nan=_NAN64,
+    sign=1 << 63, mask=BITS64_MASK, module=__name__,
 )
 F32 = FpFormat(
-    "f32", "single", bits_to_single, single_to_bits, _NAN32, 1 << 31, BITS32_MASK,
-    24, __name__,
+    "f32", flag="s", suffix="ss", sentinel=0x7FF4DEAD, exp_bits=8, digits=24,
+    prefix="single", decode=bits_to_single, encode=single_to_bits, nan=_NAN32,
+    sign=1 << 31, mask=BITS32_MASK, module=__name__,
 )
 
 # The helpers in BINARY_OPS + UNARY_OPS order.

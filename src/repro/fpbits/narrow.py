@@ -114,8 +114,16 @@ def is_nan_bits_f16(bits: int) -> bool:
 # The 13 operations at each 16-bit width.
 # ---------------------------------------------------------------------------
 
-BF16 = FpFormat("bf16", "bf16", bits_to_bf16, bf16_to_bits, _NAN_BF, 0x8000, BITS16_MASK, 8, __name__)
-F16 = FpFormat("f16", "f16", bits_to_f16, f16_to_bits, _NAN_HF, 0x8000, BITS16_MASK, 11, __name__)
+BF16 = FpFormat(
+    "bf16", flag="b", suffix="bf", sentinel=0x7FF4BEEF, exp_bits=8, digits=8,
+    prefix="bf16", decode=bits_to_bf16, encode=bf16_to_bits, nan=_NAN_BF,
+    sign=0x8000, mask=BITS16_MASK, module=__name__,
+)
+F16 = FpFormat(
+    "f16", flag="h", suffix="hf", sentinel=0x7FF4FEED, exp_bits=5, digits=11,
+    prefix="f16", decode=bits_to_f16, encode=f16_to_bits, nan=_NAN_HF,
+    sign=0x8000, mask=BITS16_MASK, module=__name__,
+)
 
 # The helpers in BINARY_OPS + UNARY_OPS order (see repro.fpbits.ieee).
 (bf16_add, bf16_sub, bf16_mul, bf16_div, bf16_min, bf16_max,

@@ -19,8 +19,8 @@ bfloat16 and ``0x7FF4FEED`` for binary16, both sharing the ``0x7FF4``
 NaN prefix — so a slot always records *which* width it was narrowed to
 and un-instrumented consumers of any narrowed slot still fail loudly as
 NaNs.  16-bit patterns occupy the low 16 bits of the slot, zero-extended
-through the low word.  :data:`WIDTH_CODECS` pairs each sentinel with the
-codec of its width's :class:`repro.fpbits.ieee.FpFormat` record.
+through the low word.  Each sentinel is its width's
+:class:`repro.fpbits.FpFormat` record's ``sentinel``.
 
 The f32-only helpers (``downcast_in_place``, ``upcast_in_place``,
 ``read_operand_as_*``) predate the lattice and read only the f32
@@ -32,6 +32,7 @@ sentinel.
 
 from __future__ import annotations
 
+from repro.fpbits import F32, FORMATS
 from repro.fpbits.ieee import (
     BITS64_MASK,
     bits_to_double,
@@ -39,17 +40,10 @@ from repro.fpbits.ieee import (
     double_to_bits,
     single_to_bits,
 )
-from repro.fpbits.ieee import F32
-from repro.fpbits.narrow import BF16, F16
 
-#: High-word sentinel marking a replaced (single-in-double-slot) value.
-REPLACED_FLAG = 0x7FF4DEAD
-
-#: High-word sentinel marking a bfloat16-narrowed slot.
-REPLACED_FLAG_BF16 = 0x7FF4BEEF
-
-#: High-word sentinel marking a binary16-narrowed slot.
-REPLACED_FLAG_F16 = 0x7FF4FEED
+#: High-word sentinel marking a replaced (single-in-double-slot) value:
+#: the f32 record's, named for the f32-only helpers.
+REPLACED_FLAG = F32.sentinel
 
 #: The sentinel positioned in the high word of a 64-bit slot.
 REPLACED_FLAG_SHIFTED = REPLACED_FLAG << 32
@@ -57,17 +51,10 @@ REPLACED_FLAG_SHIFTED = REPLACED_FLAG << 32
 HIGH_WORD_MASK = 0xFFFFFFFF00000000
 LOW_WORD_MASK = 0x00000000FFFFFFFF
 
-#: Narrow width name -> (high-word sentinel, encode from float, decode to
-#: float), the codec taken from the width's record.  The keys are the
-#: :mod:`repro.lattice` width names below f64.
-WIDTH_CODECS = {
-    fmt.name: (sentinel, fmt.encode, fmt.decode)
-    for fmt, sentinel in (
-        (F32, REPLACED_FLAG), (BF16, REPLACED_FLAG_BF16), (F16, REPLACED_FLAG_F16)
-    )
+#: high-word sentinel -> the record of the width it marks.
+_BY_SENTINEL = {
+    fmt.sentinel: fmt for fmt in FORMATS.values() if fmt.sentinel is not None
 }
-
-_SENTINEL_TO_WIDTH = {codec[0]: name for name, codec in WIDTH_CODECS.items()}
 
 
 def is_replaced(bits: int) -> bool:
@@ -128,17 +115,18 @@ def read_operand_as_single(bits: int) -> int:
 
 def replaced_width(bits: int) -> str | None:
     """Width name a slot was narrowed to, or None for a plain binary64."""
-    return _SENTINEL_TO_WIDTH.get((bits >> 32) & 0xFFFFFFFF)
+    fmt = _BY_SENTINEL.get((bits >> 32) & 0xFFFFFFFF)
+    return None if fmt is None else fmt.name
 
 
 def is_replaced_at(bits: int, width: str) -> bool:
     """True if the slot carries *width*'s sentinel in its high word."""
-    return ((bits >> 32) & 0xFFFFFFFF) == WIDTH_CODECS[width][0]
+    return ((bits >> 32) & 0xFFFFFFFF) == FORMATS[width].sentinel
 
 
 def make_replaced_at(width: str, narrow_bits: int) -> int:
     """Build a narrowed slot from *width*'s native bit pattern."""
-    return (WIDTH_CODECS[width][0] << 32) | (narrow_bits & LOW_WORD_MASK)
+    return (FORMATS[width].sentinel << 32) | (narrow_bits & LOW_WORD_MASK)
 
 
 def downcast_in_place_at(bits: int, width: str) -> int:
@@ -150,21 +138,22 @@ def downcast_in_place_at(bits: int, width: str) -> int:
     """
     if is_replaced_at(bits, width):
         return bits
-    sentinel, encode, _ = WIDTH_CODECS[width]
-    return (sentinel << 32) | (encode(read_operand_as_double_any(bits)) & LOW_WORD_MASK)
+    fmt = FORMATS[width]
+    narrow = fmt.encode(read_operand_as_double_any(bits))
+    return (fmt.sentinel << 32) | (narrow & LOW_WORD_MASK)
 
 
 def upcast_in_place_any(bits: int) -> int:
     """Widen any narrowed slot back to a plain binary64 slot."""
-    width = replaced_width(bits)
-    if width is None:
+    fmt = _BY_SENTINEL.get((bits >> 32) & 0xFFFFFFFF)
+    if fmt is None:
         return bits & BITS64_MASK
-    return double_to_bits(WIDTH_CODECS[width][2](bits & LOW_WORD_MASK))
+    return double_to_bits(fmt.decode(bits & LOW_WORD_MASK))
 
 
 def read_operand_as_double_any(bits: int) -> float:
     """Value of a slot for a double consumer, decoding any width's sentinel."""
-    width = replaced_width(bits)
-    if width is None:
+    fmt = _BY_SENTINEL.get((bits >> 32) & 0xFFFFFFFF)
+    if fmt is None:
         return bits_to_double(bits)
-    return WIDTH_CODECS[width][2](bits & LOW_WORD_MASK)
+    return fmt.decode(bits & LOW_WORD_MASK)

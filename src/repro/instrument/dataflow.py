@@ -8,7 +8,7 @@ lane's high word provably holds when the next snippet runs:
 
 * nothing known (the register is absent): the snippet runs the Figure 6
   test;
-* :data:`PLAIN` (``"f64"``): the test of every live sentinel falls
+* ``"f64"``, the plain width: the test of every live sentinel falls
   through;
 * a narrow width name (``"f32"``, ``"bf16"``, ``"f16"``): the high word
   is that width's sentinel.
@@ -37,13 +37,9 @@ Transfer rules:
 from __future__ import annotations
 
 from repro.config.model import Policy
-from repro.instrument.snippets import POLICY_WIDTHS
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op, OPCODE_INFO
 from repro.isa.operands import Xmm
-
-#: the state of a register whose every sentinel test falls through.
-PLAIN = "f64"
 
 _SIGN_OPS = (Op.NEGSD, Op.ABSSD)
 
@@ -74,10 +70,10 @@ def block_widths(
                 continue
             if state:
                 out[instr.addr] = dict(state)
-            width = POLICY_WIDTHS.get(policy, PLAIN)
+            width = policy.width.name
             for reg in _xmm_inputs(instr):
                 state[reg] = width
-            if width == PLAIN and instr.opcode in _SIGN_OPS:
+            if policy is Policy.DOUBLE and instr.opcode in _SIGN_OPS:
                 _forget(_xmm_writes(instr), state)
             else:
                 for reg in _xmm_writes(instr):

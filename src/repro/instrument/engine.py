@@ -16,10 +16,12 @@ Modes
     instruction narrow — single or a 16-bit lattice width (the paper's
     rule, generalized down the lattice).
 ``all``
-    Snippet everything regardless, *including floating-point moves*,
-    which get a check-only guard — the paper's base-case overhead
+    Snippet everything regardless — the paper's base-case overhead
     experiment ("replacing all instructions with double-precision
-    snippets ... does not affect the semantics or results").
+    snippets ... does not affect the semantics or results").  Plain
+    builds also give every floating-point move a check-only guard; lean
+    builds drop it, since its branch targets the very next instruction
+    and so decides nothing.
 ``none``
     Copy verbatim (layout round-trip; used in tests).
 
@@ -125,8 +127,8 @@ def instrument(
     telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
     try:
         cached = cache.instrument(
-            policies, snippet_all, wrap_moves=(mode == "all"), plain=plain,
-            widths=live_widths(policies),
+            policies, snippet_all, wrap_moves=(mode == "all" and plain),
+            plain=plain, widths=live_widths(policies),
         )
     except SnippetError as exc:
         raise InstrumentError(str(exc)) from exc

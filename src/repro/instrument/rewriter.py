@@ -26,7 +26,6 @@ from repro.asm.builder import LabelRef
 from repro.config.model import Policy
 from repro.instrument.snippets import (
     DEFAULT_WIDTHS,
-    POLICY_WIDTHS,
     SnippetStats,
     emit_double_snippet,
     emit_move_guard,
@@ -70,15 +69,15 @@ def _emit_instruction(
         return
 
     if wrap_moves and snippet_all and instr.opcode in (Op.MOVSD, Op.MOVAPD, Op.MOVSS):
-        emit_move_guard(builder, instr, stats, streamline)
+        emit_move_guard(builder, instr, stats)
         return
 
     if instr.is_candidate and snippet_all:
         policy = policies.get(instr.addr, Policy.DOUBLE)
-        width = POLICY_WIDTHS.get(policy)
-        if width is not None:
+        if policy.is_narrow:
             emit_single_snippet(
-                builder, instr, stats, known, streamline, width, widths
+                builder, instr, stats, known, streamline, policy.width.name,
+                widths,
             )
             return
         if policy is Policy.DOUBLE:

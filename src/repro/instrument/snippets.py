@@ -30,6 +30,9 @@ paper's Section 2.5 proposals:
 * the save/restore is elided wherever the program never touches the
   scratch registers, which is true of all compiler output.
 
+The lean form also leaves out the move guards of the ``mode="all"``
+overhead experiment (:func:`emit_move_guard`), which decide nothing.
+
 Snippets clobber the condition flags; this is safe for compiler-generated
 code, which never keeps flags live across a floating-point instruction
 (the same assumption Dyninst-based tools make unless asked to save
@@ -54,8 +57,8 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from repro.asm.builder import LabelRef
-from repro.config.model import Policy
-from repro.fpbits.replace import REPLACED_FLAG, REPLACED_FLAG_SHIFTED, WIDTH_CODECS
+from repro.fpbits import F64, FORMATS
+from repro.fpbits.replace import REPLACED_FLAG, REPLACED_FLAG_SHIFTED
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import NARROW_FAMILIES, Op, OPCODE_INFO
 from repro.isa.operands import Imm, Mem, Reg, Xmm
@@ -63,21 +66,8 @@ from repro.isa.registers import SNIPPET_GPRS, SNIPPET_XMMS
 
 _LOW_MASK = 0xFFFFFFFF
 
-#: width name -> (sentinel, sentinel << 32, CVTSD2<w>, CVT<w>2SD).
-_WIDTH_OPS = {
-    name: (WIDTH_CODECS[name][0], WIDTH_CODECS[name][0] << 32, down, up)
-    for name, (_equiv, down, up) in NARROW_FAMILIES.items()
-}
-
-#: narrow policy flag -> width name, in lattice (descending-width) order.
-POLICY_WIDTHS = {Policy.SINGLE: "f32", Policy.BF16: "bf16", Policy.HALF: "f16"}
-
 #: the live-widths value of every binary (f64->f32) configuration.
 DEFAULT_WIDTHS = ("f32",)
-
-#: the decided width of a register whose every sentinel test falls
-#: through (see :mod:`repro.instrument.dataflow`).
-PLAIN = "f64"
 
 #: the width state of a plain build: no register decided.
 UNDECIDED = MappingProxyType({})
@@ -89,14 +79,15 @@ def live_widths(policies: dict) -> tuple[str, ...]:
     Guard chains test one sentinel per live width, so a configuration
     that only ever narrows to f32 pays exactly the historical single
     compare.  Falls back to ``("f32",)`` when nothing is narrowed (the
-    mode="all" overhead experiment still guards moves against the
-    classic sentinel).
+    mode="all" overhead experiment's guards still test the classic
+    sentinel).
     """
-    present = set(policies.values())
+    present = {policy.width for policy in set(policies.values())}
     found = tuple(
-        width for policy, width in POLICY_WIDTHS.items() if policy in present
+        name for name, fmt in FORMATS.items() if fmt.rank > 0 and fmt in present
     )
     return found or DEFAULT_WIDTHS
+
 
 _SCRATCH_GPR = SNIPPET_GPRS[0]       # R12
 _SCRATCH_GPR2 = SNIPPET_GPRS[1]      # R13
@@ -260,16 +251,15 @@ def _emit_scalar_check_downcast(
     r12 = Reg(_SCRATCH_GPR)
     e.emit(Op.MOVQRX, r12, x, line=line)
     e.emit(Op.SHR, r12, Imm(32), line=line)
-    e.emit(Op.CMP, r12, Imm(_WIDTH_OPS[width][0]), line=line)
+    e.emit(Op.CMP, r12, Imm(FORMATS[width].sentinel), line=line)
     e.emit(Op.JE, LabelRef(skip), line=line)
     for other in widths:
         if other == width:
             continue
-        o_flag, _o_shifted, _o_down, o_up = _WIDTH_OPS[other]
         plain = e.fresh("sk")
-        e.emit(Op.CMP, r12, Imm(o_flag), line=line)
+        e.emit(Op.CMP, r12, Imm(FORMATS[other].sentinel), line=line)
         e.emit(Op.JNE, LabelRef(plain), line=line)
-        e.emit(o_up, x, x, line=line)
+        e.emit(NARROW_FAMILIES[other][2], x, x, line=line)
         e.mark(plain)
     _emit_downcast(e, reg, line, width)
     e.mark(skip)
@@ -281,11 +271,10 @@ def _emit_downcast(e: _Emitter, reg: int, line: int, width: str) -> None:
     that width's sentinel in its high word."""
     x = Xmm(reg)
     r12 = Reg(_SCRATCH_GPR)
-    _flag, flag_shifted, down, _up = _WIDTH_OPS[width]
-    e.emit(down, x, x, line=line)
+    e.emit(NARROW_FAMILIES[width][1], x, x, line=line)
     e.emit(Op.MOVQRX, r12, x, line=line)
     e.emit(Op.AND, r12, Imm(_LOW_MASK), line=line)
-    e.emit(Op.OR, r12, Imm(flag_shifted), line=line)
+    e.emit(Op.OR, r12, Imm(FORMATS[width].sentinel << 32), line=line)
     e.emit(Op.MOVQXR, x, r12, line=line)
 
 
@@ -297,8 +286,8 @@ def _emit_decided_downcast(
     upcast from another narrow width."""
     if known == width:
         return
-    if known != PLAIN:
-        e.emit(_WIDTH_OPS[known][3], Xmm(reg), Xmm(reg), line=line)
+    if known != F64.name:
+        e.emit(NARROW_FAMILIES[known][2], Xmm(reg), Xmm(reg), line=line)
     _emit_downcast(e, reg, line, width)
 
 
@@ -312,12 +301,11 @@ def _emit_scalar_check_upcast(
     e.emit(Op.MOVQRX, r12, x, line=line)
     e.emit(Op.SHR, r12, Imm(32), line=line)
     for pos, width in enumerate(widths):
-        flag, _shifted, _down, up = _WIDTH_OPS[width]
         last = pos == len(widths) - 1
         miss = skip if last else e.fresh("sk")
-        e.emit(Op.CMP, r12, Imm(flag), line=line)
+        e.emit(Op.CMP, r12, Imm(FORMATS[width].sentinel), line=line)
         e.emit(Op.JNE, LabelRef(miss), line=line)
-        e.emit(up, x, x, line=line)
+        e.emit(NARROW_FAMILIES[width][2], x, x, line=line)
         if not last:
             e.emit(Op.JMP, LabelRef(skip), line=line)
             e.mark(miss)
@@ -333,7 +321,7 @@ def _emit_scalar_flag_set(
     r12 = Reg(_SCRATCH_GPR)
     e.emit(Op.MOVQRX, r12, x, line=line)
     e.emit(Op.AND, r12, Imm(_LOW_MASK), line=line)
-    e.emit(Op.OR, r12, Imm(_WIDTH_OPS[width][1]), line=line)
+    e.emit(Op.OR, r12, Imm(FORMATS[width].sentinel << 32), line=line)
     e.emit(Op.MOVQXR, x, r12, line=line)
 
 
@@ -357,12 +345,11 @@ def _emit_packed_check_downcast(
     for other in widths:
         if other == "f32":
             continue
-        o_flag, _o_shifted, _o_down, o_up = _WIDTH_OPS[other]
         plain = e.fresh("pk")
-        e.emit(Op.CMP, r13, Imm(o_flag), line=line)
+        e.emit(Op.CMP, r13, Imm(FORMATS[other].sentinel), line=line)
         e.emit(Op.JNE, LabelRef(plain), line=line)
         e.emit(Op.MOVQXR, x14, r12, line=line)
-        e.emit(o_up, x14, x14, line=line)
+        e.emit(NARROW_FAMILIES[other][2], x14, x14, line=line)
         e.emit(Op.MOVQRX, r12, x14, line=line)
         e.mark(plain)
     e.emit(Op.MOVQXR, x14, r12, line=line)
@@ -388,13 +375,12 @@ def _emit_packed_check_upcast(
     e.emit(Op.MOV, r13, r12, line=line)
     e.emit(Op.SHR, r13, Imm(32), line=line)
     for pos, width in enumerate(widths):
-        flag, _shifted, _down, up = _WIDTH_OPS[width]
         last = pos == len(widths) - 1
         miss = skip if last else e.fresh("pk")
-        e.emit(Op.CMP, r13, Imm(flag), line=line)
+        e.emit(Op.CMP, r13, Imm(FORMATS[width].sentinel), line=line)
         e.emit(Op.JNE, LabelRef(miss), line=line)
         e.emit(Op.MOVQXR, x14, r12, line=line)
-        e.emit(up, x14, x14, line=line)
+        e.emit(NARROW_FAMILIES[width][2], x14, x14, line=line)
         e.emit(Op.MOVQRX, r12, x14, line=line)
         e.emit(Op.PINSR, x, r12, Imm(lane), line=line)
         if not last:
@@ -492,23 +478,19 @@ def emit_single_snippet(
     stats.by_opcode[key] = stats.by_opcode.get(key, 0) + 1
 
 
-def emit_move_guard(
-    builder,
-    instr: Instruction,
-    stats: SnippetStats,
-    streamline: bool = False,
-) -> None:
-    """Guard a floating-point *move* with a flag check (base-case mode).
+def emit_move_guard(builder, instr: Instruction, stats: SnippetStats) -> None:
+    """Guard a floating-point *move* with a flag check (the plain form's
+    base-case mode).
 
     The paper's overhead experiment "replaces all instructions with
     double-precision snippets", data movement included.  A move needs no
     conversion — a replaced slot is copied verbatim — so the snippet is
-    the flag test alone on the moved value; with nothing replaced (the
-    base case) the check always falls through and the program's results
-    are bit-for-bit unchanged.
+    the flag test alone on the moved value, whose branch targets the very
+    next instruction: whatever the register holds, the program's results
+    are bit-for-bit unchanged.  Lean builds therefore omit it.
     """
     _check_conflicts(instr)
-    e = _Emitter(builder, stats, streamline, instr.addr)
+    e = _Emitter(builder, stats, addr=instr.addr)
     line = instr.line
     e.emit(instr.opcode, *instr.operands, line=line)
     # Check the register side of the move (destination for loads and
@@ -521,13 +503,13 @@ def emit_move_guard(
         return
     skip = e.fresh("mg")
     r12 = Reg(_SCRATCH_GPR)
-    e.save(Op.PUSH, r12, line)
+    e.emit(Op.PUSH, r12, line=line)
     e.emit(Op.MOVQRX, r12, dst, line=line)
     e.emit(Op.SHR, r12, Imm(32), line=line)
     e.emit(Op.CMP, r12, Imm(REPLACED_FLAG), line=line)
     e.emit(Op.JNE, LabelRef(skip), line=line)
     e.mark(skip)
-    e.save(Op.POP, r12, line)
+    e.emit(Op.POP, r12, line=line)
     stats.wrapped_double += 1
     stats.checks_emitted += 1
 
@@ -563,7 +545,7 @@ def emit_double_snippet(
     }
     stats.checks_skipped += len(decided)
 
-    if all(decided.get(reg) == PLAIN for reg in checked) and mem is None:
+    if all(decided.get(reg) == F64.name for reg in checked) and mem is None:
         # Nothing to guard: emit the instruction bare.
         e.emit(instr.opcode, *instr.operands, line=line)
         stats.wrapped_double += 1
@@ -584,8 +566,8 @@ def emit_double_snippet(
             _emit_packed_check_upcast(e, reg, 1, line, widths)
         elif reg not in decided:
             _emit_scalar_check_upcast(e, reg, line, widths)
-        elif decided[reg] != PLAIN:
-            e.emit(_WIDTH_OPS[decided[reg]][3], Xmm(reg), Xmm(reg), line=line)
+        elif decided[reg] != F64.name:
+            e.emit(NARROW_FAMILIES[decided[reg]][2], Xmm(reg), Xmm(reg), line=line)
 
     e.emit(instr.opcode, *_rewrite_mem_operands(instr), line=line)
 

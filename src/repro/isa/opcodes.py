@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import IntEnum, auto
 
+from repro.fpbits import F32, FORMATS, FpFormat
+
 
 class Op(IntEnum):
     # --- control / system -------------------------------------------------
@@ -448,57 +450,28 @@ MNEMONIC_TO_OP = {info.mnemonic: op for op, info in OPCODE_INFO.items()}
 #: Opcodes whose instructions are replacement candidates.
 CANDIDATE_OPS = frozenset(op for op, info in OPCODE_INFO.items() if info.is_candidate)
 
-#: Scalar-double op -> its bfloat16 / binary16 equivalent.  Parallels
-#: ``single_equiv`` for the lattice rungs below f32; packed ops have no
-#: entry (packed sites floor at f32 — there are no packed narrow ops).
-BF16_EQUIV = {
-    Op.ADDSD: Op.ADDBF,
-    Op.SUBSD: Op.SUBBF,
-    Op.MULSD: Op.MULBF,
-    Op.DIVSD: Op.DIVBF,
-    Op.SQRTSD: Op.SQRTBF,
-    Op.MINSD: Op.MINBF,
-    Op.MAXSD: Op.MAXBF,
-    Op.ABSSD: Op.ABSBF,
-    Op.NEGSD: Op.NEGBF,
-    Op.UCOMISD: Op.UCOMIBF,
-    Op.CVTSI2SD: Op.CVTSI2BF,
-    Op.CVTTSD2SI: Op.CVTTBF2SI,
-    Op.SINSD: Op.SINBF,
-    Op.COSSD: Op.COSBF,
-    Op.EXPSD: Op.EXPBF,
-    Op.LOGSD: Op.LOGBF,
-}
 
-HALF_EQUIV = {
-    Op.ADDSD: Op.ADDHF,
-    Op.SUBSD: Op.SUBHF,
-    Op.MULSD: Op.MULHF,
-    Op.DIVSD: Op.DIVHF,
-    Op.SQRTSD: Op.SQRTHF,
-    Op.MINSD: Op.MINHF,
-    Op.MAXSD: Op.MAXHF,
-    Op.ABSSD: Op.ABSHF,
-    Op.NEGSD: Op.NEGHF,
-    Op.UCOMISD: Op.UCOMIHF,
-    Op.CVTSI2SD: Op.CVTSI2HF,
-    Op.CVTTSD2SI: Op.CVTTHF2SI,
-    Op.SINSD: Op.SINHF,
-    Op.COSSD: Op.COSHF,
-    Op.EXPSD: Op.EXPHF,
-    Op.LOGSD: Op.LOGHF,
-}
+def _family(fmt: FpFormat) -> tuple[dict, Op, Op]:
+    """*fmt*'s twin of each candidate and its two conversions, named by
+    its mnemonic suffix: ``addsd`` -> ``add{suffix}``, ``cvtsd2{suffix}``
+    and ``cvt{suffix}2sd``.  Packed candidates have twins at f32 alone
+    (``addpd`` -> ``addps``): packed sites floor at f32."""
+    sfx = fmt.suffix
+    twins = {}
+    for op, inf in OPCODE_INFO.items():
+        if not inf.is_candidate:
+            continue
+        if not inf.packed:
+            twins[op] = MNEMONIC_TO_OP[inf.mnemonic.replace("sd", sfx)]
+        elif fmt is F32:
+            twins[op] = MNEMONIC_TO_OP[inf.mnemonic.replace("pd", "ps")]
+    return twins, MNEMONIC_TO_OP[f"cvtsd2{sfx}"], MNEMONIC_TO_OP[f"cvt{sfx}2sd"]
 
-#: Lattice width name -> (narrow equivalents, downcast op, upcast op).
-#: f32 reuses the original single_equiv mapping and cvt pair.
+
+#: Lattice width name -> (double op -> its twin at that width, downcast
+#: op, upcast op), for every width below f64.
 NARROW_FAMILIES = {
-    "f32": (
-        {op: inf.single_equiv for op, inf in OPCODE_INFO.items() if inf.single_equiv},
-        Op.CVTSD2SS,
-        Op.CVTSS2SD,
-    ),
-    "bf16": (BF16_EQUIV, Op.CVTSD2BF, Op.CVTBF2SD),
-    "f16": (HALF_EQUIV, Op.CVTSD2HF, Op.CVTHF2SD),
+    fmt.name: _family(fmt) for fmt in FORMATS.values() if fmt.sentinel is not None
 }
 
 

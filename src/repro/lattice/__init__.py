@@ -2,21 +2,17 @@
 
 See :mod:`repro.lattice.model` for the data model.  Everything the rest
 of the system needs — spec parsing, the canonical BINARY/FULL lattices,
-per-width sentinels and range bounds — is re-exported here.
+the width records (:mod:`repro.fpbits`' ``F64``/``F32``/``BF16``/``F16``)
+and the range check — is re-exported here.
 """
 
+from repro.fpbits import BF16, F16, F32, F64
 from repro.lattice.model import (
-    BF16,
     BINARY_LATTICE,
     BINARY_SPEC,
-    F16,
-    F32,
-    F64,
     FULL_LATTICE,
     Lattice,
     LatticeError,
-    WIDTHS,
-    Width,
     fits_width,
     parse_lattice,
 )
@@ -31,8 +27,6 @@ __all__ = [
     "FULL_LATTICE",
     "Lattice",
     "LatticeError",
-    "WIDTHS",
-    "Width",
     "fits_width",
     "parse_lattice",
 ]

@@ -6,12 +6,12 @@ chain of widths, widest first::
 
     f64  ->  f32  ->  bf16  ->  f16
 
-Each rung below the top is a :class:`Width`: a (name, exponent bits,
-mantissa bits) descriptor plus the high-word sentinel and config flag
-character that make it concrete in the VM and the exchange format.  A
-:class:`Lattice` is an ordered tuple of such rungs; the search refines
-*downward* through it (a site that passes at f32 becomes a bf16/f16
-candidate).
+Each rung is a width's :class:`~repro.fpbits.FpFormat` record, which
+holds everything that makes it concrete in the VM and the exchange
+format: exponent and mantissa bits, high-word sentinel, policy letter.
+A :class:`Lattice` is an ordered tuple of such records; the search
+refines *downward* through it (a site that passes at f32 becomes a
+bf16/f16 candidate).
 
 Two canonical instances matter everywhere:
 
@@ -34,66 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config.model import Policy
-from repro.fpbits.replace import REPLACED_FLAG, REPLACED_FLAG_BF16, REPLACED_FLAG_F16
-
-
-@dataclass(frozen=True)
-class Width:
-    """One rung of the lattice.
-
-    ``exp_bits``/``man_bits`` parameterize the format (mantissa bits
-    exclude the hidden bit), so range bounds for custom widths derive
-    from the descriptor alone.  ``flag`` is the config-file flag
-    character (:class:`~repro.config.model.Policy` value); ``sentinel``
-    is the high-word replacement marker, None only for the f64 top.
-    """
-
-    name: str
-    exp_bits: int
-    man_bits: int
-    flag: str
-    sentinel: int | None
-
-    @property
-    def bits(self) -> int:
-        return 1 + self.exp_bits + self.man_bits
-
-    @property
-    def precision(self) -> int:
-        """Significand precision including the hidden bit."""
-        return self.man_bits + 1
-
-    @property
-    def max_finite(self) -> float:
-        """Largest finite value: (2 - 2^-man) * 2^emax."""
-        emax = (1 << (self.exp_bits - 1)) - 1
-        return (2.0 - 2.0 ** -self.man_bits) * 2.0**emax
-
-    @property
-    def min_normal(self) -> float:
-        """Smallest positive normal value: 2^(1 - emax)."""
-        emax = (1 << (self.exp_bits - 1)) - 1
-        return 2.0 ** (1 - emax)
-
-    @property
-    def policy(self) -> Policy:
-        return Policy(self.flag)
-
-    def descriptor(self) -> str:
-        return f"{self.name}({self.exp_bits},{self.man_bits})"
-
-
-#: The widths the VM, snippets, and exchange format know how to execute.
-#: Custom (exp, man) descriptors can be *described* and range-checked,
-#: but only these names are searchable.
-F64 = Width("f64", 11, 52, Policy.DOUBLE.value, None)
-F32 = Width("f32", 8, 23, Policy.SINGLE.value, REPLACED_FLAG)
-BF16 = Width("bf16", 8, 7, Policy.BF16.value, REPLACED_FLAG_BF16)
-F16 = Width("f16", 5, 10, Policy.HALF.value, REPLACED_FLAG_F16)
-
-WIDTHS = {w.name: w for w in (F64, F32, BF16, F16)}
-_BY_POLICY = {w.policy: w for w in (F64, F32, BF16, F16)}
+from repro.fpbits import F32, F64, FORMATS, FpFormat
 
 
 class LatticeError(ValueError):
@@ -104,7 +45,7 @@ class LatticeError(ValueError):
 class Lattice:
     """An ordered chain of widths, widest first, anchored at f64."""
 
-    widths: tuple[Width, ...]
+    widths: tuple[FpFormat, ...]
 
     def __post_init__(self):
         if not self.widths or self.widths[0] is not F64:
@@ -117,7 +58,7 @@ class Lattice:
         if self.widths[1] is not F32:
             raise LatticeError("the first narrow width must be f32")
         for wide, narrow in zip(self.widths[1:], self.widths[2:]):
-            if narrow.policy.rank() <= wide.policy.rank():
+            if narrow.rank <= wide.rank:
                 raise LatticeError(
                     f"lattice must descend: {wide.name} -> {narrow.name}"
                 )
@@ -137,30 +78,10 @@ class Lattice:
         """True for the paper's original f64->f32 space."""
         return len(self.widths) == 2
 
-    # -- navigation -----------------------------------------------------------
-
     @property
-    def narrow_widths(self) -> tuple[Width, ...]:
+    def narrow_widths(self) -> tuple[FpFormat, ...]:
         """Every rung below f64, widest first."""
         return self.widths[1:]
-
-    def width_for(self, policy: Policy) -> Width:
-        """The Width a policy flag denotes (KeyError if not in lattice)."""
-        width = _BY_POLICY.get(policy)
-        if width is None or width not in self.widths:
-            raise KeyError(f"policy {policy!r} not in lattice {self.spec()}")
-        return width
-
-    def below(self, width: Width) -> Width | None:
-        """The next-narrower rung, or None at the bottom."""
-        idx = self.widths.index(width)
-        return self.widths[idx + 1] if idx + 1 < len(self.widths) else None
-
-    def __iter__(self):
-        return iter(self.widths)
-
-    def __len__(self) -> int:
-        return len(self.widths)
 
 
 def parse_lattice(spec: "str | Lattice") -> Lattice:
@@ -171,12 +92,12 @@ def parse_lattice(spec: "str | Lattice") -> Lattice:
     if isinstance(spec, Lattice):
         return spec
     names = [name.strip() for name in spec.split(",") if name.strip()]
-    unknown = [name for name in names if name not in WIDTHS]
+    unknown = [name for name in names if name not in FORMATS]
     if unknown:
         raise LatticeError(
-            f"unknown width(s) {unknown} (known: {sorted(WIDTHS)})"
+            f"unknown width(s) {unknown} (known: {sorted(FORMATS)})"
         )
-    return Lattice(tuple(WIDTHS[name] for name in names))
+    return Lattice(tuple(FORMATS[name] for name in names))
 
 
 #: The paper's original two-level space; the default everywhere.
@@ -189,7 +110,7 @@ FULL_LATTICE = parse_lattice("f64,f32,bf16,f16")
 BINARY_SPEC = BINARY_LATTICE.spec()
 
 
-def fits_width(width: Width, min_abs: float, max_abs: float) -> bool:
+def fits_width(width: FpFormat, min_abs: float, max_abs: float) -> bool:
     """Can every observed magnitude in [min_abs, max_abs] be represented
     at *width* without overflowing to infinity or flushing to subnormal?
 

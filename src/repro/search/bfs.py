@@ -424,8 +424,8 @@ class SearchEngine:
 
         for rung in range(1, len(narrow)):
             width = narrow[rung]
-            prev_policy = narrow[rung - 1].policy
-            policy = width.policy
+            prev_policy = Policy(narrow[rung - 1].flag)
+            policy = Policy(width.flag)
             phase = f"lattice:{width.name}"
             queue = deque(e for e in levels if e[1] is prev_policy)
             while queue:

@@ -58,7 +58,7 @@ def render_explain_report(
         )
         lines.append(
             f"| `{node.node_id}` | `{_function_of(node)}` "
-            f"| {'single' if policy is Policy.SINGLE else 'double'} "
+            f"| {_width_label(policy)} "
             f"| {verdict} | {_summarize_records(records)} | {share} |"
         )
     lines.append("")
@@ -102,6 +102,14 @@ def render_explain_report(
                 lines.append(f"* `{name}`: **{counters[name]}**")
     lines.append("")
     return "\n".join(lines)
+
+
+def _width_label(policy) -> str:
+    """A site's width as the report prints it: ``single``/``double`` as
+    in the paper's binary space, the width's name below f32."""
+    if not policy.is_narrow:
+        return "double"
+    return "single" if policy is Policy.SINGLE else policy.width.name
 
 
 # -- evidence plumbing -------------------------------------------------------

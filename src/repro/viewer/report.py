@@ -10,7 +10,7 @@ information the paper's GUI presents, as a shareable document.
 from __future__ import annotations
 
 from repro.config.fileformat import dump_config
-from repro.config.model import LEVEL_FUNCTION, Policy
+from repro.config.model import LEVEL_FUNCTION
 
 
 def render_markdown_report(result, workload=None, metrics=None,
@@ -95,7 +95,7 @@ def render_markdown_report(result, workload=None, metrics=None,
         for fn in config.tree.nodes_at(LEVEL_FUNCTION):
             insns = list(fn.instructions())
             policies = [config.effective_policy(i) for i in insns]
-            replaced = sum(1 for p in policies if p is Policy.SINGLE)
+            replaced = sum(1 for p in policies if p.is_narrow)
             weight = sum(profile.get(i.addr, 0) for i in insns) / total
             lines.append(
                 f"| `{fn.label}` | {len(insns)} | {replaced} "

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 
-from repro.fpbits.ieee import bits_to_double, bits_to_single
-from repro.fpbits.replace import LOW_WORD_MASK, WIDTH_CODECS, replaced_width
+from repro.fpbits.ieee import bits_to_single
+from repro.fpbits.replace import read_operand_as_double_any
 
 
 def decode_output(record: tuple) -> float | int:
@@ -24,10 +24,7 @@ def decode_output(record: tuple) -> float | int:
     if kind == "i":
         return bits - 0x10000000000000000 if bits >= 0x8000000000000000 else bits
     if kind == "d":
-        width = replaced_width(bits)
-        if width is not None:
-            return WIDTH_CODECS[width][2](bits & LOW_WORD_MASK)
-        return bits_to_double(bits)
+        return read_operand_as_double_any(bits)
     if kind == "s":
         return bits_to_single(bits)
     raise ValueError(f"unknown output record kind {kind!r}")

@@ -14,7 +14,7 @@ from bisect import bisect_right
 
 from hypothesis import given, strategies as st
 
-from repro.fpbits import ieee, narrow, replace
+from repro.fpbits import FORMATS, ieee, narrow, replace
 from repro.fpbits.narrow import (
     bf16_to_bits,
     bits_to_bf16,
@@ -190,18 +190,18 @@ class TestSentinels:
     def test_three_distinct_sentinels(self):
         sentinels = {
             replace.REPLACED_FLAG,
-            replace.REPLACED_FLAG_BF16,
-            replace.REPLACED_FLAG_F16,
+            narrow.BF16.sentinel,
+            narrow.F16.sentinel,
         }
         assert len(sentinels) == 3
         assert replace.REPLACED_FLAG == 0x7FF4DEAD
-        assert replace.REPLACED_FLAG_BF16 == 0x7FF4BEEF
-        assert replace.REPLACED_FLAG_F16 == 0x7FF4FEED
+        assert narrow.BF16.sentinel == 0x7FF4BEEF
+        assert narrow.F16.sentinel == 0x7FF4FEED
 
     def test_all_sentinels_are_nan_high_words(self):
         # Every narrowed slot must read as NaN to an un-instrumented
         # double consumer, whatever its low word holds.
-        for sentinel in (replace.REPLACED_FLAG_BF16, replace.REPLACED_FLAG_F16):
+        for sentinel in (narrow.BF16.sentinel, narrow.F16.sentinel):
             slot = ieee.bits_to_double(sentinel << 32)
             assert slot != slot
             # 0x7FF4 prefix: same NaN family as the f32 flag.
@@ -227,7 +227,7 @@ class TestWidthGenericReplace:
         slot = replace.downcast_in_place_at(ieee.double_to_bits(x), width)
         assert replace.replaced_width(slot) == width
         got = ieee.bits_to_double(replace.upcast_in_place_any(slot))
-        _sentinel, encode, decode = replace.WIDTH_CODECS[width]
+        encode, decode = FORMATS[width].encode, FORMATS[width].decode
         want = decode(encode(x))
         assert got == want or (got != got and want != want)
 
@@ -254,8 +254,8 @@ class TestWidthGenericReplace:
         from repro.lattice import FULL_LATTICE
 
         for width in FULL_LATTICE.narrow_widths:
-            assert width.name in replace.WIDTH_CODECS
-            assert replace.WIDTH_CODECS[width.name][0] == width.sentinel
+            assert width.name in FORMATS
+            assert replace.make_replaced_at(width.name, 0) >> 32 == width.sentinel
 
 
 class TestNarrowArithmetic:

@@ -71,7 +71,7 @@ def rewrite(
                 builder.mark(_addr_label(instr.addr))
                 _emit_instruction(
                     builder, instr, entry_names, policies, snippet_all, stats,
-                    known.get(instr.addr, UNDECIDED), mode == "all",
+                    known.get(instr.addr, UNDECIDED), mode == "all" and plain,
                     streamline, widths,
                 )
             if stats.replaced_single + stats.wrapped_double > before:

@@ -15,18 +15,20 @@ the plain form's ``push`` reaches.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.asm import AsmBuilder, LabelRef
 from repro.config import Config, Policy, build_tree
 from repro.fpbits.ieee import double_to_bits
 from repro.instrument import instrument
-from repro.instrument.dataflow import PLAIN, block_widths
+from repro.instrument.dataflow import block_widths
 from repro.isa import Imm, Mem, Op, Reg, Xmm
 from repro.isa.instruction import Instruction
 from repro.vm import VM, Machine
 from repro.vm.errors import VmTrap
 from repro.vm.fuse import _EXEC_GLOBALS
+from repro.workloads import make_nas
 from tests.conftest import compile_src, untiled
 
 
@@ -76,7 +78,7 @@ class TestTransferRules:
             _instr(0, Op.ADDSD, Xmm(0), Xmm(1)),
             _instr(1, Op.MULSD, Xmm(0), Xmm(1)),
         ]
-        assert block_widths(block, {}) == {1: {0: PLAIN, 1: PLAIN}}
+        assert block_widths(block, {}) == {1: {0: "f64", 1: "f64"}}
 
     def test_sign_operations_leave_their_result_unknown(self):
         for op in (Op.NEGSD, Op.ABSSD):
@@ -84,7 +86,7 @@ class TestTransferRules:
                 _instr(0, op, Xmm(0), Xmm(1)),
                 _instr(1, Op.MULSD, Xmm(0), Xmm(1)),
             ]
-            assert block_widths(block, {}) == {1: {1: PLAIN}}, op
+            assert block_widths(block, {}) == {1: {1: "f64"}}, op
 
     def test_narrow_candidate_flags_inputs_and_result(self):
         block = [
@@ -112,7 +114,7 @@ class TestTransferRules:
             _instr(3, Op.CALL, Imm(0)),
             _instr(4, Op.ADDSD, Xmm(0), Xmm(2)),
         ]
-        assert block_widths(block, {}) == {2: {0: PLAIN}}
+        assert block_widths(block, {}) == {2: {0: "f64"}}
 
     def test_ignored_and_packed_candidates_forget(self):
         block = [
@@ -123,7 +125,7 @@ class TestTransferRules:
             _instr(4, Op.ADDSD, Xmm(2), Xmm(1)),
         ]
         widths = block_widths(block, {1: Policy.IGNORE, 3: Policy.SINGLE})
-        assert widths == {2: {1: PLAIN}}
+        assert widths == {2: {1: "f64"}}
 
 
 # -- decided snippets --------------------------------------------------------
@@ -216,6 +218,34 @@ def test_sign_flip_onto_the_sentinel_keeps_its_check():
     expected = [("halt", [("d", double_to_bits(2.0))])] * 3
     assert _outcomes(plain.program) == expected
     assert _outcomes(lean.program) == expected
+
+
+# -- the move guard ----------------------------------------------------------
+
+def _null_branches(program) -> int:
+    """Conditional branches to the very next instruction: the move
+    guard's ``jne``, whose two arms coincide."""
+    instrs = program.decode_all()
+    return sum(
+        1 for branch, after in zip(instrs, instrs[1:])
+        if branch.opcode is Op.JNE and branch.operands[0].value == after.addr
+    )
+
+
+@pytest.mark.parametrize("bench", ("ep", "mg"))
+def test_lean_all_mode_builds_drop_the_move_guard(bench):
+    # The guard decides nothing, so only the plain form (the paper's
+    # overhead experiment) keeps it; outputs stay bit-identical.
+    workload = make_nas(bench, "T")
+    config = Config.all_double(build_tree(workload.program))
+    lean = instrument(workload.program, config, mode="all")
+    plain = instrument(workload.program, config, mode="all", plain=True)
+    assert _null_branches(plain.program) > 0
+    assert _null_branches(lean.program) == 0
+    params = workload.vm_params()
+    expected = [("halt", workload.baseline().outputs)] * 3
+    assert _outcomes(plain.program, **params) == expected
+    assert _outcomes(lean.program, **params) == expected
 
 
 # -- generated blocks --------------------------------------------------------

@@ -5,11 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.config.model import Policy
-from repro.fpbits.replace import (
-    REPLACED_FLAG,
-    REPLACED_FLAG_BF16,
-    REPLACED_FLAG_F16,
-)
+from repro.fpbits.replace import REPLACED_FLAG
 from repro.lattice import (
     BF16,
     BINARY_LATTICE,
@@ -19,7 +15,6 @@ from repro.lattice import (
     FULL_LATTICE,
     Lattice,
     LatticeError,
-    Width,
     fits_width,
     parse_lattice,
 )
@@ -27,22 +22,23 @@ from repro.lattice import (
 
 class TestWidth:
     def test_canonical_formats(self):
-        assert (F64.exp_bits, F64.man_bits, F64.bits) == (11, 52, 64)
-        assert (F32.exp_bits, F32.man_bits, F32.bits) == (8, 23, 32)
-        assert (BF16.exp_bits, BF16.man_bits, BF16.bits) == (8, 7, 16)
-        assert (F16.exp_bits, F16.man_bits, F16.bits) == (5, 10, 16)
+        # mantissa bits exclude the hidden bit; a width's bits are its mask's
+        assert (F64.exp_bits, F64.digits - 1, F64.mask.bit_length()) == (11, 52, 64)
+        assert (F32.exp_bits, F32.digits - 1, F32.mask.bit_length()) == (8, 23, 32)
+        assert (BF16.exp_bits, BF16.digits - 1, BF16.mask.bit_length()) == (8, 7, 16)
+        assert (F16.exp_bits, F16.digits - 1, F16.mask.bit_length()) == (5, 10, 16)
 
     def test_sentinels_match_replace_module(self):
         assert F64.sentinel is None
         assert F32.sentinel == REPLACED_FLAG
-        assert BF16.sentinel == REPLACED_FLAG_BF16
-        assert F16.sentinel == REPLACED_FLAG_F16
+        assert BF16.sentinel == 0x7FF4BEEF
+        assert F16.sentinel == 0x7FF4FEED
 
     def test_flags_are_policy_values(self):
-        assert F64.policy is Policy.DOUBLE
-        assert F32.policy is Policy.SINGLE
-        assert BF16.policy is Policy.BF16
-        assert F16.policy is Policy.HALF
+        assert Policy(F64.flag) is Policy.DOUBLE
+        assert Policy(F32.flag) is Policy.SINGLE
+        assert Policy(BF16.flag) is Policy.BF16
+        assert Policy(F16.flag) is Policy.HALF
 
     def test_range_bounds(self):
         # IEEE binary16: max finite 65504, min normal 2^-14.
@@ -56,7 +52,6 @@ class TestWidth:
 
     def test_descriptor(self):
         assert F16.descriptor() == "f16(5,10)"
-        assert Width("e4m3", 4, 3, "x", 0).descriptor() == "e4m3(4,3)"
 
 
 class TestParse:
@@ -105,22 +100,6 @@ class TestLattice:
     def test_narrow_widths(self):
         assert BINARY_LATTICE.narrow_widths == (F32,)
         assert FULL_LATTICE.narrow_widths == (F32, BF16, F16)
-
-    def test_below_walks_down(self):
-        assert FULL_LATTICE.below(F32) is BF16
-        assert FULL_LATTICE.below(BF16) is F16
-        assert FULL_LATTICE.below(F16) is None
-        assert BINARY_LATTICE.below(F32) is None
-
-    def test_width_for_policy(self):
-        assert FULL_LATTICE.width_for(Policy.HALF) is F16
-        assert BINARY_LATTICE.width_for(Policy.SINGLE) is F32
-        with pytest.raises(KeyError):
-            BINARY_LATTICE.width_for(Policy.HALF)
-
-    def test_iteration_and_len(self):
-        assert list(FULL_LATTICE) == [F64, F32, BF16, F16]
-        assert len(BINARY_LATTICE) == 2
 
     def test_direct_construction_validates(self):
         with pytest.raises(LatticeError):

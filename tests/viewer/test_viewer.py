@@ -126,3 +126,54 @@ class TestMarkdownReport:
 
         workload, result = self._result()
         assert "**pass**" in render_markdown_report(result, workload)
+
+
+class TestWidthsBelowSingle:
+    """Sites narrowed below f32 count as replaced and show their width."""
+
+    def _result(self):
+        from repro.search.results import SearchResult
+
+        program = compile_src(SRC)
+        tree = build_tree(program)
+        nodes = sorted(tree.by_addr.values(), key=lambda n: n.addr)
+        config = Config(tree)
+        for node, policy in zip(nodes, (Policy.HALF, Policy.BF16)):
+            config.set(node.node_id, policy)
+        for node in nodes[2:]:
+            config.set(node.node_id, Policy.SINGLE)
+        result = SearchResult(
+            workload="view", candidates=len(nodes), configs_tested=0,
+            final_config=config, final_verified=True, static_pct=1.0,
+            dynamic_pct=1.0,
+        )
+        return result, nodes
+
+    def test_report_counts_every_narrow_width(self):
+        from repro.viewer import render_markdown_report
+
+        result, _nodes = self._result()
+        report = render_markdown_report(result)
+        tree = result.final_config.tree
+        for fn in tree.nodes_at("function"):
+            count = len(list(fn.instructions()))
+            assert f"| `{fn.label}` | {count} | {count} (100%) |" in report
+
+    def test_explain_prints_each_sites_width(self):
+        from repro.viewer import render_explain_report
+
+        def rows(result):
+            return {
+                line.split("`")[1]: line
+                for line in render_explain_report(result).splitlines()
+                if line.startswith("| `")
+            }
+
+        result, nodes = self._result()
+        explained = rows(result)
+        assert "| f16 |" in explained[nodes[0].node_id]
+        assert "| bf16 |" in explained[nodes[1].node_id]
+        for node in nodes[2:]:
+            assert "| single |" in explained[node.node_id]
+        result.final_config.set(nodes[0].node_id, Policy.DOUBLE)
+        assert "| double |" in rows(result)[nodes[0].node_id]
