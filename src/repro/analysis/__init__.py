@@ -2,17 +2,17 @@
 
 The paper's search treats every candidate configuration as a black box
 (one instrumented run each).  This subsystem — modeled on the authors'
-follow-on CRAFT work — runs the workload *once* under a VM observer
-hook and learns two kinds of things about every candidate instruction:
+follow-on CRAFT work — runs the workload *once* under one VM observer
+(:class:`repro.analysis.observer.ShadowObserver`) and learns two kinds
+of things about every candidate instruction:
 
-* **statistics** (:mod:`repro.analysis.observer`): value ranges,
-  catastrophic-cancellation events, float32 range violations, and
-  local/accumulated relative-error estimates from a side-by-side
-  float32 shadow of every double value;
-* **verdicts** (:mod:`repro.analysis.channels`): the bit-exact outcome
-  of the singleton replacement — per candidate, a sparse mirror of the
-  run where exactly that instruction is single, decided by the
-  workload's own verification routine.
+* **statistics**: value ranges, catastrophic-cancellation events,
+  float32 range violations, and local/accumulated relative-error
+  estimates from a side-by-side float32 shadow of every double value;
+* **verdicts**: the bit-exact outcome of the singleton replacement —
+  per candidate, a sparse mirror (a *channel*) of the run where exactly
+  that instruction is single, decided by the workload's own
+  verification routine.
 
 The resulting :class:`AnalysisReport` is keyed the same way as the
 configuration tree, so the search can rank predicted-replaceable
@@ -20,26 +20,15 @@ candidates first and prune singletons whose failure the channel already
 decided — without changing the final composed configuration.
 """
 
-from repro.analysis.analyzer import ChainedObserver, analyze
-from repro.analysis.channels import Channel, ChannelObserver
-from repro.analysis.guide import SearchGuide, verification_bound
-from repro.analysis.observer import (
-    CANCEL_MIN_BITS,
-    InstrStats,
-    ShadowObserver,
-)
+from repro.analysis.analyzer import analyze
+from repro.analysis.guide import SearchGuide
+from repro.analysis.observer import ShadowObserver
 from repro.analysis.report import AnalysisReport, InstructionAnalysis
 
 __all__ = [
     "analyze",
     "AnalysisReport",
     "InstructionAnalysis",
-    "ShadowObserver",
-    "InstrStats",
-    "Channel",
-    "ChannelObserver",
-    "ChainedObserver",
     "SearchGuide",
-    "verification_bound",
-    "CANCEL_MIN_BITS",
+    "ShadowObserver",
 ]

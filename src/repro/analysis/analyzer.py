@@ -2,20 +2,20 @@
 
 One observed execution of the *original* double-precision program —
 same VM parameters the workload itself runs with — produces the full
-:class:`~repro.analysis.report.AnalysisReport`.  Two observers ride the
-same run: the statistics observer (value ranges, cancellations, float32
-shadow errors) and the channel observer, which mirrors every
-singleton-replacement run bit-exactly and turns each one into a
-pass/fail/unknown *verdict* by replaying its diverged outputs through
-the workload's own verification routine.  This is the "single
-dynamic-analysis pass" that replaces many search evaluations: the run
-costs roughly one instrumented evaluation, and its verdicts let the
-search skip every singleton whose failure is already decided.
+:class:`~repro.analysis.report.AnalysisReport`.  One observer
+(:class:`~repro.analysis.observer.ShadowObserver`) rides the run: it
+gathers the statistics (value ranges, cancellations, float32 shadow
+errors) and mirrors every singleton-replacement run bit-exactly, and
+each mirror becomes a pass/fail/unknown *verdict* by replaying its
+diverged outputs through the workload's own verification routine.  This
+is the "single dynamic-analysis pass" that replaces many search
+evaluations: the run costs roughly one instrumented evaluation, and its
+verdicts let the search skip every singleton whose failure is already
+decided.
 """
 
 from __future__ import annotations
 
-from repro.analysis.channels import ChannelObserver
 from repro.analysis.observer import ShadowObserver
 from repro.analysis.report import (
     AnalysisReport,
@@ -28,26 +28,6 @@ from repro.config.generator import build_tree
 from repro.telemetry import NULL_TELEMETRY
 from repro.vm.errors import VmTrap
 from repro.vm.machine import ExecResult, run_program
-
-
-class ChainedObserver:
-    """Fan one VM observer hook out to several observers.
-
-    Wrappers nest in reverse order: the first observer's wrapper ends up
-    innermost (closest to the op closure).  Every observer sees the same
-    architectural effects — none of them mutate VM state.
-    """
-
-    def __init__(self, *observers) -> None:
-        self.observers = observers
-
-    def wrap(self, vm, index: int, instr, addr: int, closure):
-        wrapped = closure
-        for obs in self.observers:
-            w = obs.wrap(vm, index, instr, addr, wrapped)
-            if w is not None:
-                wrapped = w
-        return wrapped if wrapped is not closure else None
 
 
 def analyze(workload, telemetry=None, tree=None) -> AnalysisReport:
@@ -64,13 +44,12 @@ def analyze(workload, telemetry=None, tree=None) -> AnalysisReport:
     tel = telemetry if telemetry is not None else NULL_TELEMETRY
     name = getattr(workload, "name", workload.program.name)
     observer = ShadowObserver()
-    channels = ChannelObserver()
     result = None
     with tel.span("analysis.run", workload=name):
         try:
             result = run_program(
                 workload.program,
-                observer=ChainedObserver(observer, channels),
+                observer=observer,
                 **getattr(workload, "vm_params", dict)(),
             )
         except VmTrap:
@@ -84,7 +63,7 @@ def analyze(workload, telemetry=None, tree=None) -> AnalysisReport:
         instructions = {}
         for addr, st in observer.stats.items():
             node = tree.by_addr.get(addr)
-            verdict, why = _verdict(workload, channels, addr, result)
+            verdict, why = _verdict(workload, observer, addr, result)
             instructions[addr] = InstructionAnalysis(
                 addr=addr,
                 node_id=node.node_id if node is not None else "",
@@ -131,14 +110,14 @@ def analyze(workload, telemetry=None, tree=None) -> AnalysisReport:
     return report
 
 
-def _verdict(workload, channels: ChannelObserver, addr: int, result):
+def _verdict(workload, observer: ShadowObserver, addr: int, result):
     """Exact singleton outcome for *addr*: substitute the channel's
     diverged output records into the baseline stream and run the
     workload's own verification."""
     if result is None:  # baseline trapped: no mirrored run completed
         return VERDICT_UNKNOWN, "baseline-trap"
-    ch = channels.channels.get(addr)
-    outs = channels.outputs_for(addr, result.outputs)
+    ch = observer.channels.get(addr)
+    outs = observer.outputs_for(addr, result.outputs)
     if outs is None:
         why = ch.why if ch is not None and ch.why else "collective"
         return VERDICT_UNKNOWN, why

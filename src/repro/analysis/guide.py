@@ -22,7 +22,7 @@ it, and fourteen failure-monotonicity violations (a group whose every
 member fails alone, yet the group passes — and vice versa), which rules
 out deriving *group* verdicts from leaf verdicts too.  The channel
 verdict needs no margin: it is the bit-exact outcome of the singleton
-run (:mod:`repro.analysis.channels`), verified by the workload's own
+run (:mod:`repro.analysis.observer`), verified by the workload's own
 routine, and "unknown" — divergence the channel model could not follow
 — always falls back to a real evaluation.  Differential tests assert
 guided and unguided searches compose identical final configurations on
@@ -34,24 +34,11 @@ from __future__ import annotations
 from repro.analysis.report import VERDICT_FAIL, VERDICT_PASS
 
 
-def verification_bound(workload) -> float:
-    """The tightest relative tolerance the workload verifies against."""
-    tolerances = getattr(workload, "tolerances", None)
-    if tolerances:
-        rels = [rel for rel, _abs in tolerances if rel > 0]
-        if rels:
-            return min(rels)
-    rel = getattr(workload, "rel_tol", 0.0)
-    return rel if rel and rel > 0 else 0.0
-
-
 class SearchGuide:
     """Search-facing view of one :class:`AnalysisReport`."""
 
-    def __init__(self, report, workload) -> None:
+    def __init__(self, report) -> None:
         self.report = report
-        self.workload = workload
-        self.bound = verification_bound(workload)
 
     # -- prioritization ----------------------------------------------------
 

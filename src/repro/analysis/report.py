@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 REPORT_VERSION = 2
 
-#: channel verdict values (see :mod:`repro.analysis.channels`)
+#: channel verdict values (see :mod:`repro.analysis.observer`)
 VERDICT_PASS = "pass"
 VERDICT_FAIL = "fail"
 VERDICT_UNKNOWN = "unknown"

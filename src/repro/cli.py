@@ -416,6 +416,7 @@ def cmd_search(args) -> int:
                 render_markdown_report(
                     result, workload, metrics=metrics,
                     analysis=engine.analysis_report,
+                    lattice=options.lattice,
                 )
             )
         print(f"wrote report to {args.report}")

@@ -25,7 +25,7 @@ through the low word.  Each sentinel is its width's
 The f32-only helpers (``downcast_in_place``, ``upcast_in_place``,
 ``read_operand_as_*``) predate the lattice and read only the f32
 sentinel: a slot narrowed to another width is an ordinary (NaN) binary64
-to them, which the channel observer (:mod:`repro.analysis.channels`)
+to them, which the analysis observer (:mod:`repro.analysis.observer`)
 relies on.  The ``*_at``/``*_any`` variants decode every width's
 sentinel.
 """

@@ -73,13 +73,13 @@ class SearchOptions:
         Shadow-value analysis guidance (``repro.analysis``): run the
         workload once under the shadow observer before the search, then
         (1) seed prioritization with predicted-replaceable items ahead
-        of profile counts and (2) prune candidates whose shadow error
-        already exceeds the workload's verification bound.  Pruned items
-        are treated exactly like observed failures (recorded in history
+        of profile counts and (2) prune single-instruction items whose
+        singleton channel verdict is "fail" (the observed run already
+        decided that evaluation's outcome exactly).  Pruned items are
+        treated exactly like observed failures (recorded in history
         with ``reason="pruned"`` and descended), so the final composed
-        configuration is identical to the unguided search as long as the
-        predictor never prunes an item that would have passed —
-        differential tests assert exactly that.  ``False`` (the CLI's
+        configuration is identical to the unguided search — differential
+        tests assert exactly that.  ``False`` (the CLI's
         ``--no-analysis``) keeps the cold path untouched.
 
         ``"auto"`` makes the engine decide per run whether the guidance
@@ -543,7 +543,7 @@ class SearchEngine:
 
         if self._report is None:
             self._report = analyze(self.workload, telemetry=self.telemetry)
-        self._guide = SearchGuide(self._report, self.workload)
+        self._guide = SearchGuide(self._report)
 
     def _maybe_setup_guide(self, workload_name: str) -> None:
         """Honour ``options.analysis``: unconditionally build the guide
@@ -733,10 +733,10 @@ class SearchEngine:
                 if item is None:
                     break
                 if guide is not None and guide.predict_fail(self._addrs(item)):
-                    # Analysis prune: the shadow run already showed this
-                    # item's error exceeding the verification bound, so
-                    # skip the evaluation and treat it as a failure
-                    # (recorded + descended exactly like one).
+                    # Analysis prune: the observed run already decided
+                    # this singleton fails (its channel verdict), so skip
+                    # the evaluation and treat it as a failure (recorded
+                    # + descended exactly like one).
                     self._prune(history, item, "bfs")
                     self._descend(item)
                     continue

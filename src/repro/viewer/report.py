@@ -14,13 +14,16 @@ from repro.config.model import LEVEL_FUNCTION
 
 
 def render_markdown_report(result, workload=None, metrics=None,
-                           analysis=None) -> str:
+                           analysis=None, lattice=None) -> str:
     """Render *result* (a SearchResult) as a Markdown document.
 
     ``metrics`` may be a :class:`repro.telemetry.MetricsRegistry` collected
     during the search; its summary table is embedded as an extra section.
     ``analysis`` may be the :class:`repro.analysis.AnalysisReport` that
-    guided the search; its verdict census is embedded too.
+    guided the search; its verdict census is embedded too.  ``lattice``
+    is the search's precision lattice (a spec string or
+    :class:`repro.lattice.Lattice`): the recommended configuration is
+    written under its header, exactly as ``dump_config`` writes it.
     """
     lines = [f"# Mixed-precision analysis: {result.workload}", ""]
     lines += [
@@ -135,7 +138,7 @@ def render_markdown_report(result, workload=None, metrics=None,
             "## Recommended configuration (exchange format)",
             "",
             "```",
-            dump_config(config).rstrip(),
+            dump_config(config, lattice=lattice).rstrip(),
             "```",
             "",
         ]

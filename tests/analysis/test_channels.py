@@ -1,8 +1,8 @@
 """Per-instruction shadow channels: exactness and soundness.
 
-The central claim of :mod:`repro.analysis.channels`: after one observed
-run, substituting a channel's output overrides into the baseline output
-stream reproduces the *exact* outcome of really instrumenting that one
+The central claim of the channels of :mod:`repro.analysis.observer`:
+after one observed run, substituting a channel's output overrides into
+the baseline output stream reproduces the *exact* outcome of really instrumenting that one
 instruction as single and re-running.  Verified here instruction by
 instruction against the real evaluator on small programs and on cg.T —
 and suite-wide by the differential search tests.
@@ -12,18 +12,20 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import ChannelObserver
-from repro.config.generator import build_tree
-from repro.config.model import Config, Policy
-from repro.search.evaluator import Evaluator
-from repro.vm.machine import ExecResult, run_program
+from repro.analysis import ShadowObserver
+from repro.vm.errors import CollectiveYield, VmTrap
+from repro.vm.machine import VM, ExecResult, run_program
 from repro.workloads import make_workload
+from tests.analysis.programs import MH_EXACT as SRC_MIXED
+from tests.analysis.programs import SOURCE_NAMES, source_workload
+from tests.analysis.programs import SrcWorkload as _SrcWorkload
+from tests.analysis.programs import real_outcomes as _real_outcomes
 from tests.conftest import compile_src
 
 
 def _verdicts(workload):
     """addr -> "pass"/"fail"/"unknown" from one channel-observed run."""
-    observer = ChannelObserver()
+    observer = ShadowObserver()
     result = run_program(
         workload.program, observer=observer, **workload.vm_params()
     )
@@ -38,70 +40,6 @@ def _verdicts(workload):
             )
             verdicts[addr] = "pass" if workload.verify(fake) else "fail"
     return verdicts
-
-
-def _real_outcomes(workload, addrs):
-    """addr -> real singleton-replacement outcome via the evaluator."""
-    tree = build_tree(workload.program)
-    evaluator = Evaluator(workload)
-    outcomes = {}
-    for addr in addrs:
-        node = tree.by_addr[addr]
-        config = Config(tree, {node.node_id: Policy.SINGLE})
-        passed, _cycles, _trap, _reason = evaluator.evaluate(config)
-        outcomes[addr] = "pass" if passed else "fail"
-    return outcomes
-
-
-class _SrcWorkload:
-    """Minimal workload around a compiled source: verify against the
-    double-precision baseline under a relative tolerance."""
-
-    rel_tol = 1e-6
-
-    def __init__(self, program, rel_tol=1e-6):
-        self.program = program
-        self.rel_tol = rel_tol
-        self.name = "src"
-        self._base = run_program(program)
-
-    def vm_params(self):
-        return {}
-
-    def run(self, program=None):
-        return run_program(program if program is not None else self.program)
-
-    def profile(self):
-        return run_program(self.program, profile=True).exec_counts
-
-    def verify(self, result) -> bool:
-        want = self._base.values()
-        got = result.values()
-        if len(want) != len(got):
-            return False
-        for w, g in zip(want, got):
-            if w != w or g != g:  # NaN never verifies
-                return False
-            if abs(g - w) > self.rel_tol * max(1.0, abs(w)):
-                return False
-        return True
-
-
-SRC_MIXED = """
-var total: real;
-fn main() {
-    var s: real = 0.0;
-    var tiny: real = 1.0;
-    for i in 0 .. 30 {
-        s = s + real(i) * 0.125;
-        tiny = tiny * 0.5;
-    }
-    total = s + tiny * 0.0000001;
-    out(s);
-    out(tiny);
-    out(sqrt(total));
-}
-"""
 
 
 class TestExactness:
@@ -158,7 +96,7 @@ class TestUnknowns:
         the addition would branch differently: its channel must end
         unknown (never a guessed verdict)."""
         program = compile_src(SRC_COMPARE_FLIP)
-        observer = ChannelObserver()
+        observer = ShadowObserver()
         result = run_program(program, observer=observer)
         flipped = [
             ch for ch in observer.channels.values()
@@ -172,20 +110,29 @@ class TestUnknowns:
             assert observer.outputs_for(ch.addr, result.outputs) is None
 
     def test_unknown_reasons_are_labelled(self):
-        workload = make_workload("ft", "T")
-        observer = ChannelObserver()
-        run_program(workload.program, observer=observer, **workload.vm_params())
-        for ch in observer.channels.values():
-            if ch.unknown:
-                assert ch.why, hex(ch.addr)
-            else:
-                assert ch.why == ""
+        reasons = set()
+        for name in SOURCE_NAMES:
+            observer = ShadowObserver()
+            try:
+                run_program(source_workload(name).program, observer=observer)
+            except VmTrap:
+                pass  # the baseline-trap source
+            for ch in observer.channels.values():
+                if ch.unknown:
+                    assert ch.why, (name, hex(ch.addr))
+                    reasons.add(ch.why)
+                else:
+                    assert ch.why == ""
+        assert reasons >= {
+            "compare-flip", "int-convert-flip", "unmodeled-op",
+            "int-compute", "address-diverged", "return-address",
+        }
 
 
 class TestChannelMechanics:
     def test_outputs_for_unobserved_addr_is_baseline(self):
         workload = _SrcWorkload(compile_src(SRC_MIXED))
-        observer = ChannelObserver()
+        observer = ShadowObserver()
         result = run_program(workload.program, observer=observer)
         outs = observer.outputs_for(0x999999, result.outputs)
         assert outs == result.outputs
@@ -193,7 +140,7 @@ class TestChannelMechanics:
 
     def test_divergent_channels_override_outputs(self):
         workload = make_workload("cg", "T")
-        observer = ChannelObserver()
+        observer = ShadowObserver()
         result = run_program(
             workload.program, observer=observer, **workload.vm_params()
         )
@@ -209,3 +156,21 @@ class TestChannelMechanics:
             # overridden records keep their kind, change only the bits
             for got, base in zip(outs, result.outputs):
                 assert got[0] == base[0]
+
+    def test_multi_rank_collective_taints_every_verdict(self):
+        """A collective at more than one rank mixes state the channels
+        do not follow: every channel goes unknown, past and future."""
+        program = compile_src(
+            "fn main() { var d: real = 0.1 * 3.0;"
+            " out(d); out(allreduce_sum(d)); }"
+        )
+        observer = ShadowObserver()
+        vm = VM(program, rank=0, size=2, observer=observer)
+        with pytest.raises(CollectiveYield):
+            vm.resume(vm.entry_index())
+        assert observer.tainted
+        assert observer.channels
+        for addr, ch in observer.channels.items():
+            assert (ch.unknown, ch.why) == (True, "collective")
+            assert observer.outputs_for(addr, vm.outputs) is None
+        assert observer.outputs_for(0x999999, vm.outputs) is None

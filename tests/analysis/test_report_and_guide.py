@@ -90,10 +90,6 @@ class TestReportSerialization:
         assert summary["execs"] == 20
 
 
-class _W:
-    tolerances = [(1e-7, 0.0), (1e-9, 1e-30)]
-
-
 class TestSearchGuide:
     def test_predict_fail_only_on_failing_singletons(self):
         report = _report([
@@ -101,7 +97,7 @@ class TestSearchGuide:
             _ia(0x20, "pass"),
             _ia(0x30, "unknown", why="movqrx"),
         ])
-        guide = SearchGuide(report, _W())
+        guide = SearchGuide(report)
         assert guide.predict_fail([0x10])
         assert not guide.predict_fail([0x20])
         assert not guide.predict_fail([0x30])      # unknown: must evaluate
@@ -115,22 +111,18 @@ class TestSearchGuide:
             _ia(0x30, "fail"),
             _ia(0x40, "unknown", why="movqrx"),
         ])
-        guide = SearchGuide(report, _W())
+        guide = SearchGuide(report)
         assert guide.replaceable_rank([0x10, 0x20]) == 1
         assert guide.replaceable_rank([0x10, 0x30]) == 0
         assert guide.replaceable_rank([0x40]) == 0  # unknown is not "pass"
         assert guide.replaceable_rank([0x999]) == 0  # nothing observed
-
-    def test_verification_bound_from_tolerances(self):
-        guide = SearchGuide(_report([]), _W())
-        assert guide.bound == 1e-9
 
 
 class TestPredictUnfit:
     """The lattice width-seeding predicate (range-based, fires on groups)."""
 
     def _guide(self, entries):
-        return SearchGuide(_report(entries), _W())
+        return SearchGuide(_report(entries))
 
     def test_overflowing_range_is_unfit(self):
         from repro.lattice import F16

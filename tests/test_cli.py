@@ -306,6 +306,20 @@ class TestTelemetryFlags:
         assert "## Search history" in text
         assert "| # | configuration | phase | outcome | wall |" in text
 
+    def test_search_report_config_matches_config_out(self, tmp_path):
+        # The report's configuration block is the -o file, lattice
+        # header included.
+        report = str(tmp_path / "r.md")
+        cfg = str(tmp_path / "best.cfg")
+        assert main(["search", "ep", "T", "--lattice", "f64,f32,bf16,f16",
+                     "--report", report, "-o", cfg]) == 0
+        written = open(cfg).read()
+        assert "# lattice: f64,f32,bf16,f16\n" in written
+        block = open(report).read().split(
+            "## Recommended configuration (exchange format)\n\n```\n"
+        )[1]
+        assert block.split("```")[0] == written
+
 
 PLUGIN_SOURCE = '''
 from repro.sdk import WorkloadSpec

@@ -3,16 +3,16 @@
 The analysis subsystem rides the VM observer hook
 (:meth:`repro.vm.machine.VM` ``observer=``).  Its contract: outputs,
 cycle counts, step counts and trap addresses are bit-identical with the
-hook attached or detached — the observers read architectural state but
-never write it.  Asserted here for both observers (and their chain)
-across every NAS benchmark at class T.
+hook attached or detached — the observer reads architectural state but
+never writes it.  Asserted here for the analysis observer across every
+NAS benchmark at class T.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis import ChainedObserver, ChannelObserver, ShadowObserver
+from repro.analysis import ShadowObserver
 from repro.config import Config, build_tree
 from repro.instrument import InstrumentCache, instrument
 from repro.vm.errors import VmTrap
@@ -20,11 +20,7 @@ from repro.vm.machine import VM, run_program
 from repro.workloads import BENCHMARKS, make_workload
 from tests.conftest import compile_src, untiled
 
-OBSERVERS = {
-    "shadow": ShadowObserver,
-    "channels": ChannelObserver,
-    "chained": lambda: ChainedObserver(ShadowObserver(), ChannelObserver()),
-}
+OBSERVERS = {"shadow": ShadowObserver}
 
 
 @pytest.mark.parametrize("bench", sorted(BENCHMARKS))
