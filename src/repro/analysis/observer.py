@@ -24,9 +24,10 @@ and trap addresses are bit-identical with the observer attached or not
 
 **The float32 shadow** is a single-precision bit pattern mirroring the
 double an XMM lane or memory word holds.  It follows MOVSD, MOVAPD,
-PUSHX/POPX and CVTSS2SD, and double arithmetic sets it.  The other f32
-writers (MOVSS, CVTSD2SS, single-precision arithmetic), stores and
-pushes from GPRs, and the bit transfers MOVQXR/PINSR *drop* it, and a
+PUSHX/POPX and CVTSS2SD, and double arithmetic sets it.  Every other
+narrow writer (MOVSS, the arithmetic and conversions of f32, bf16 and
+f16), stores and pushes from GPRs, and the bit transfers MOVQXR/PINSR
+*drop* it, and a
 missing shadow falls back to rounding the actual double.  It does not
 follow values through the general-purpose registers.
 
@@ -91,7 +92,7 @@ from repro.fpbits.replace import (
     downcast_in_place,
     upcast_in_place,
 )
-from repro.isa.opcodes import OPCODE_INFO, Op
+from repro.isa.opcodes import NARROW_FAMILIES, OPCODE_INFO, Op
 from repro.isa.operands import Imm, Mem, Reg, Xmm
 from repro.vm.fpops import FPD_BIN, FPD_UN, FPN_BIN, FPN_UN, PD_BIN, PS_BIN
 
@@ -124,12 +125,21 @@ _F32_BIN = {
 _F32_UN = {op: FPN_UN[OPCODE_INFO[op].single_equiv] for op in FPD_UN}
 _F32_UN[Op.SQRTPD] = ieee.single_sqrt
 
-#: single-precision writers of an xmm low lane (both lanes for the
-#: packed ones): the shadow drops its value there.
+#: narrow writers of an xmm low lane at every width (the twins of the
+#: scalar double arithmetic and of CVTSI2SD, and the conversions to and
+#: from double) and of both lanes (the packed twins): the shadow drops
+#: its value there.  CVTSD2SS and CVTSS2SD have wrappers of their own.
 _SHADOW_DROP_LO = frozenset(
-    OPCODE_INFO[op].single_equiv for op in (*FPD_BIN, *FPD_UN, Op.CVTSI2SD)
+    op
+    for twins, down, up in NARROW_FAMILIES.values()
+    for op in (*(twins[d] for d in (*FPD_BIN, *FPD_UN, Op.CVTSI2SD)), down, up)
 )
-_SHADOW_DROP_BOTH = frozenset(OPCODE_INFO[op].single_equiv for op in _PACKED)
+_SHADOW_DROP_BOTH = frozenset(
+    twins[op]
+    for twins, _down, _up in NARROW_FAMILIES.values()
+    for op in _PACKED
+    if op in twins
+)
 
 #: integer ops computing on their operands: a diverged input register
 #: changes the result, which the model does not follow.

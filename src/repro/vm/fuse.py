@@ -11,19 +11,29 @@ cmp+branch) thereby execute inside a single frame; the cmp+branch pair
 in particular turns a tight loop's body+test+back-edge into one call per
 iteration.
 
+A run continues across a forward conditional branch — a *diamond* —
+whose target (the *join*) lies in the same segment, is targeted by no
+other transfer, and is reached over at most :data:`MAX_ARM` members
+with no compare, HALT or branch target among them (the *arm*): the
+paper's Figure 6 check, ``movqrx; shr; cmp; je skip`` over a
+five-instruction downcast, thereby stays inside the run of its block,
+which is emitted as ``if <taken>: <repay the arm> else: <arm>``.  A
+counting VM folds nothing (see below).
+
 The generated code is specialized three ways:
 
 * **register promotion** — a ``gpr``/``xl`` cell that two or more
   members touch lives in a Python local for the whole run: loaded once,
-  after the budget check, if the run reads it before writing it, and
-  written back once on every exit;
+  after the budget check, if the run reads it before writing it or
+  first writes it inside an arm (so the taken path reads a defined
+  local), and written back once on every exit;
 * **flag liveness** — :func:`flag_liveness` computes, over the control
   flow of the segment being scanned (one block template, or the whole
   program when it loads without templates), which flags some successor
-  of each run's exit may read.  The run's last compare computes only
-  those plus the ones its own conditional branch tests (which it tests
-  as locals), and stores only the former; an earlier compare computes
-  nothing;
+  of each run's exit may read.  Every compare computes, as locals, the
+  flags the branches it feeds test (folded ones and the terminator);
+  the run's last compare also computes the exit-live ones and stores
+  them, and no other compare stores anything;
 * **inlined codecs** — scalar add/sub/mul, the single<->double
   conversions and the scalar compares decode their operands through
   :mod:`repro.fpbits.ieee`'s own ``struct.Struct`` methods instead of
@@ -72,18 +82,33 @@ exact wherever a conditional jump can read them —
   index of the faulting instruction; the VM stamps the absolute text
   address on, producing the same message the reference loop produces.
   Integer division by zero raises a plain address-less ``VmTrap``,
-  exactly like the reference helpers.
+  exactly like the reference helpers;
+* a folded branch counts in K, in the fall-through total and in the
+  partial sums as though its arm ran: the longer path is debited.  Its
+  taken path repays the arm's length to ``sl`` and charges the cost
+  model's taken extra less the arm's cycles, both constants, before the
+  join; so a fault after the join, on either path, charges and repays
+  what the reference charges.  Relative indices stay linear: a fault
+  inside an arm, which only the path through the arm reaches, keeps the
+  one handler and its partial-cycle tuple exact;
+* a fold's arm length is baked into its factory, which is exact at
+  every placement of a segment because intra-segment branches are
+  template-relative (original branches target block starts, which
+  start segments) and a whole-program segment serves one load.
 
 Execution counting is not generated into runs: a counting VM wraps
 each run head at load time, and the exits above tell the wrapper which
-members ran (see ``VM._install_counters``).
+members ran (see ``VM._install_counters``).  That wrapper charges a
+completed entry to every member of its run, so a counting VM scans its
+segments without folding.
 
 Generated factories are position- and VM-independent: branch targets,
 return addresses, MPI identity and the state arrays are passed as
 factory arguments, so one compiled factory (keyed by the run's
-*unpatched template bytes*, the cost model and, for a run that writes
-flags, its exit mask) is shared across every program, configuration and
-Machine in the process.
+*unpatched template bytes* — a folded branch's without its target —,
+its fold shape, the cost model and, for a run that writes flags, its
+exit mask) is shared across every program, configuration and Machine
+in the process.
 """
 
 from __future__ import annotations
@@ -358,26 +383,29 @@ class _RunEmitter:
     instructions.
 
     ``j`` is the relative index of the instruction being emitted and
-    ``cycles`` the cost of the members before it.  Bodies reach the
+    ``cycles`` the cost of the members before it, in layout order, arms
+    included.  Bodies reach the
     registers through :meth:`g`/:meth:`x` (reads, which must come before
     the same member's writes) and :meth:`set_g`/:meth:`set_x` (write
     targets).  A *promoted* cell is a local named like the cell, loaded
-    before the body when its first access is a read; any other cell is
+    before the body when its first access is a read or a write inside a
+    folded arm; any other cell is
     accessed in its list.  ``spills`` maps each written promoted cell to
     its write-back statement and the smallest relative index whose fault
-    must perform it.  ``writer`` is the run's last compare, the only one
-    that computes flags: ``need`` of them, storing the ``mask`` ones.
+    must perform it.  ``need`` maps each compare to the flags it
+    computes: those the branches it feeds test and, for ``writer``, the
+    run's last compare, the ``mask`` ones it stores.
     """
 
     def __init__(
-        self, size: int, k: int, promoted, writer: int, mask: int, reads: int
+        self, size: int, k: int, promoted, writer: int, mask: int, need: dict
     ) -> None:
         self.size = size
         self.k = k
         self.promoted = promoted
         self.writer = writer
         self.mask = mask
-        self.need = mask | reads
+        self.need = need
         self.lines: list[str] = []
         self.j = 0
         self.cycles = 0  # partial sum: cost of instructions < j
@@ -388,9 +416,13 @@ class _RunEmitter:
         self.spills: dict = {}
         self.trap_rels: list[int] = []  # j of every FusedTrap site
         self.targets = 0  # factory target slots the exit reads
-        #: the flags a terminator tests: the last compare's locals, or
-        #: the flag cells when the run has no compare
+        #: the flags a branch tests: the latest compare's locals, or the
+        #: flag cells before the run's first compare
         self.flag_exprs = ("flags[0]", "flags[1]", "flags[2]")
+        #: the open arm of a folded branch: where its lines start and
+        #: the relative index of its join; -1 when none is open
+        self.arm_at = 0
+        self.join = -1
 
     # -- plumbing ---------------------------------------------------------
 
@@ -429,6 +461,10 @@ class _RunEmitter:
     def _set(self, cell: str, arr: str, i: int, early: bool) -> str:
         if cell not in self.promoted:
             return f"{arr}[{i}]"
+        if cell not in self.defined and self.join >= 0:
+            # First written inside an arm: the taken path skips the
+            # write, so the local starts from the cell.
+            self.loads.append(f"{cell} = {arr}[{i}]")
         self.defined.add(cell)
         if cell not in self.spills:
             # A fault at this member itself spills the cell only if the
@@ -529,11 +565,13 @@ class _RunEmitter:
     # -- flags ------------------------------------------------------------
 
     def publish_flags(self, z: str, l: str, p: str, int_lt: bool = False) -> None:
-        """Make the last compare's flag locals the terminator's, and
-        store the exit-live ones as 0/1 like the reference closures
-        (``p == "0"``: a constant clear flag; *int_lt*: ``l`` already
-        holds 0/1)."""
+        """Make a compare's flag locals the ones the following branches
+        test; the last compare also stores the exit-live ones as 0/1
+        like the reference closures (``p == "0"``: a constant clear
+        flag; *int_lt*: ``l`` already holds 0/1)."""
         self.flag_exprs = (z, l, p)
+        if self.j != self.writer:
+            return
         for bit, k, v in ((_ZF, 0, z), (_LT, 1, l), (_PF, 2, p)):
             if self.mask & bit:
                 if v == "0" or (bit == _LT and int_lt):
@@ -565,13 +603,13 @@ class _RunEmitter:
         the reference closure checks first).  Raises :class:`Unfusable`
         for opcodes/operand shapes without a template.
         """
+        self.rejoin()
         op = instr.opcode
         ops = instr.operands
         j = self.j
         e = self.emit
         self.partial.append(self.cycles)
-        # Flags are computed only by the run's last compare.
-        need = self.need if j == self.writer else 0
+        need = self.need.get(j, 0)
 
         if op is Op.NOP:
             pass
@@ -684,8 +722,7 @@ class _RunEmitter:
                     else:
                         bx = f"({b} ^ {_SIGN64})"
                     e(f"l{j} = ({a} ^ {_SIGN64}) < {bx}")
-            if j == self.writer:
-                self.publish_flags(f"z{j}", f"l{j}", "0")
+            self.publish_flags(f"z{j}", f"l{j}", "0")
 
         elif op is Op.TEST:
             sv = self.src64(ops[1])
@@ -695,8 +732,7 @@ class _RunEmitter:
                     e(f"z{j} = tv{j} == 0")
                 if need & _LT:
                     e(f"l{j} = (tv{j} >> 63) & 1")
-            if j == self.writer:
-                self.publish_flags(f"z{j}", f"l{j}", "0", int_lt=True)
+            self.publish_flags(f"z{j}", f"l{j}", "0", int_lt=True)
 
         elif op is Op.PUSH:
             e(f"sp{j} = {self.g(15)} - 1")
@@ -959,6 +995,43 @@ class _RunEmitter:
             f"    {t} = int(f{j}) & _M64",
         )
 
+    # -- folded branches --------------------------------------------------
+
+    def fork(self, instr, cost: int, arm: int, taken_extra: int) -> None:
+        """Emit a folded forward branch over the next *arm* members.
+
+        The run's budget and cycle totals count every member, so the
+        taken path repays the skipped arm's steps and charges
+        *taken_extra*, the branch's taken extra less the arm's cycles;
+        the arm itself becomes the ``else`` block that :meth:`rejoin`
+        closes at the join.
+        """
+        self.rejoin()
+        z, l, p = self.flag_exprs
+        taken = []
+        if arm:
+            taken.append(f"    sl[0] += {arm}")
+        if taken_extra:
+            taken.append(f"    cyc[0] += {taken_extra}")
+        if taken:
+            self.emit(f"if {_COND[instr.opcode][1].format(z=z, l=l, p=p)}:",
+                      *taken)
+        self.partial.append(self.cycles)
+        self.j += 1
+        self.cycles += cost
+        if arm:
+            self.arm_at = len(self.lines)
+            self.join = self.j + arm
+
+    def rejoin(self) -> None:
+        """Close the open arm once emission reaches its join."""
+        if self.j != self.join:
+            return
+        arm = ["    " + ln for ln in self.lines[self.arm_at :]]
+        if arm:
+            self.lines[self.arm_at :] = ["else:", *arm]
+        self.join = -1
+
     # -- terminators ------------------------------------------------------
 
     def terminator(self, instr, cost: int, branch_extra: int) -> list[str]:
@@ -969,6 +1042,7 @@ class _RunEmitter:
         terminator's own cost) is folded into each exit path as one
         constant; taken branches add the cost model's extra.
         """
+        self.rejoin()
         op = instr.opcode
         e = self.emit
         total = self.cycles + cost
@@ -1118,33 +1192,44 @@ def _assemble(em: _RunEmitter, exits: list[str]) -> str:
 
 
 def _run_source(instrs, costs, start, k_members, term_i, size, branch_extra,
-                mask) -> str | None:
+                mask, folds=()) -> str | None:
     """Generate the factory source for one run; None if emission refuses.
 
     *mask* is the run's exit mask: the flags live after its last
-    instruction.
+    instruction.  *folds* lists the run's folded branches as ``(relative
+    index, arm length)`` pairs.
     """
     end = start + k_members
+    k = k_members + (term_i >= 0)
+    # Each compare computes the flags of the branches it feeds, folded
+    # ones and the terminator; the last one also the exit mask.
+    need: dict = {}
     writer = -1
-    for i in range(start, end):
-        if instrs[i].opcode in _FLAG_WRITERS:
-            writer = i - start
-    term = instrs[term_i] if term_i >= 0 else None
-    reads = _COND[term.opcode][0] if term is not None and term.opcode in _COND else 0
+    for r in range(k):
+        op = instrs[start + r].opcode
+        if op in _FLAG_WRITERS:
+            writer = r
+            need[r] = 0
+        elif op in _COND and writer >= 0:
+            need[writer] |= _COND[op][0]
+    if writer >= 0:
+        need[writer] |= mask
     em = _RunEmitter(
-        size,
-        k_members + (term is not None),
-        _promoted(instrs, start, end + (term is not None)),
-        writer,
-        mask,
-        reads,
+        size, k, _promoted(instrs, start, start + k), writer, mask, need
     )
+    arms = dict(folds)
     try:
         for i in range(start, end):
-            em.instruction(instrs[i], costs[i])
-        if term is not None:
-            exits = em.terminator(term, costs[term_i], branch_extra)
+            arm = arms.get(i - start)
+            if arm is None:
+                em.instruction(instrs[i], costs[i])
+            else:
+                skipped = sum(costs[i + 1 : i + 1 + arm])
+                em.fork(instrs[i], costs[i], arm, branch_extra - skipped)
+        if term_i >= 0:
+            exits = em.terminator(instrs[term_i], costs[term_i], branch_extra)
         else:
+            em.rejoin()
             exits = [f"cyc[0] += {em.cycles}"] if em.cycles else []
             exits.append(f"return idx + {em.k}")
     except Unfusable:
@@ -1202,11 +1287,18 @@ _MEMBER_OPS = (
 )
 
 
-def _scan_span(vm, lo: int, hi: int, leaders, live) -> list:
+#: the longest arm a forward conditional branch folds over: the Figure 6
+#: downcast is five members.
+MAX_ARM = 8
+
+
+def _scan_span(vm, lo: int, hi: int, targets: dict, live) -> list:
     """Detect the fusable runs of instruction span ``[lo, hi)``.
 
-    *live* is the span's :func:`flag_liveness` (None when it has no
-    compare).  Returns the span's
+    *targets* maps each control transfer of the span whose target lies
+    inside it to that target (every target is a run *leader*); *live* is
+    the span's :func:`flag_liveness` (None when it has no compare).
+    Returns the span's
     *partition*: ``(rel_start, k_total, term_rel, term_opcode)`` tuples
     plus the run's compiled factory, all relative to *lo* and free of
     any per-load data — branch targets stay out (the terminator's
@@ -1214,13 +1306,19 @@ def _scan_span(vm, lo: int, hi: int, leaders, live) -> list:
     once for a segment template is valid for every later placement of
     the same template.
 
+    A run continues across a forward conditional branch — a *diamond* —
+    whose target (the *join*) no other transfer targets and whose
+    skipped *arm* is at most :data:`MAX_ARM` members with no compare,
+    HALT or leader among them.  A counting VM folds nothing: its run
+    heads charge each completed entry to every member.
+
     Run keys into the factory cache are the members' *raw text bytes*
-    plus the terminator's opcode and, for a run containing a compare,
-    its exit mask.  Member encodings carry no positional data — branches
-    and calls never join the member stretch — so identical bytes at any
-    address decode to identical instructions, and factories are shared
-    across layouts, configurations, VMs and rebinds process-wide.  A
-    bytes slice hashes at C speed, which keeps the per-load key cost
+    (a folded branch's without its target) plus the fold shape, the
+    terminator's opcode and, for a run containing a compare, its exit
+    mask.  Member encodings carry no positional data, so identical bytes
+    at any address decode to identical instructions, and factories are
+    shared across layouts, configurations, VMs and rebinds process-wide.
+    A bytes slice hashes at C speed, which keeps the per-load key cost
     negligible when a partition is not cached.
     """
     instrs = vm._instrs
@@ -1237,18 +1335,42 @@ def _scan_span(vm, lo: int, hi: int, leaders, live) -> list:
     terms = _TERMINATORS
     writers = _FLAG_WRITERS
     factories = _FACTORIES.setdefault(model, {})
+    leaders: dict = {}  # target -> how many transfers aim at it
+    for t in targets.values():
+        leaders[t] = leaders.get(t, 0) + 1
+    joins = () if vm._counting else {t for t, c in leaders.items() if c == 1}
+
+    def arm_join(b: int) -> int:
+        """The join of the branch at *b* when it folds, else -1."""
+        t = targets.get(b, -1)
+        if t not in joins or not b < t <= b + 1 + MAX_ARM:
+            return -1
+        for a in range(b + 1, t):
+            op = instrs[a].opcode
+            if (a in leaders or op not in members or op in writers
+                    or op is Op.HALT or (op in mpi and not size_one)):
+                return -1
+        return t
+
     part: list = []
     i = lo
     while i < hi:
         start = i
         halted = False
         writes = False
+        folds: list = []
+        join = -1
         while i < hi:
-            if i in leaders and i > start:
+            if i in leaders and i > start and i != join:
                 break
             op = instrs[i].opcode
             if op not in members or (op in mpi and not size_one):
-                break
+                t = arm_join(i) if op in _COND else -1
+                if t < 0:
+                    break
+                folds.append((i - start, t - i - 1))
+                i = join = t
+                continue
             if op in writers:
                 writes = True
             i += 1
@@ -1272,8 +1394,16 @@ def _scan_span(vm, lo: int, hi: int, leaders, live) -> list:
             # The flags live after the run's last instruction; a run
             # without a compare never computes or stores one.
             mask = live[i - 1 - lo] if writes else -1
+            # A folded branch keys by its opcode word, not its target.
+            a = addrs[start]
+            body = []
+            for rel, _arm in folds:
+                body.append(text[a : addrs[start + rel] + 4])
+                a = addrs[start + rel + 1]
+            body.append(text[a : addrs[m_end] if m_end < n else len(text)])
             key = (
-                text[addrs[start] : addrs[m_end] if m_end < n else len(text)],
+                b"".join(body) if folds else body[0],
+                tuple(folds),
                 term_op,
                 size_one,
                 mask,
@@ -1283,7 +1413,7 @@ def _scan_span(vm, lo: int, hi: int, leaders, live) -> list:
                 vm.fuse_misses += 1
                 factory = _compile_run(
                     instrs, costs, start, k_members, term_i, size,
-                    branch_extra, mask,
+                    branch_extra, mask, folds,
                 )
                 factories[key] = factory
             elif factory is not None:
@@ -1322,9 +1452,10 @@ def build_fcode(vm, tiles, halt, runs) -> list:
     member operands are final in the template bytes, terminator
     *targets* stay outside the partition, and interior run leaders —
     every branch or call target starts a run, so transfers land on a
-    fused head — can only come from the segment's own branches
-    (original branches target block starts, snippet branches are
-    intra-block).  Flag liveness sees only the segment too: every edge
+    fused head, unless a folded branch alone aims at it — and folds can
+    only come from the segment's own branches (original branches target
+    block starts, snippet branches are intra-block and
+    template-relative).  Flag liveness sees only the segment too: every edge
     leaving it has all flags live, a branch back to its own head
     included, since another placement of the same bytes may aim it
     elsewhere.  For the whole-program segment that is whole-program
@@ -1348,15 +1479,13 @@ def build_fcode(vm, tiles, halt, runs) -> list:
         part = record.partition
         if part is None:
             hi = lo + len(record.instrs)
-            leaders = set()
             targets = {}
             for j in record.ctl:
                 t = a2i.get(instrs[lo + j].operands[0].value)
                 if t is not None and lo < t < hi:
-                    leaders.add(t)
                     targets[lo + j] = t
             live = flag_liveness(instrs, lo, hi, targets)
-            part = record.partition = _scan_span(vm, lo, hi, leaders, live)
+            part = record.partition = _scan_span(vm, lo, hi, targets, live)
         else:
             vm.fuse_hits += len(part)
         # Bind the partition to this load: resolve each terminator's

@@ -13,7 +13,12 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import ShadowObserver
+from repro.asm import AsmBuilder
+from repro.fpbits.ieee import double_to_bits
+from repro.isa import Mem, Op, Reg, Xmm
+from repro.isa.opcodes import NARROW_FAMILIES, OPCODE_INFO
 from repro.vm.errors import CollectiveYield, VmTrap
+from repro.vm.fpops import FPD_BIN, FPD_UN
 from repro.vm.machine import VM, ExecResult, run_program
 from repro.workloads import make_workload
 from tests.analysis.programs import MH_EXACT as SRC_MIXED
@@ -174,3 +179,46 @@ class TestChannelMechanics:
             assert (ch.unknown, ch.why) == (True, "collective")
             assert observer.outputs_for(addr, vm.outputs) is None
         assert observer.outputs_for(0x999999, vm.outputs) is None
+
+
+def _narrow_writers():
+    """Every narrow writer of an xmm low lane but CVTSS2SD, whose
+    wrapper sets the shadow: the f32, bf16 and f16 twins of the scalar
+    double arithmetic and of cvtsi2sd, and each width's conversions to
+    and from double."""
+    ops = set()
+    for twins, down, up in NARROW_FAMILIES.values():
+        ops.update(twins[op] for op in (*FPD_BIN, *FPD_UN, Op.CVTSI2SD))
+        ops.update((down, up))
+    ops.discard(Op.CVTSS2SD)
+    return sorted(ops)
+
+
+def _shadow_after(writer):
+    """The observer's float32 shadow after ``movsd x0, [a]; mulsd x0,
+    [b]`` (a = 0.1, b = 3.0) and then *writer* (if any) on x0."""
+    b = AsmBuilder()
+    b.global_("g", 2, [double_to_bits(0.1), double_to_bits(3.0)])
+    b.func("_start")
+    b.emit(Op.MOVSD, Xmm(0), Mem(disp=0))
+    b.emit(Op.MULSD, Xmm(0), Mem(disp=1))
+    b.emit(Op.MOVSD, Xmm(1), Mem(disp=1))
+    if writer is not None:
+        letters = OPCODE_INFO[writer].sigs[0]
+        source = {"X": Xmm(1), "R": Reg(1), "M": Mem(disp=1)}[letters[1][0]]
+        b.emit(writer, Xmm(0), source)
+    b.emit(Op.HALT)
+    b.endfunc()
+    observer = ShadowObserver()
+    run_program(b.link(), observer=observer)
+    return observer.shadow
+
+
+class TestShadow:
+    def test_double_arithmetic_sets_the_shadow(self):
+        assert _shadow_after(None).get(0) == 0x3E99999A  # 0.3f
+
+    @pytest.mark.parametrize("writer", _narrow_writers(), ids=lambda op: op.name)
+    def test_every_narrow_writer_drops_the_shadow(self, writer):
+        # The shadow mirrors a double; a narrow result is none.
+        assert 0 not in _shadow_after(writer)

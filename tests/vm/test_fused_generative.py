@@ -19,7 +19,11 @@ chunks covering every terminator kind:
   conditional branch;
 * counted loops (which may spin until the step budget expires when the
   body clobbers the counter);
-* unconditional jumps and bare returns.
+* unconditional jumps and bare returns;
+* diamonds the fuser folds into one run: forward branches over arms of
+  0-8 members without a compare, one or two per run, taken and not
+  taken, with a register the arm writes read after the join; a second
+  branch to the same join, which must not fold; a branch at a join.
 
 Each program runs with a step budget that sometimes expires mid-run, on
 the fused path and on the reference loop (``fused=False``), plain and
@@ -117,6 +121,8 @@ def _shapes(ops):
 
 _MEMBER_SHAPES = _shapes(_MEMBER_OPS)
 _COMPARE_SHAPES = _shapes(_FLAG_WRITERS)
+#: what a folded arm may hold: the members other than compares and HALT
+_ARM_SHAPES = _shapes(_MEMBER_OPS - _FLAG_WRITERS - {Op.HALT})
 _JCCS = sorted(_COND)
 
 
@@ -256,7 +262,56 @@ class _Gen:
         self.stretch(0, 2)
         self.b.mark(over)
 
-    CHUNKS = (line, branch, ucomi_chain, call, loop, jump)
+    def fork(self, join: str) -> list:
+        """A compare and a forward branch to *join* over an arm the fuser
+        folds (0-8 members, no compare); returns the arm.  A register
+        compared with itself reads equal, so every condition is taken
+        some of the time and not taken some of the time.  Without a
+        compare the branch tests the flags already set, and may sit at
+        the previous fork's join."""
+        draw = self.draw
+        compare = draw(st.integers(0, 3))
+        if compare == 0:
+            self.b.emit(*self.instr(_COMPARE_SHAPES))
+        elif compare == 1:
+            r = self.gpr()
+            self.b.emit(Op.CMP, r, r)
+        elif compare == 2:
+            x = self.xmm()
+            self.b.emit(Op.UCOMISD, x, x)
+        self.b.emit(draw(st.sampled_from(_JCCS)), LabelRef(join))
+        arm = [self.instr(_ARM_SHAPES) for _ in range(draw(st.integers(0, 8)))]
+        for instr in arm:
+            self.b.emit(*instr)
+        return arm
+
+    def diamond(self) -> None:
+        # Sometimes the run starts at the diamond (a jump to the next
+        # instruction ends the one before), so a cell the arm writes can
+        # be written first there; reading the arm's last destination
+        # after the join then reads a local the taken path never wrote.
+        # Two compares may feed two folded branches of one run, and a
+        # second branch may aim at a join, which then must not fold.
+        draw = self.draw
+        if draw(st.booleans()):
+            head = self.label()
+            self.b.emit(Op.JMP, LabelRef(head))
+            self.b.mark(head)
+        self.stretch(0, 2)
+        for _ in range(draw(st.integers(1, 2))):
+            join = self.label()
+            arm = self.fork(join)
+            if draw(st.integers(0, 3)) == 0:
+                arm = self.fork(join)
+            self.b.mark(join)
+            written = [ops[0] for _op, *ops in arm
+                       if ops and isinstance(ops[0], (Reg, Xmm))]
+            if written and draw(st.booleans()):
+                dst = written[-1]
+                self.b.emit(Op.OUTI if isinstance(dst, Reg) else Op.OUTSD, dst)
+        self.stretch(0, 2)
+
+    CHUNKS = (line, branch, ucomi_chain, call, loop, jump, diamond)
 
 
 @st.composite
@@ -440,3 +495,88 @@ def test_a_stack_access_past_the_top_traps_both_paths_alike():
         assert got["trap"] == (
             "VmTrap", f"{message} (at text address 0xe)", 0xE
         ), op.name
+
+
+# -- folded diamonds: each shape the generator's diamond chunk draws -------
+
+
+def _diamond_program(r0, body):
+    """``_start``: r0 = *r0*, r3 = an address past the image, x1 = g[0],
+    then *body* (instruction tuples, a str marks a label), then r1, x2
+    and r4 out, and HALT."""
+    b = AsmBuilder()
+    b.global_("g", 4, [0x3FF8000000000000, 0x7FF4DEAD3FC00000, 7, 9])
+    b.func("_start")
+    b.emit(Op.MOV, Reg(0), Imm(r0))
+    b.emit(Op.MOV, Reg(3), Imm(1 << 40))
+    b.emit(Op.MOVSD, Xmm(1), Mem(disp=0))
+    for item in body:
+        if isinstance(item, str):
+            b.mark(item)
+        else:
+            b.emit(*item)
+    b.emit(Op.OUTI, Reg(1))
+    b.emit(Op.OUTSD, Xmm(2))
+    b.emit(Op.OUTI, Reg(4))
+    b.emit(Op.HALT)
+    b.endfunc()
+    return b.link()
+
+
+#: r1 and x2 first written inside the arm, read after the join
+_ARM = [
+    (Op.MOV, Reg(1), Imm(41)),
+    (Op.MOVSD, Xmm(2), Xmm(1)),
+    (Op.CVTSD2SS, Xmm(2), Xmm(2)),
+    (Op.ADD, Reg(1), Imm(1)),
+]
+_FAULT = (Op.MOV, Reg(4), Mem(base=3))  # a read far past the image
+
+#: name -> (body, whether the join at body index 6 is folded)
+_DIAMONDS = {
+    "arm": ([(Op.CMP, Reg(0), Imm(5)), (Op.JE, LabelRef("j")), *_ARM, "j",
+             (Op.MOV, Reg(4), Imm(3))], True),
+    "empty arm": ([(Op.CMP, Reg(0), Imm(5)), (Op.JNE, LabelRef("j")), "j",
+                   *_ARM, (Op.MOV, Reg(4), Imm(3))], True),
+    "fault in the arm": ([(Op.CMP, Reg(0), Imm(5)), (Op.JE, LabelRef("j")),
+                          *_ARM[:2], _FAULT, *_ARM[2:], "j"], True),
+    "fault after the join": ([(Op.CMP, Reg(0), Imm(5)), (Op.JE, LabelRef("j")),
+                              *_ARM, "j", _FAULT], True),
+    "two compares": ([(Op.CMP, Reg(0), Imm(5)), (Op.JL, LabelRef("j")),
+                      *_ARM, "j", (Op.TEST, Reg(0), Reg(0)),
+                      (Op.JNE, LabelRef("k")), (Op.MOV, Reg(4), Imm(2)),
+                      "k"], True),
+    "a join that branches": ([(Op.CMP, Reg(0), Imm(5)), (Op.JG, LabelRef("j")),
+                              *_ARM, "j", (Op.JE, LabelRef("k")),
+                              (Op.MOV, Reg(4), Imm(2)), "k"], True),
+    "shared join": ([(Op.CMP, Reg(0), Imm(5)), (Op.JE, LabelRef("j")),
+                     *_ARM[:1], (Op.CMP, Reg(0), Imm(6)),
+                     (Op.JL, LabelRef("j")), *_ARM[1:], "j"], False),
+}
+
+
+def test_folded_diamonds_match_the_reference_at_every_budget():
+    # Each shape runs taken (r0 = 5) and not taken (r0 = 9, r0 = 3), with
+    # every step budget up to the program's length, arms included, and
+    # an ample one: expiring before the run, inside the arm and after
+    # the join, and none (a budget below the run's length deoptimizes).
+    for name, (body, folds) in _DIAMONDS.items():
+        for r0 in (5, 9, 3):
+            program = _diamond_program(r0, body)
+            length = len(VM(program, fused=False)._instrs)
+            for max_steps in (*range(length + 2), 3000):
+                for profile in (False, True):
+                    kw = {"max_steps": max_steps, "profile": profile}
+                    fused = VM(program, **kw)
+                    ref = VM(program, fused=False, **kw)
+                    got = _state(fused, _outcome(fused.run))
+                    assert got == _state(ref, _outcome(ref.run)), (
+                        name, r0, max_steps, profile)
+                    if profile:
+                        assert fused.instruction_stats() == \
+                            ref.instruction_stats(), (name, r0, max_steps)
+            if not vm_machine._NO_FUSE:
+                # The join (3 setup instructions, the compare, the
+                # branch, the arm) heads no run exactly when it folds.
+                join = 3 + body.index("j")
+                assert (VM(program)._fcode[join] is None) == folds, name
